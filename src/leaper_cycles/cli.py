@@ -73,14 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--k", type=int, required=True, help="dimension")
     p_oracle.add_argument("--h", type=int, required=True, help="step size")
     p_oracle.add_argument(
-        "--count", action="store_true", help="count cycles in canonical form"
+        "--count", action="store_true", help="count undirected cycles"
     )
     p_oracle.add_argument(
         "--witness", action="store_true", help="emit a found cycle as a document"
-    )
-    p_oracle.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for the top-level branch split (default: 1)",
     )
     p_oracle.add_argument(
         "--format", choices=("tuples", "ints", "json"), default="tuples",
@@ -168,14 +164,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.count:
-        result = oracle_count(
-            args.k, args.h, want_witness=args.witness, threads=args.threads
-        )
-    else:
-        result = oracle_exists(
-            args.k, args.h, want_witness=args.witness, threads=args.threads
-        )
+    search = oracle_count if args.count else oracle_exists
+    result = search(args.k, args.h, want_witness=args.witness)
     print(f"exists: {'true' if result.exists else 'false'}")
     if result.count is not None:
         print(f"count: {result.count}")

@@ -21,7 +21,7 @@ import json
 import re
 from dataclasses import dataclass
 
-from .core import VertexPath
+from .core import CapacityError, VertexPath, check_dimension
 
 ENCODINGS = ("tuples", "ints")
 
@@ -97,6 +97,7 @@ def _parse_text(text: str) -> CycleDocument:
         raise DocumentError(f"line 1: unknown encoding {encoding!r}")
     if k < 1:
         raise DocumentError("line 1: k must be positive")
+    _check_ceiling(k)
 
     codes: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -151,10 +152,11 @@ def _parse_json(text: str) -> CycleDocument:
     k, h, encoding, cycle, closed = (
         obj["k"], obj["h"], obj["encoding"], obj["cycle"], obj["closed"]
     )
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise DocumentError("line 1: k must be a positive integer")
-    if not isinstance(h, int) or h < 1:
+    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
         raise DocumentError("line 1: h must be a positive integer")
+    _check_ceiling(k)
     if encoding not in ENCODINGS:
         raise DocumentError(f"line 1: unknown encoding {encoding!r}")
     if not isinstance(closed, bool):
@@ -180,3 +182,11 @@ def _parse_json(text: str) -> CycleDocument:
                 )
             codes.append(item)
     return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)), closed)
+
+
+def _check_ceiling(k: int) -> None:
+    """Refuse a header dimension above the ceiling before any 2**k work."""
+    try:
+        check_dimension(k)
+    except CapacityError as exc:
+        raise DocumentError(f"line 1: {exc}") from None

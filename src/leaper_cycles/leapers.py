@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .constructor import Feasibility, FeasibilityVerdict
+from .constructor import Feasibility, FeasibilityVerdict, feasibility
 
 CATALOG: dict[str, tuple[int, int]] = {
     "wazir": (0, 1),
@@ -106,31 +106,13 @@ def leaper_verdict(spec: LeaperSpec) -> LeaperVerdict:
 def leaper_feasible(spec: LeaperSpec, k: int) -> FeasibilityVerdict:
     """Closed-tour feasibility of this leaper in {0,1}^k.
 
-    The parity obstruction is permanent, so it is reported ahead of the
-    k-dependent range obstruction.
+    This is the verdict on the change-(a*a+b*b) move, with one change: the
+    parity obstruction is permanent, so it is reported ahead of the
+    k-dependent range obstruction. (a*a+b*b is even exactly when a+b is.)
     """
-    if k < 1:
-        raise ValueError(f"dimension must be positive, got {k}")
-    h = leaper_step(spec)
-    if k < 2:
+    verdict = feasibility(k, leaper_step(spec))
+    if verdict.status is Feasibility.INFEASIBLE_RANGE and min_dimension(spec) is None:
         return FeasibilityVerdict(
-            Feasibility.INFEASIBLE_DIMENSION,
-            "dimension 1 has only two vertices and one edge, which a closed "
-            "tour would have to reuse",
+            Feasibility.INFEASIBLE_PARITY, leaper_verdict(spec).reason
         )
-    if (spec.a + spec.b) % 2 == 0:
-        return FeasibilityVerdict(
-            Feasibility.INFEASIBLE_PARITY,
-            f"{spec.label()} can never tour: a+b is even, so every leap "
-            f"preserves vertex parity",
-        )
-    if k <= h:
-        return FeasibilityVerdict(
-            Feasibility.INFEASIBLE_RANGE,
-            f"{spec.label()} flips {h} coordinates per leap and needs "
-            f"k > {h}; k={k} is too small",
-        )
-    return FeasibilityVerdict(
-        Feasibility.FEASIBLE,
-        f"{spec.label()} tours dimension {k} (change {h}, k > {h})",
-    )
+    return verdict

@@ -13,9 +13,12 @@ vertex can no longer acquire two cycle edges, i.e. its count of unvisited
 neighbors plus its adjacency to the search head and to the anchor drops
 below two.
 
-Counting uses a canonical form: the sequence starts at all-zeros and the
-second vertex must be numerically smaller than the last, which selects one
-of the two directions of every undirected cycle.
+Only the branch whose first move is the smallest flip mask m0 is searched.
+Permuting coordinates fixes the anchor, maps the change-h graph onto
+itself, and takes any first move to any other, so every first move starts
+the same number D of directed cycles. Hence a cycle exists iff the m0
+branch holds one, and the C(k,h) first moves give C(k,h) * D directed
+cycles, each undirected cycle counted once per direction.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from itertools import combinations
 from .core import CapacityError, VertexPath
 
 ORACLE_K_MAX = 12
-COUNT_K_MAX = 5
+COUNT_K_MAX = 4
 
 
 @dataclass(frozen=True)
@@ -37,67 +40,51 @@ class OracleResult:
     witness: VertexPath | None
 
 
-def oracle_exists(
-    k: int, h: int, want_witness: bool = False, *, threads: int = 1
-) -> OracleResult:
+def oracle_exists(k: int, h: int, want_witness: bool = False) -> OracleResult:
     """Decide by exhaustive search whether a change-h cycle exists.
 
     ``nodes_explored`` counts every vertex appended to the search path
-    after the anchor; it depends on ``threads`` (parallel runs explore
-    whole branches), but ``exists`` and the witness never do.
+    after the anchor, within the branch through the smallest flip mask.
     """
-    _check_args(k, h, ORACLE_K_MAX, "existence search", threads)
+    _check_args(k, h, ORACLE_K_MAX, "existence search")
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
         return OracleResult(False, None, 0, None)
-    if threads > 1:
-        found, nodes, wit = _split_branches(
-            k, h, masks, count_mode=False, want_witness=want_witness,
-            threads=threads,
-        )
-    else:
-        found, nodes, wit = _dfs(
-            k, h, masks, count_mode=False, want_witness=want_witness,
-            prefix=(0,),
-        )
+    found, nodes, wit = _dfs(
+        k, h, masks, count_mode=False, want_witness=want_witness,
+        prefix=(0, masks[0]),
+    )
     witness = VertexPath(k, tuple(wit)) if wit is not None else None
     return OracleResult(bool(found), None, nodes, witness)
 
 
-def oracle_count(
-    k: int, h: int, want_witness: bool = False, *, threads: int = 1
-) -> OracleResult:
-    """Count undirected change-h Hamiltonian cycles in canonical form.
+def oracle_count(k: int, h: int, want_witness: bool = False) -> OracleResult:
+    """Count undirected change-h Hamiltonian cycles.
 
-    Full enumeration: every cycle through the all-zeros anchor is visited
-    in both directions and the second-smaller-than-last rule keeps exactly
-    one. The count is independent of neighbor ordering and of ``threads``.
+    Enumerates the D directed cycles whose first move is the smallest flip
+    mask. By the first-move symmetry every one of the C(k,h) first moves
+    starts D of them, and each undirected cycle is met in both directions,
+    so the count is C(k,h) * D / 2. The witness, if asked for, is the first
+    cycle found, and the count is independent of neighbor ordering.
     """
-    _check_args(k, h, COUNT_K_MAX, "cycle counting", threads)
+    _check_args(k, h, COUNT_K_MAX, "cycle counting")
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
         return OracleResult(False, 0, 0, None)
-    if threads > 1:
-        count, nodes, wit = _split_branches(
-            k, h, masks, count_mode=True, want_witness=want_witness,
-            threads=threads,
-        )
-    else:
-        count, nodes, wit = _dfs(
-            k, h, masks, count_mode=True, want_witness=want_witness,
-            prefix=(0,),
-        )
+    directed, nodes, wit = _dfs(
+        k, h, masks, count_mode=True, want_witness=want_witness,
+        prefix=(0, masks[0]),
+    )
+    count = len(masks) * directed // 2
     witness = VertexPath(k, tuple(wit)) if wit is not None else None
     return OracleResult(count > 0, count, nodes, witness)
 
 
-def _check_args(k: int, h: int, cap: int, what: str, threads: int) -> None:
+def _check_args(k: int, h: int, cap: int, what: str) -> None:
     if k < 1 or h < 1:
         raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     if k > cap:
         raise CapacityError(f"{what} is capped at k <= {cap}, got k={k}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _flip_masks(k: int, h: int) -> list[int]:
@@ -139,9 +126,11 @@ def _dfs(
 ) -> tuple[int, int, list[int] | None]:
     """Backtracking core. Returns (found-or-count, nodes, witness codes).
 
-    ``prefix`` is the forced start of the path (the anchor, plus one
-    neighbor when running a single top-level branch). Iterative, so path
-    lengths up to 2**ORACLE_K_MAX need no recursion headroom.
+    ``prefix`` is the forced start of the path: the anchor, plus the first
+    move when searching a single top-level branch. Counts are of directed
+    cycles, so ``prefix=(0,)`` meets every undirected cycle twice.
+    Iterative, so path lengths up to 2**ORACLE_K_MAX need no recursion
+    headroom.
     """
     n = 1 << k
     counts = [len(masks)] * n  # unvisited-neighbor count per vertex
@@ -218,10 +207,9 @@ def _dfs(
                 if not count_mode:
                     wit = list(path) if want_witness else None
                     return (1, nodes, wit)
-                if path[1] < path[-1]:
-                    count += 1
-                    if want_witness and witness is None:
-                        witness = list(path)
+                count += 1
+                if want_witness and witness is None:
+                    witness = list(path)
             pop()
             continue
         if pruned(v):
@@ -231,45 +219,3 @@ def _dfs(
         idx.append(0)
     return (count, nodes, witness)
 
-
-def _branch_worker(
-    args: tuple[int, int, bool, bool, int],
-) -> tuple[int, int, list[int] | None]:
-    k, h, count_mode, want_witness, first = args
-    masks = _flip_masks(k, h)
-    return _dfs(
-        k, h, masks, count_mode=count_mode, want_witness=want_witness,
-        prefix=(0, first),
-    )
-
-
-def _split_branches(
-    k: int,
-    h: int,
-    masks: list[int],
-    *,
-    count_mode: bool,
-    want_witness: bool,
-    threads: int,
-) -> tuple[int, int, list[int] | None]:
-    """Run each top-level branch (choice of second vertex) in a pool.
-
-    The merge is order-deterministic: counts are summed, and the witness
-    comes from the first successful branch in ascending flip-mask order,
-    so results match a single-threaded run regardless of pool size.
-    """
-    import multiprocessing
-
-    tasks = [(k, h, count_mode, want_witness, m) for m in masks]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=threads) as pool:
-        results = pool.map(_branch_worker, tasks)
-    nodes = sum(r[1] for r in results)
-    if count_mode:
-        count = sum(r[0] for r in results)
-        witness = next((r[2] for r in results if r[2] is not None), None)
-        return (count, nodes, witness)
-    for found, _, wit in results:
-        if found:
-            return (1, nodes, wit)
-    return (0, nodes, None)

@@ -1,7 +1,7 @@
 import pytest
 
 from leaper_cycles.constructor import construct
-from leaper_cycles.core import VertexPath
+from leaper_cycles.core import MAX_K_ENV, VertexPath
 from leaper_cycles.document import (
     CycleDocument,
     DocumentError,
@@ -141,6 +141,33 @@ def test_json_bad_cycle_entries():
         parse_document(
             '{"k":2,"h":1,"encoding":"ints","cycle":[true],"closed":true}'
         )
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"k":true,"h":1,"encoding":"ints","cycle":[0,1],"closed":true}',
+        '{"k":2,"h":true,"encoding":"ints","cycle":[0,1],"closed":true}',
+    ],
+)
+def test_json_boolean_k_or_h_rejected(text):
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert "line 1" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# k=40 h=3 encoding=ints closed=true\n0\n7\n",
+        '{"k":40,"h":3,"encoding":"ints","cycle":[0,7],"closed":true}',
+    ],
+)
+def test_header_dimension_above_ceiling_rejected(text, monkeypatch):
+    monkeypatch.delenv(MAX_K_ENV, raising=False)
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value).startswith("line 1: dimension 40 exceeds the ceiling")
 
 
 def test_json_syntax_error_reports_position():

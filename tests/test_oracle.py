@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -12,8 +13,9 @@ def census(k, h):
     """Permutation enumeration: an oracle for the oracle at tiny k.
 
     Checks every ordering of the nonzero vertices behind the fixed
-    all-zeros anchor, with the same second-smaller-than-last canonical
-    form. Independent of the backtracking engine.
+    all-zeros anchor, and keeps one direction of each undirected cycle by
+    requiring the second vertex to be smaller than the last. Independent
+    of the backtracking engine.
     """
     n = 1 << k
     exists = False
@@ -114,18 +116,50 @@ def test_count_independent_of_neighbor_ordering():
         assert ascending[0] == descending[0], (k, h)
 
 
-class TestParallel:
-    def test_exists_and_witness_match_serial(self):
-        serial = oracle_exists(5, 3, want_witness=True)
-        parallel = oracle_exists(5, 3, want_witness=True, threads=3)
-        assert parallel.exists == serial.exists
-        assert parallel.witness.codes == serial.witness.codes
+def full_search(k, h, *, count_mode, want_witness=False):
+    """The unreduced search: every first move from the anchor."""
+    return oracle_mod._dfs(
+        k, h, oracle_mod._flip_masks(k, h), count_mode=count_mode,
+        want_witness=want_witness,
+        prefix=(0,),
+    )
 
-    def test_count_matches_serial(self):
-        assert oracle_count(4, 1, threads=4).count == 1344
 
-    def test_negative_case(self):
-        assert oracle_exists(4, 2, threads=2).exists is False
+class TestFirstMoveSymmetry:
+    @pytest.mark.parametrize("k,h", [(2, 1), (3, 1), (4, 1), (4, 3)])
+    def test_every_first_move_starts_equally_many_cycles(self, k, h):
+        masks = oracle_mod._flip_masks(k, h)
+        directed = {
+            oracle_mod._dfs(
+                k, h, order, count_mode=True, want_witness=False,
+                prefix=(0, first),
+            )[0]
+            for order in (masks, masks[::-1])
+            for first in masks
+        }
+        assert len(directed) == 1
+        assert directed.pop() > 0
+
+    @pytest.mark.parametrize(
+        "k,h,count,nodes",
+        [(2, 1, 1, 3), (3, 1, 6, 27), (4, 1, 1344, 7783), (4, 3, 1344, 7783)],
+    )
+    def test_count_matches_full_search(self, k, h, count, nodes):
+        result = oracle_count(k, h)
+        assert (result.count, result.nodes_explored) == (count, nodes)
+        directed, full_nodes, _ = full_search(k, h, count_mode=True)
+        assert directed == 2 * count
+        assert full_nodes == math.comb(k, h) * nodes
+
+    @pytest.mark.parametrize("k,h", [(5, 3), (6, 5), (7, 3)])
+    def test_exists_matches_full_search(self, k, h):
+        result = oracle_exists(k, h, want_witness=True)
+        found, nodes, witness = full_search(
+            k, h, count_mode=False, want_witness=True
+        )
+        assert result.exists and found
+        assert result.nodes_explored == nodes
+        assert list(result.witness.codes) == witness
 
 
 class TestLimits:
@@ -137,10 +171,14 @@ class TestLimits:
         with pytest.raises(CapacityError):
             oracle_count(COUNT_K_MAX + 1, 1)
 
+    def test_count_refuses_dimension_five(self):
+        # {0,1}^5 has 906,545,760 change-1 cycles (OEIS A066037), far too
+        # many to enumerate; h=3 is the one other k=5 step prechecks allow.
+        with pytest.raises(CapacityError):
+            oracle_count(5, 3)
+
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             oracle_exists(0, 1)
         with pytest.raises(ValueError):
             oracle_exists(3, 0)
-        with pytest.raises(ValueError):
-            oracle_exists(3, 1, threads=0)
