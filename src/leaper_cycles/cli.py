@@ -141,7 +141,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"detail: {result.detail}")
         return 2
     encoding = "ints" if args.format == "ints" else "tuples"
-    doc = CycleDocument(args.k, h, encoding, result.path, closed=True)
+    doc = CycleDocument(args.k, h, encoding, result.path)
     _emit_document(doc, args.format, args.output)
     return 0
 
@@ -172,7 +172,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"nodes_explored: {result.nodes_explored}")
     if result.witness is not None:
         encoding = "ints" if args.format == "ints" else "tuples"
-        doc = CycleDocument(args.k, args.h, encoding, result.witness, closed=True)
+        doc = CycleDocument(args.k, args.h, encoding, result.witness)
         _emit_document(doc, args.format, args.output)
     return 0 if result.exists else 2
 

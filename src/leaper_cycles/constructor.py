@@ -1,10 +1,10 @@
 """Feasibility decisions and construction of change-h Hamiltonian cycles.
 
 A closed tour whose every step flips exactly h of the k coordinates exists
-iff h is odd and 1 <= h <= k-1 (and k >= 2). The construction is the
-base-case-plus-lifting algorithm: in dimension h+1 the change-1 tour with
-every odd-index vertex complemented is a change-h cycle, and each lift
-raises the dimension by one while keeping the step size.
+iff h is odd and 1 <= h <= k-1 (and k >= 2). :func:`construct` builds it
+in one closed-form pass and verifies it once. The paper's base case (the
+change-1 tour of {0,1}^(h+1) with every odd-index vertex complemented) plus
+lifting (one dimension per lift) stays as the reference tests compare with.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class CycleCertificate:
     k: int
     h: int
     path: VertexPath
-    verified: bool
 
 
 def feasibility(k: int, h: int) -> FeasibilityVerdict:
@@ -112,8 +111,6 @@ def lift(cycle: CycleCertificate) -> CycleCertificate:
     concatenating the two halves closes up with a bridge and a return edge
     that both flip exactly h coordinates.
     """
-    if not cycle.verified:
-        raise ValueError("refusing to lift an unverified cycle")
     if cycle.k < cycle.h + 1:
         raise ValueError(
             f"cannot lift a change-{cycle.h} cycle in dimension {cycle.k}"
@@ -131,21 +128,26 @@ def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
     """Build a verified change-h Hamiltonian cycle in {0,1}^k, if one exists.
 
     Returns the infeasibility verdict otherwise. For h=1 the change-1 tour
-    is the cycle; for odd h >= 3 the base cycle in dimension h+1 is lifted
-    k-(h+1) times. The output is deterministic, bit for bit.
+    is the cycle. For odd h >= 3, lifting the base cycle k-(h+1) times
+    unrolls to 2**(k-h-1) blocks: block t has the Gray code of t in its
+    high bits over the base cycle, which is reversed with its leftmost
+    h-1 coordinates flipped when t is odd. The output is deterministic.
     """
-    if k < 1 or h < 1:
-        raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
     check_dimension(k)
     verdict = feasibility(k, h)
     if not verdict.feasible:
         return verdict
     if h == 1:
         return _certify(k, 1, gray_tour(k))
-    cycle = base_cycle(h)
-    while cycle.k < k:
-        cycle = lift(cycle)
-    return cycle
+    b = h + 1
+    base = complement_odd_indices(gray_tour(b))
+    even, odd = base.codes, flip_prefix_path(reverse_path(base), h - 1).codes
+    codes = tuple(
+        (t ^ (t >> 1)) << b | c
+        for t in range(1 << (k - b))
+        for c in (odd if t & 1 else even)
+    )
+    return _certify(k, h, VertexPath(k, codes))
 
 
 def _certify(k: int, h: int, path: VertexPath) -> CycleCertificate:
@@ -155,4 +157,4 @@ def _certify(k: int, h: int, path: VertexPath) -> CycleCertificate:
             f"constructed change-{h} path in dimension {k} failed "
             f"verification ({report.violations[0]}); this is a bug"
         )
-    return CycleCertificate(k=k, h=h, path=path, verified=True)
+    return CycleCertificate(k=k, h=h, path=path)

@@ -11,8 +11,8 @@ With ``encoding=tuples`` each body line holds the k coordinates leftmost
 first, so files are directly comparable with printed listings; with
 ``encoding=ints`` each line holds the packed integer code (leftmost
 coordinate = least significant bit). The JSON alternative carries the same
-fields in one object. Output is deterministic: no timestamps, fixed field
-order.
+fields in one object. ``closed`` is always true: documents hold closed
+cycles only. Output is deterministic: no timestamps, fixed field order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .core import CapacityError, VertexPath, check_dimension
 ENCODINGS = ("tuples", "ints")
 
 _HEADER_RE = re.compile(
-    r"^#\s*k=(\d+)\s+h=(\d+)\s+encoding=(\w+)\s+closed=(true|false)\s*$"
+    r"^#\s*k=(\d+)\s+h=(\d+)\s+encoding=(\w+)\s+closed=true\s*$"
 )
 
 
@@ -40,7 +40,6 @@ class CycleDocument:
     h: int
     encoding: str
     path: VertexPath
-    closed: bool
 
     def __post_init__(self) -> None:
         if self.encoding not in ENCODINGS:
@@ -48,8 +47,7 @@ class CycleDocument:
 
 
 def render_text(doc: CycleDocument) -> str:
-    closed = "true" if doc.closed else "false"
-    lines = [f"# k={doc.k} h={doc.h} encoding={doc.encoding} closed={closed}"]
+    lines = [f"# k={doc.k} h={doc.h} encoding={doc.encoding} closed=true"]
     if doc.encoding == "tuples":
         lines += [" ".join(map(str, row)) for row in doc.path.to_tuples()]
     else:
@@ -67,7 +65,7 @@ def render_json(doc: CycleDocument) -> str:
         "h": doc.h,
         "encoding": doc.encoding,
         "cycle": cycle,
-        "closed": doc.closed,
+        "closed": True,
     }
     return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
 
@@ -87,12 +85,11 @@ def _parse_text(text: str) -> CycleDocument:
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise DocumentError(
-            "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=<bool>'"
+            "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
         )
     k = int(header.group(1))
     h = int(header.group(2))
     encoding = header.group(3)
-    closed = header.group(4) == "true"
     if encoding not in ENCODINGS:
         raise DocumentError(f"line 1: unknown encoding {encoding!r}")
     if k < 1:
@@ -134,7 +131,7 @@ def _parse_text(text: str) -> CycleDocument:
             codes.append(value)
     if not codes:
         raise DocumentError("line 2: document has no vertices")
-    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)), closed)
+    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)))
 
 
 def _parse_json(text: str) -> CycleDocument:
@@ -159,8 +156,8 @@ def _parse_json(text: str) -> CycleDocument:
     _check_ceiling(k)
     if encoding not in ENCODINGS:
         raise DocumentError(f"line 1: unknown encoding {encoding!r}")
-    if not isinstance(closed, bool):
-        raise DocumentError("line 1: closed must be a boolean")
+    if closed is not True:
+        raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
         raise DocumentError("line 1: cycle must be a non-empty array")
     codes: list[int] = []
@@ -169,7 +166,8 @@ def _parse_json(text: str) -> CycleDocument:
             if (
                 not isinstance(item, list)
                 or len(item) != k
-                or any(c not in (0, 1) for c in item)
+                or not set(map(type, item)) <= {int}
+                or not set(item) <= {0, 1}
             ):
                 raise DocumentError(
                     f"line 1: cycle[{i}] must be an array of {k} 0/1 coordinates"
@@ -181,7 +179,7 @@ def _parse_json(text: str) -> CycleDocument:
                     f"line 1: cycle[{i}] must be a nonnegative integer"
                 )
             codes.append(item)
-    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)), closed)
+    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)))
 
 
 def _check_ceiling(k: int) -> None:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from leaper_cycles.cli import main
 from leaper_cycles.core import MAX_K_ENV
 from leaper_cycles.document import parse_document
@@ -34,7 +36,7 @@ class TestConstruct:
         )
         assert code == 0 and out == ""
         doc = parse_document(target.read_text())
-        assert doc.k == 5 and doc.h == 3 and doc.closed
+        assert doc.k == 5 and doc.h == 3
         assert verify_cycle(doc.path, 3).valid
 
     def test_output_matches_golden_file_byte_for_byte(self, capsys):
@@ -145,6 +147,24 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err.startswith("error: line 1: dimension 40 exceeds the ceiling")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "# k=2 h=1 encoding=ints closed=false\n0\n1\n3\n2\n",
+            '{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1.0,0],[1,1],[0,1]],'
+            '"closed":true}',
+            '{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[true,false],[0,1]],'
+            '"closed":true}',
+        ],
+    )
+    def test_rejected_document_exits_1(self, capsys, tmp_path, text):
+        target = tmp_path / "doc.txt"
+        target.write_text(text)
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1: ")
 
     def test_json_document(self, capsys, tmp_path):
         target = self.make_doc(capsys, tmp_path, "--format", "json")

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from leaper_cycles import constructor
 from leaper_cycles.constructor import (
     CycleCertificate,
     Feasibility,
@@ -97,11 +98,6 @@ class TestLift:
             gray_tour(3).codes
         )
 
-    def test_refuses_unverified_input(self):
-        fake = CycleCertificate(4, 3, gray_tour(4), verified=False)
-        with pytest.raises(ValueError):
-            lift(fake)
-
     def test_capacity(self, monkeypatch):
         monkeypatch.setenv(MAX_K_ENV, "5")
         cert = construct(5, 3)
@@ -113,7 +109,6 @@ class TestConstruct:
     def test_golden_change3_dim5(self):
         cert = construct(5, 3)
         assert isinstance(cert, CycleCertificate)
-        assert cert.verified
         assert cert.path.to_tuples() == DIM5_STEP3_TOUR
         assert cert.path.closing_step() == 3
 
@@ -129,6 +124,24 @@ class TestConstruct:
     def test_change1_uses_the_unit_tour(self):
         cert = construct(6, 1)
         assert cert.path.codes == gray_tour(6).codes
+
+    def test_matches_base_cycle_plus_lifting(self):
+        for h in range(1, 14, 2):
+            reference = base_cycle(h)
+            for k in range(h + 1, 15):
+                assert construct(k, h).path.codes == reference.path.codes, (k, h)
+                reference = lift(reference)
+
+    def test_verifies_once(self, monkeypatch):
+        calls = []
+
+        def counting(path, h):
+            calls.append(len(path))
+            return verify_cycle(path, h)
+
+        monkeypatch.setattr(constructor, "verify_cycle", counting)
+        assert isinstance(construct(10, 3), CycleCertificate)
+        assert calls == [1024]
 
     def test_deterministic(self):
         assert construct(9, 5).path.codes == construct(9, 5).path.codes

@@ -14,7 +14,7 @@ from leaper_cycles.verifier import verify_cycle
 
 def sample_doc(encoding="tuples"):
     cert = construct(3, 1)
-    return CycleDocument(3, 1, encoding, cert.path, closed=True)
+    return CycleDocument(3, 1, encoding, cert.path)
 
 
 def test_text_header_is_stable():
@@ -144,6 +144,36 @@ def test_json_bad_cycle_entries():
 
 
 @pytest.mark.parametrize(
+    "cycle, index",
+    [
+        ("[[0,0],[1.0,0],[1,1],[0,1]]", 1),
+        ("[[0,0],[1,0],[true,false],[0,1]]", 2),
+    ],
+)
+def test_json_tuple_coordinates_must_be_integers(cycle, index):
+    text = f'{{"k":2,"h":1,"encoding":"tuples","cycle":{cycle},"closed":true}}'
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value).startswith(f"line 1: cycle[{index}] ")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "# k=2 h=1 encoding=ints closed=false\n0\n1\n3\n2\n",
+        '{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":false}',
+        '{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":1}',
+        '{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":"true"}',
+    ],
+)
+def test_open_cycle_flag_rejected(text):
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    message = str(exc.value)
+    assert message.startswith("line 1: ") and "closed" in message
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"k":true,"h":1,"encoding":"ints","cycle":[0,1],"closed":true}',
@@ -178,4 +208,4 @@ def test_json_syntax_error_reports_position():
 
 def test_invalid_encoding_refused_at_construction():
     with pytest.raises(ValueError):
-        CycleDocument(2, 1, "hex", VertexPath(2, (0,)), True)
+        CycleDocument(2, 1, "hex", VertexPath(2, (0,)))

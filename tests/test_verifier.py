@@ -90,13 +90,20 @@ def test_never_accepts_incomplete_vertex_sets():
 def test_verifier_shares_only_the_core_model():
     # The verifier must stay independent of the construction pipeline so a
     # construction bug cannot certify its own output.
+    # Absolute imports of the package count too, not only relative ones.
     tree = ast.parse(inspect.getsource(leaper_cycles.verifier))
-    package_imports = {
-        node.module
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.level
-    }
-    assert package_imports == {"core"}
+    package_imports = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        package_imports.update(
+            n for n in names if n.startswith(".") or n.split(".")[0] == "leaper_cycles"
+        )
+    assert package_imports == {".core"}
 
 
 def test_even_step_candidates_always_rejected():
