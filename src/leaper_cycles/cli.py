@@ -9,11 +9,10 @@ that found nothing).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .constructor import CycleCertificate, construct
-from .core import MAX_K_ENV, CapacityError, DimensionMismatch
+from .core import CapacityError, DimensionMismatch
 from .document import CycleDocument, DocumentError, parse_document, render_json, render_text
 from .leapers import (
     LeaperSpec,
@@ -54,17 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="document format (default: tuples)",
     )
     p_construct.add_argument("--output", help="write the document to this file")
-    p_construct.add_argument(
-        "--max-k", type=int, help=f"override the dimension ceiling ({MAX_K_ENV})"
-    )
 
     p_verify = sub.add_parser("verify", help="check a cycle document")
     p_verify.add_argument("input", help="path of the document to verify")
     p_verify.add_argument(
         "--h", type=int, help="expected step size (default: the header's h)"
-    )
-    p_verify.add_argument(
-        "--max-k", type=int, help=f"override the dimension ceiling ({MAX_K_ENV})"
     )
 
     p_oracle = sub.add_parser(
@@ -99,8 +92,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "max_k", None) is not None:
-        os.environ[MAX_K_ENV] = str(args.max_k)
     handlers = {
         "construct": _cmd_construct,
         "verify": _cmd_verify,
@@ -141,7 +132,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"detail: {result.detail}")
         return 2
     encoding = "ints" if args.format == "ints" else "tuples"
-    doc = CycleDocument(args.k, h, encoding, result.path)
+    doc = CycleDocument(h, encoding, result.path)
     _emit_document(doc, args.format, args.output)
     return 0
 
@@ -154,7 +145,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if report.valid:
         print(
             f"valid: change-{h} cycle on {len(doc.path)} vertices "
-            f"in dimension {doc.k}"
+            f"in dimension {doc.path.k}"
         )
         return 0
     print(f"invalid: {len(report.violations)} violation(s)")
@@ -172,7 +163,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     print(f"nodes_explored: {result.nodes_explored}")
     if result.witness is not None:
         encoding = "ints" if args.format == "ints" else "tuples"
-        doc = CycleDocument(args.k, args.h, encoding, result.witness)
+        doc = CycleDocument(args.h, encoding, result.witness)
         _emit_document(doc, args.format, args.output)
     return 0 if result.exists else 2
 

@@ -44,7 +44,6 @@ class FeasibilityVerdict:
 class CycleCertificate:
     """A change-h Hamiltonian cycle that has passed the verifier."""
 
-    k: int
     h: int
     path: VertexPath
 
@@ -95,12 +94,8 @@ def base_cycle(h: int) -> CycleCertificate:
     if h < 1 or h % 2 == 0:
         raise ValueError(f"base cycle needs an odd step size, got h={h}")
     if h == 1:
-        path = gray_tour(2)
-        return _certify(2, 1, path)
-    k = h + 1
-    check_dimension(k)
-    path = complement_odd_indices(gray_tour(k))
-    return _certify(k, h, path)
+        return _certify(1, gray_tour(2))
+    return _certify(h, complement_odd_indices(gray_tour(h + 1)))
 
 
 def lift(cycle: CycleCertificate) -> CycleCertificate:
@@ -111,17 +106,16 @@ def lift(cycle: CycleCertificate) -> CycleCertificate:
     concatenating the two halves closes up with a bridge and a return edge
     that both flip exactly h coordinates.
     """
-    if cycle.k < cycle.h + 1:
-        raise ValueError(
-            f"cannot lift a change-{cycle.h} cycle in dimension {cycle.k}"
-        )
-    check_dimension(cycle.k + 1)
+    k, h = cycle.path.k, cycle.h
+    if k < h + 1:
+        raise ValueError(f"cannot lift a change-{h} cycle in dimension {k}")
+    check_dimension(k + 1)
     low_half = append_coordinate(cycle.path, 0)
     high_half = append_coordinate(cycle.path, 1)
-    flipped = flip_prefix_path(high_half, cycle.h - 1)
+    flipped = flip_prefix_path(high_half, h - 1)
     mirrored = reverse_path(flipped)
-    joined = VertexPath(cycle.k + 1, low_half.codes + mirrored.codes)
-    return _certify(cycle.k + 1, cycle.h, joined)
+    joined = VertexPath(k + 1, low_half.codes + mirrored.codes)
+    return _certify(h, joined)
 
 
 def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
@@ -138,7 +132,7 @@ def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
     if not verdict.feasible:
         return verdict
     if h == 1:
-        return _certify(k, 1, gray_tour(k))
+        return _certify(1, gray_tour(k))
     b = h + 1
     base = complement_odd_indices(gray_tour(b))
     even, odd = base.codes, flip_prefix_path(reverse_path(base), h - 1).codes
@@ -147,14 +141,14 @@ def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
         for t in range(1 << (k - b))
         for c in (odd if t & 1 else even)
     )
-    return _certify(k, h, VertexPath(k, codes))
+    return _certify(h, VertexPath(k, codes))
 
 
-def _certify(k: int, h: int, path: VertexPath) -> CycleCertificate:
+def _certify(h: int, path: VertexPath) -> CycleCertificate:
     report = verify_cycle(path, h)
     if not report.valid:
         raise RuntimeError(
-            f"constructed change-{h} path in dimension {k} failed "
+            f"constructed change-{h} path in dimension {path.k} failed "
             f"verification ({report.violations[0]}); this is a bug"
         )
-    return CycleCertificate(k=k, h=h, path=path)
+    return CycleCertificate(h=h, path=path)

@@ -36,7 +36,6 @@ class DocumentError(ValueError):
 
 @dataclass(frozen=True)
 class CycleDocument:
-    k: int
     h: int
     encoding: str
     path: VertexPath
@@ -47,7 +46,7 @@ class CycleDocument:
 
 
 def render_text(doc: CycleDocument) -> str:
-    lines = [f"# k={doc.k} h={doc.h} encoding={doc.encoding} closed=true"]
+    lines = [f"# k={doc.path.k} h={doc.h} encoding={doc.encoding} closed=true"]
     if doc.encoding == "tuples":
         lines += [" ".join(map(str, row)) for row in doc.path.to_tuples()]
     else:
@@ -61,7 +60,7 @@ def render_json(doc: CycleDocument) -> str:
     else:
         cycle = list(doc.path.codes)
     obj = {
-        "k": doc.k,
+        "k": doc.path.k,
         "h": doc.h,
         "encoding": doc.encoding,
         "cycle": cycle,
@@ -87,14 +86,10 @@ def _parse_text(text: str) -> CycleDocument:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
         )
-    k = int(header.group(1))
-    h = int(header.group(2))
+    k = _header_int("k", header.group(1))
+    h = _header_int("h", header.group(2))
     encoding = header.group(3)
-    if encoding not in ENCODINGS:
-        raise DocumentError(f"line 1: unknown encoding {encoding!r}")
-    if k < 1:
-        raise DocumentError("line 1: k must be positive")
-    _check_ceiling(k)
+    _check_header(k, h, encoding)
 
     codes: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -131,7 +126,7 @@ def _parse_text(text: str) -> CycleDocument:
             codes.append(value)
     if not codes:
         raise DocumentError("line 2: document has no vertices")
-    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)))
+    return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))
 
 
 def _parse_json(text: str) -> CycleDocument:
@@ -141,6 +136,10 @@ def _parse_json(text: str) -> CycleDocument:
         raise DocumentError(
             f"line {exc.lineno}: invalid JSON at column {exc.colno}: {exc.msg}"
         ) from None
+    except RecursionError:
+        raise DocumentError("line 1: JSON nested too deeply") from None
+    except ValueError:  # an integer literal over the interpreter's digit limit
+        raise DocumentError("line 1: JSON integer has too many digits") from None
     if not isinstance(obj, dict):
         raise DocumentError("line 1: top-level JSON value must be an object")
     for field in ("k", "h", "encoding", "cycle", "closed"):
@@ -149,13 +148,7 @@ def _parse_json(text: str) -> CycleDocument:
     k, h, encoding, cycle, closed = (
         obj["k"], obj["h"], obj["encoding"], obj["cycle"], obj["closed"]
     )
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise DocumentError("line 1: k must be a positive integer")
-    if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-        raise DocumentError("line 1: h must be a positive integer")
-    _check_ceiling(k)
-    if encoding not in ENCODINGS:
-        raise DocumentError(f"line 1: unknown encoding {encoding!r}")
+    _check_header(k, h, encoding)
     if closed is not True:
         raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
@@ -179,12 +172,24 @@ def _parse_json(text: str) -> CycleDocument:
                     f"line 1: cycle[{i}] must be a nonnegative integer"
                 )
             codes.append(item)
-    return CycleDocument(k, h, encoding, VertexPath(k, tuple(codes)))
+    return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))
 
 
-def _check_ceiling(k: int) -> None:
-    """Refuse a header dimension above the ceiling before any 2**k work."""
+def _header_int(name: str, digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter converts
+        raise DocumentError(f"line 1: {name} has too many digits") from None
+
+
+def _check_header(k: object, h: object, encoding: object) -> None:
+    """Check the header fields of either form, the ceiling before any 2**k work."""
+    for name, value in (("k", k), ("h", h)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise DocumentError(f"line 1: {name} must be a positive integer")
     try:
         check_dimension(k)
     except CapacityError as exc:
         raise DocumentError(f"line 1: {exc}") from None
+    if encoding not in ENCODINGS:
+        raise DocumentError(f"line 1: unknown encoding {encoding!r}")

@@ -9,6 +9,7 @@ tested against the other.
 from __future__ import annotations
 
 from .core import VertexPath, check_dimension
+from .verifier import verify_cycle
 
 
 def gray_code(j: int) -> int:
@@ -33,22 +34,14 @@ def reflect_extend(path: VertexPath) -> VertexPath:
     the 1-copy is reversed, and the two halves are concatenated. Raises
     ValueError unless the input really is a full change-1 closed tour.
     """
-    _require_unit_tour(path)
     check_dimension(path.k + 1)
+    report = verify_cycle(path, 1)
+    if not report.valid:
+        raise ValueError(
+            f"not a closed change-1 tour of dimension {path.k}: "
+            f"{report.violations[0]}"
+        )
     top = 1 << path.k
     mirrored = tuple(c | top for c in reversed(path.codes))
     return VertexPath(path.k + 1, path.codes + mirrored)
 
-
-def _require_unit_tour(path: VertexPath) -> None:
-    n = 1 << path.k
-    if len(path) != n:
-        raise ValueError(
-            f"expected all {n} vertices of dimension {path.k}, got {len(path)}"
-        )
-    if any(not 0 <= c < n for c in path.codes):
-        raise ValueError("path contains codes outside its dimension")
-    if not path.has_distinct_vertices():
-        raise ValueError("path revisits a vertex")
-    if any(s != 1 for s in path.step_sizes()) or path.closing_step() != 1:
-        raise ValueError("path is not a closed change-1 tour")

@@ -161,9 +161,9 @@ def test_criterion_6_property_suites():
         for k in range(2, 13):
             for h in range(1, k, 2):
                 cert = construct(k, h)
-                doc = CycleDocument(k, h, "tuples", cert.path)
+                doc = CycleDocument(h, "tuples", cert.path)
                 parsed = parse_document(render_text(doc))
-                assert parsed.k == k and parsed.h == h
+                assert parsed.path.k == k and parsed.h == h
                 assert verify_cycle(parsed.path, h).valid, (k, h)
 
 

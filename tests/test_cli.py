@@ -36,7 +36,7 @@ class TestConstruct:
         )
         assert code == 0 and out == ""
         doc = parse_document(target.read_text())
-        assert doc.k == 5 and doc.h == 3
+        assert doc.path.k == 5 and doc.h == 3
         assert verify_cycle(doc.path, 3).valid
 
     def test_output_matches_golden_file_byte_for_byte(self, capsys):
@@ -78,12 +78,16 @@ class TestConstruct:
         assert code == 1
         assert "catalog" in err
 
-    def test_max_k_flag(self, capsys, monkeypatch):
-        monkeypatch.setenv(MAX_K_ENV, "28")  # registers cleanup for the key
-        code, _, err = run(capsys, "construct", "--k", "5", "--h", "3", "--max-k", "4")
-        assert code == 1
-        assert "exceeds" in err
-        assert os.environ[MAX_K_ENV] == "4"
+    def test_max_k_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "construct", "--k", "5", "--h", "3", "--max-k", "4")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --max-k 4" in err
+
+    def test_ceiling_comes_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(MAX_K_ENV, "4")
+        code, out, err = run(capsys, "construct", "--k", "5", "--h", "3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: dimension 5 exceeds the ceiling 4")
 
 
 class TestVerify:
@@ -139,6 +143,17 @@ class TestVerify:
         assert code == 1
         assert "line 3" in err
 
+    def test_max_k_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", str(GOLDEN_DIM5_STEP3), "--max-k", "4")
+        assert code == 1 and out == ""
+        assert "unrecognized arguments: --max-k 4" in err
+
+    def test_ceiling_comes_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv(MAX_K_ENV, "4")
+        code, out, err = run(capsys, "verify", str(GOLDEN_DIM5_STEP3))
+        assert code == 1 and out == ""
+        assert err.startswith("error: line 1: dimension 5 exceeds the ceiling 4")
+
     def test_header_above_ceiling_exits_1(self, capsys, tmp_path, monkeypatch):
         monkeypatch.delenv(MAX_K_ENV, raising=False)
         target = tmp_path / "huge.txt"
@@ -156,6 +171,13 @@ class TestVerify:
             '"closed":true}',
             '{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[true,false],[0,1]],'
             '"closed":true}',
+            pytest.param("# k=2 h=0 encoding=ints closed=true\n0\n1\n3\n2\n", id="h=0"),
+            pytest.param(
+                "# k=" + "1" * 5000 + " h=1 encoding=ints closed=true\n0\n",
+                id="k-too-many-digits",
+            ),
+            pytest.param('{"cycle":' + "[" * 100_000, id="json-too-deep"),
+            pytest.param('{"k":' + "1" * 5000 + "}", id="json-too-many-digits"),
         ],
     )
     def test_rejected_document_exits_1(self, capsys, tmp_path, text):
@@ -257,6 +279,19 @@ class TestLeaper:
     def test_name_and_pair_conflict(self, capsys):
         code, _, err = run(capsys, "leaper", "--name", "knight", "--a", "1", "--b", "2")
         assert code == 1
+
+
+def test_main_leaves_the_environment_unchanged(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv(MAX_K_ENV, raising=False)
+    before = dict(os.environ)
+    target = tmp_path / "cycle.txt"
+    assert main(["construct", "--k", "5", "--h", "3", "--output", str(target)]) == 0
+    assert main(["construct", "--k", "5", "--h", "3", "--max-k", "4"]) == 1
+    assert main(["verify", str(target)]) == 0
+    assert main(["verify", str(target), "--max-k", "4"]) == 1
+    assert main(["oracle", "--k", "4", "--h", "3", "--witness"]) == 0
+    capsys.readouterr()
+    assert dict(os.environ) == before
 
 
 def test_module_entry_point_runs_in_subprocess(tmp_path):

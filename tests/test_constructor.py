@@ -61,17 +61,17 @@ class TestFeasibility:
 class TestBaseCycle:
     def test_change1_base_is_the_unit_square(self):
         cert = base_cycle(1)
-        assert cert.k == 2 and cert.h == 1
+        assert cert.path.k == 2 and cert.h == 1
         assert cert.path.codes == gray_tour(2).codes
 
     def test_change3_base_matches_reference(self):
         cert = base_cycle(3)
-        assert cert.k == 4
+        assert cert.path.k == 4
         assert cert.path.to_tuples() == DIM4_STEP3_TOUR
 
     def test_change5_base_verifies(self):
         cert = base_cycle(5)
-        assert cert.k == 6 and len(cert.path) == 64
+        assert cert.path.k == 6 and len(cert.path) == 64
         assert verify_cycle(cert.path, 5).valid
 
     def test_rejects_even_step(self):
@@ -82,7 +82,7 @@ class TestBaseCycle:
 class TestLift:
     def test_lift_of_change3_base_matches_reference(self):
         cert = lift(base_cycle(3))
-        assert cert.k == 5
+        assert cert.path.k == 5
         assert cert.path.to_tuples() == DIM5_STEP3_TOUR
 
     def test_bridge_edge(self):
