@@ -26,7 +26,7 @@ from .core import CapacityError, VertexPath, check_dimension
 ENCODINGS = ("tuples", "ints")
 
 _HEADER_RE = re.compile(
-    r"^#\s*k=(\d+)\s+h=(\d+)\s+encoding=(\w+)\s+closed=true\s*$"
+    r"^#\s*k=([0-9]+)\s+h=([0-9]+)\s+encoding=(\w+)\s+closed=true\s*$"
 )
 
 
@@ -115,15 +115,17 @@ def _parse_text(text: str) -> CycleDocument:
                 raise DocumentError(
                     f"line {lineno}: expected one integer, got {len(tokens)} tokens"
                 )
-            try:
-                value = int(tokens[0])
-            except ValueError:
+            tok = tokens[0]
+            if not (tok.isascii() and tok.isdigit()):
                 raise DocumentError(
-                    f"line {lineno}: not an integer: {tokens[0]!r}"
+                    f"line {lineno}: vertex code must be ASCII digits, got {tok!r}"
+                )
+            try:
+                codes.append(int(tok))
+            except ValueError:  # over int()'s digit limit
+                raise DocumentError(
+                    f"line {lineno}: vertex code has too many digits"
                 ) from None
-            if value < 0:
-                raise DocumentError(f"line {lineno}: negative vertex code")
-            codes.append(value)
     if not codes:
         raise DocumentError("line 2: document has no vertices")
     return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))

@@ -4,14 +4,16 @@ Independent of the construction pipeline (only the core vertex model is
 shared), this module decides existence and counts Hamiltonian cycles in
 the change-h graph on {0,1}^k by depth-first backtracking, after two
 cheap necessary-condition checks: every vertex needs degree at least two,
-and the graph must be connected.
+and the graph must be connected. It is the Cayley graph of GF(2)^k on
+the h-bit flip masks, so it is connected iff the masks span GF(2)^k.
 
-The search is anchored at the all-zeros vertex. Neighbors are generated
-in ascending flip-mask order, which is pinned so that results and node
-counts are reproducible. A branch is abandoned as soon as some unvisited
-vertex can no longer acquire two cycle edges, i.e. its count of unvisited
-neighbors plus its adjacency to the search head and to the anchor drops
-below two.
+The search is anchored at the all-zeros vertex. Neighbors are tried in
+ascending flip-mask order, which is pinned so that results and node
+counts are reproducible; the search stack holds one next-mask index per
+depth, so memory is O(2**k) whatever the depth. A branch is abandoned as
+soon as some unvisited vertex can no longer acquire two cycle edges,
+i.e. its count of unvisited neighbors plus its adjacency to the search
+head and to the anchor drops below two.
 
 Only the branch whose first move is the smallest flip mask m0 is searched.
 Permuting coordinates fixes the anchor, maps the change-h graph onto
@@ -97,22 +99,18 @@ def _flip_masks(k: int, h: int) -> list[int]:
 
 
 def _connected(k: int, masks: list[int]) -> bool:
-    """Breadth-first reachability of all 2**k vertices from all-zeros."""
-    n = 1 << k
-    seen = 1
-    frontier = [0]
-    remaining = n - 1
-    while frontier and remaining:
-        nxt = []
-        for v in frontier:
-            for m in masks:
-                u = v ^ m
-                if not (seen >> u) & 1:
-                    seen |= 1 << u
-                    remaining -= 1
-                    nxt.append(u)
-        frontier = nxt
-    return remaining == 0
+    """Whether the masks span GF(2)^k: an xor-basis rank test.
+
+    Reducing by each basis element clears its leading bit, which no later
+    element has set, so a mask joins with a new leading bit or reduces to 0.
+    """
+    basis: list[int] = []
+    for m in masks:
+        for b in basis:
+            m = min(m, m ^ b)
+        if m:
+            basis.append(m)
+    return len(basis) == k
 
 
 def _dfs(
@@ -130,18 +128,20 @@ def _dfs(
     move when searching a single top-level branch. Counts are of directed
     cycles, so ``prefix=(0,)`` meets every undirected cycle twice.
     Iterative, so path lengths up to 2**ORACLE_K_MAX need no recursion
-    headroom.
+    headroom. The stack holds one next-mask index per depth: when control
+    returns to a depth, every deeper vertex has been popped, so scanning
+    on from the index tries the neighbors unvisited on entry, in order.
     """
     n = 1 << k
     counts = [len(masks)] * n  # unvisited-neighbor count per vertex
     low: set[int] = set()  # unvisited vertices with counts <= 1
-    visited = 0
+    visited = bytearray(n)
     path: list[int] = []
     nodes = 0
 
     def push(v: int) -> None:
-        nonlocal visited, nodes
-        visited |= 1 << v
+        nonlocal nodes
+        visited[v] = 1
         path.append(v)
         low.discard(v)
         nodes += 1
@@ -149,13 +149,12 @@ def _dfs(
             u = v ^ m
             c = counts[u] - 1
             counts[u] = c
-            if c <= 1 and not (visited >> u) & 1:
+            if c <= 1 and not visited[u]:
                 low.add(u)
 
     def pop() -> None:
-        nonlocal visited
         v = path.pop()
-        visited &= ~(1 << v)
+        visited[v] = 0
         for m in masks:
             u = v ^ m
             c = counts[u] + 1
@@ -185,22 +184,20 @@ def _dfs(
     if len(path) < n and pruned(path[-1]):
         return (count, nodes, witness)
 
-    def candidates(v: int) -> list[int]:
-        return [v ^ m for m in masks if not (visited >> (v ^ m)) & 1]
-
-    stack = [candidates(path[-1])]
-    idx = [0]
-    while stack:
-        cs = stack[-1]
+    n_masks = len(masks)
+    idx = [0]  # next mask index to try, one per depth
+    while idx:
+        head = path[-1]
         i = idx[-1]
-        if i >= len(cs):
-            stack.pop()
+        while i < n_masks and visited[head ^ masks[i]]:
+            i += 1
+        if i == n_masks:
             idx.pop()
             if len(path) > len(prefix):
                 pop()
             continue
         idx[-1] = i + 1
-        v = cs[i]
+        v = head ^ masks[i]
         push(v)
         if len(path) == n:
             if v.bit_count() == h:  # closing edge back to all-zeros
@@ -215,7 +212,5 @@ def _dfs(
         if pruned(v):
             pop()
             continue
-        stack.append(candidates(v))
         idx.append(0)
     return (count, nodes, witness)
-

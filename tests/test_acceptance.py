@@ -14,7 +14,7 @@ from leaper_cycles.core import VertexPath
 from leaper_cycles.document import CycleDocument, parse_document, render_text
 from leaper_cycles.graycode import gray_tour, reflect_extend
 from leaper_cycles.leapers import leaper_by_name, leaper_feasible, leaper_step, min_dimension
-from leaper_cycles.oracle import oracle_count, oracle_exists
+from leaper_cycles.oracle import ORACLE_K_MAX, oracle_count, oracle_exists
 from leaper_cycles.transforms import (
     append_coordinate,
     complement_odd_indices,
@@ -175,6 +175,6 @@ def test_criterion_7_enumeration_spot_values():
 
 def test_feasibility_and_oracle_never_disagree_on_the_sweep():
     # belt-and-braces restatement of the equivalence used throughout
-    for k in range(2, 7):
-        for h in range(1, 8):
-            assert feasibility(k, h).feasible == oracle_exists(k, h).exists
+    for k in range(2, ORACLE_K_MAX + 1):
+        for h in range(1, max(8, k + 2)):
+            assert feasibility(k, h).feasible == oracle_exists(k, h).exists, (k, h)

@@ -126,6 +126,37 @@ def test_negative_code_rejected():
         parse_document(text)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "# k=٣ h=١ encoding=ints closed=true",  # Arabic-Indic 3 and 1
+        "# k=2 h=١ encoding=ints closed=true",
+        "# k=２ h=1 encoding=ints closed=true",  # fullwidth 2
+    ],
+)
+def test_header_numbers_must_be_ascii_digits(header):
+    with pytest.raises(DocumentError) as exc:
+        parse_document(header + "\n0\n1\n3\n2\n")
+    assert str(exc.value).startswith("line 1: expected header")
+
+
+@pytest.mark.parametrize("token", ["1_0", "+3", "-0", "٣", "３", "²"])
+def test_ints_rows_must_be_ascii_digits(token):
+    text = f"# k=2 h=1 encoding=ints closed=true\n0\n{token}\n3\n2\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == (
+        f"line 3: vertex code must be ASCII digits, got {token!r}"
+    )
+
+
+def test_ints_row_with_too_many_digits_names_its_line():
+    text = "# k=2 h=1 encoding=ints closed=true\n0\n" + "1" * 5000 + "\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == "line 3: vertex code has too many digits"
+
+
 def test_unknown_encoding():
     with pytest.raises(DocumentError):
         parse_document("# k=2 h=1 encoding=hex closed=true\n0\n")

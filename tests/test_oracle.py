@@ -1,9 +1,13 @@
+import hashlib
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 
 from leaper_cycles import oracle as oracle_mod
+from leaper_cycles.constructor import feasibility
 from leaper_cycles.core import CapacityError
 from leaper_cycles.oracle import COUNT_K_MAX, ORACLE_K_MAX, oracle_count, oracle_exists
 from leaper_cycles.verifier import verify_cycle
@@ -182,3 +186,168 @@ class TestLimits:
             oracle_exists(0, 1)
         with pytest.raises(ValueError):
             oracle_exists(3, 0)
+
+
+def bfs_connected(k, masks):
+    """Breadth-first reachability of all 2**k vertices from all-zeros."""
+    n = 1 << k
+    seen = 1
+    frontier = [0]
+    remaining = n - 1
+    while frontier and remaining:
+        nxt = []
+        for v in frontier:
+            for m in masks:
+                u = v ^ m
+                if not (seen >> u) & 1:
+                    seen |= 1 << u
+                    remaining -= 1
+                    nxt.append(u)
+        frontier = nxt
+    return remaining == 0
+
+
+def orders(k, h):
+    """The flip masks ascending, reversed and in a seeded shuffle."""
+    masks = oracle_mod._flip_masks(k, h)
+    return [masks, masks[::-1], random.Random(100 * k + h).sample(masks, len(masks))]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_span_test_matches_breadth_first_search(k):
+    for h in range(1, k + 2):
+        masks = oracle_mod._flip_masks(k, h)
+        expected = bfs_connected(k, masks)
+        for order in orders(k, h):
+            assert oracle_mod._connected(k, order) is expected, (k, h)
+        # Only odd h < k passes both prechecks.
+        assert (len(masks) >= 2 and expected) == (h % 2 == 1 and h < k), (k, h)
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+def test_any_neighbor_order_agrees_with_feasibility(k):
+    for h in range(1, k + 2):
+        for order in orders(k, h)[1:]:
+            found = (
+                len(order) >= 2
+                and oracle_mod._connected(k, order)
+                and oracle_mod._dfs(
+                    k, h, order, count_mode=False, want_witness=False,
+                    prefix=(0, order[0]),
+                )[0] == 1
+            )
+            assert found == feasibility(k, h).feasible, (k, h)
+
+
+def witness_digest(witness):
+    if witness is None:
+        return None
+    codes = ",".join(map(str, witness.codes))
+    return hashlib.sha256(codes.encode()).hexdigest()[:16]
+
+
+# Frozen (nodes_explored, first 16 hex digits of the SHA-256 of the
+# comma-joined witness codes) of oracle_exists(k, h, want_witness=True) and
+# (count, nodes_explored) of oracle_count(k, h). A change to the neighbor
+# order, the pruning or the first move shows up here.
+PINNED_EXISTS = {
+    (2, 1): (3, 'a428682b12fc83ce'),
+    (2, 2): (0, None),
+    (2, 3): (0, None),
+    (3, 1): (7, '8b512d0072b3b011'),
+    (3, 2): (0, None),
+    (3, 3): (0, None),
+    (3, 4): (0, None),
+    (4, 1): (15, '87f259b5d1841afc'),
+    (4, 2): (0, None),
+    (4, 3): (15, '4e0f5468e1df374f'),
+    (4, 4): (0, None),
+    (4, 5): (0, None),
+    (5, 1): (31, 'bbcb5d8610cd685c'),
+    (5, 2): (0, None),
+    (5, 3): (31, 'afe8c12adef11d5a'),
+    (5, 4): (0, None),
+    (5, 5): (0, None),
+    (5, 6): (0, None),
+    (6, 1): (63, '2921e2ecff7cdd50'),
+    (6, 2): (0, None),
+    (6, 3): (63, 'f9074284f7b5b14a'),
+    (6, 4): (0, None),
+    (6, 5): (63, 'b196b45cd1ae926e'),
+    (6, 6): (0, None),
+    (6, 7): (0, None),
+    (7, 1): (127, '57d3eec0a5bc8a3b'),
+    (7, 2): (0, None),
+    (7, 3): (127, 'b8d16c1b0e25e5ba'),
+    (7, 4): (0, None),
+    (7, 5): (127, '72f314640b8d1731'),
+    (7, 6): (0, None),
+    (7, 7): (0, None),
+    (7, 8): (0, None),
+    (8, 1): (255, '4fe34d192a588f6c'),
+    (8, 2): (0, None),
+    (8, 3): (255, 'f083f2c03095aa00'),
+    (8, 4): (0, None),
+    (8, 5): (255, '9a42aeb1f4d51111'),
+    (8, 6): (0, None),
+    (8, 7): (255, '20eccf031a449555'),
+    (8, 8): (0, None),
+    (8, 9): (0, None),
+    (9, 1): (511, '72aef1f26142be77'),
+    (9, 2): (0, None),
+    (9, 3): (511, '4e8950d0a469ba0b'),
+    (9, 4): (0, None),
+    (9, 5): (511, 'd62b83b192452451'),
+    (9, 6): (0, None),
+    (9, 7): (511, 'c06e576b5706a39d'),
+    (9, 8): (0, None),
+    (9, 9): (0, None),
+    (9, 10): (0, None),
+}
+
+PINNED_COUNTS = {
+    (1, 1): (0, 0),
+    (1, 2): (0, 0),
+    (2, 1): (1, 3),
+    (2, 2): (0, 0),
+    (2, 3): (0, 0),
+    (3, 1): (6, 27),
+    (3, 2): (0, 0),
+    (3, 3): (0, 0),
+    (3, 4): (0, 0),
+    (4, 1): (1344, 7783),
+    (4, 2): (0, 0),
+    (4, 3): (1344, 7783),
+    (4, 4): (0, 0),
+    (4, 5): (0, 0),
+}
+
+
+def test_search_order_is_pinned():
+    exists = {}
+    for k in range(2, 10):
+        for h in range(1, k + 2):
+            result = oracle_exists(k, h, want_witness=True)
+            exists[k, h] = (result.nodes_explored, witness_digest(result.witness))
+    assert exists == PINNED_EXISTS
+    counts = {}
+    for k in range(1, COUNT_K_MAX + 1):
+        for h in range(1, k + 2):
+            result = oracle_count(k, h)
+            counts[k, h] = (result.count, result.nodes_explored)
+    assert counts == PINNED_COUNTS
+
+
+@pytest.mark.parametrize("h", [1, 3, 5, 7, 11])
+def test_feasible_dimension_12_needs_no_backtracking(h):
+    assert oracle_exists(12, h).nodes_explored == 4095
+
+
+def test_search_memory_does_not_grow_with_depth_times_degree():
+    tracemalloc.start()
+    try:
+        assert oracle_exists(10, 5).exists
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
