@@ -31,21 +31,19 @@ def max_k() -> int:
     """Largest dimension accepted for 2**k-sized paths.
 
     Defaults to 28 (a path already holds 2**28 vertex codes); the
-    ``LEAPER_CYCLES_MAX_K`` environment variable overrides it, but values
-    outside [1, 64] are rejected rather than honored.
+    ``LEAPER_CYCLES_MAX_K`` environment variable overrides it, but anything
+    other than ASCII digits in [1, 64] is rejected rather than honored.
     """
     raw = os.environ.get(MAX_K_ENV)
     if raw is None:
         return DEFAULT_MAX_K
     try:
-        value = int(raw)
-    except ValueError:
-        raise CapacityError(
-            f"{MAX_K_ENV} must be an integer, got {raw!r}"
-        ) from None
+        value = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than the interpreter converts
+        value = 0
     if not 1 <= value <= HARD_MAX_K:
         raise CapacityError(
-            f"{MAX_K_ENV} must lie in [1, {HARD_MAX_K}], got {value}"
+            f"{MAX_K_ENV} must be ASCII digits in [1, {HARD_MAX_K}], got {raw!r}"
         )
     return value
 

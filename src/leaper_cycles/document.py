@@ -28,6 +28,7 @@ ENCODINGS = ("tuples", "ints")
 _HEADER_RE = re.compile(
     r"^#\s*k=([0-9]+)\s+h=([0-9]+)\s+encoding=(\w+)\s+closed=true\s*$"
 )
+_STRAY_WHITESPACE_RE = re.compile(r"[^\S \t\n\r]|\r(?!\n)")
 
 
 class DocumentError(ValueError):
@@ -80,7 +81,8 @@ def parse_document(text: str) -> CycleDocument:
 
 
 def _parse_text(text: str) -> CycleDocument:
-    lines = text.splitlines()
+    _check_whitespace(text)
+    lines = text.split("\n")
     header = _HEADER_RE.match(lines[0])
     if header is None:
         raise DocumentError(
@@ -129,6 +131,26 @@ def _parse_text(text: str) -> CycleDocument:
     if not codes:
         raise DocumentError("line 2: document has no vertices")
     return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))
+
+
+def _check_whitespace(text: str) -> None:
+    """Refuse whitespace other than space, tab, LF and a CR before an LF.
+
+    Python splits lines or tokens at any of it, which would move line
+    numbers off the LF count. A few scans at C speed clear an ASCII text;
+    only a text they do not clear pays for the regex search.
+    """
+    bare_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+    stray_ascii = any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
+    if text.isascii() and not bare_cr and not stray_ascii:
+        return
+    stray = _STRAY_WHITESPACE_RE.search(text)
+    if stray:
+        lineno = text.count("\n", 0, stray.start()) + 1
+        raise DocumentError(
+            f"line {lineno}: whitespace {stray.group()!r} "
+            "is not a space, tab or line end"
+        )
 
 
 def _parse_json(text: str) -> CycleDocument:

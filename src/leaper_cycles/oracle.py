@@ -10,10 +10,10 @@ the h-bit flip masks, so it is connected iff the masks span GF(2)^k.
 The search is anchored at the all-zeros vertex. Neighbors are tried in
 ascending flip-mask order, which is pinned so that results and node
 counts are reproducible; the search stack holds one next-mask index per
-depth, so memory is O(2**k) whatever the depth. A branch is abandoned as
-soon as some unvisited vertex can no longer acquire two cycle edges,
-i.e. its count of unvisited neighbors plus its adjacency to the search
-head and to the anchor drops below two.
+depth, so memory is O(2**k) whatever the depth. There is no pruning
+inside the search: within the caps every infeasible (k, h) is refuted by
+the two prechecks with 0 nodes, and every feasible existence search
+reaches a cycle in exactly 2**k - 1 nodes without backtracking.
 
 Only the branch whose first move is the smallest flip mask m0 is searched.
 Permuting coordinates fixes the anchor, maps the change-h graph onto
@@ -133,56 +133,13 @@ def _dfs(
     on from the index tries the neighbors unvisited on entry, in order.
     """
     n = 1 << k
-    counts = [len(masks)] * n  # unvisited-neighbor count per vertex
-    low: set[int] = set()  # unvisited vertices with counts <= 1
     visited = bytearray(n)
-    path: list[int] = []
-    nodes = 0
-
-    def push(v: int) -> None:
-        nonlocal nodes
-        visited[v] = 1
-        path.append(v)
-        low.discard(v)
-        nodes += 1
-        for m in masks:
-            u = v ^ m
-            c = counts[u] - 1
-            counts[u] = c
-            if c <= 1 and not visited[u]:
-                low.add(u)
-
-    def pop() -> None:
-        v = path.pop()
-        visited[v] = 0
-        for m in masks:
-            u = v ^ m
-            c = counts[u] + 1
-            counts[u] = c
-            if c > 1:
-                low.discard(u)
-        if counts[v] <= 1:
-            low.add(v)
-
-    def pruned(head: int) -> bool:
-        for u in low:
-            avail = counts[u]
-            if (u ^ head).bit_count() == h:
-                avail += 1
-            if u.bit_count() == h:  # adjacency to the all-zeros anchor
-                avail += 1
-            if avail < 2:
-                return True
-        return False
-
+    path = list(prefix)
     for v in prefix:
-        push(v)
-    nodes -= 1  # the anchor itself is not an explored node
-
+        visited[v] = 1
+    nodes = len(prefix) - 1  # the anchor itself is not an explored node
     count = 0
     witness: list[int] | None = None
-    if len(path) < n and pruned(path[-1]):
-        return (count, nodes, witness)
 
     n_masks = len(masks)
     idx = [0]  # next mask index to try, one per depth
@@ -194,23 +151,20 @@ def _dfs(
         if i == n_masks:
             idx.pop()
             if len(path) > len(prefix):
-                pop()
+                visited[path.pop()] = 0
             continue
         idx[-1] = i + 1
         v = head ^ masks[i]
-        push(v)
-        if len(path) == n:
+        nodes += 1
+        if len(path) + 1 == n:
             if v.bit_count() == h:  # closing edge back to all-zeros
                 if not count_mode:
-                    wit = list(path) if want_witness else None
-                    return (1, nodes, wit)
+                    return (1, nodes, path + [v] if want_witness else None)
                 count += 1
                 if want_witness and witness is None:
-                    witness = list(path)
-            pop()
+                    witness = path + [v]
             continue
-        if pruned(v):
-            pop()
-            continue
+        visited[v] = 1
+        path.append(v)
         idx.append(0)
     return (count, nodes, witness)

@@ -14,7 +14,7 @@ from leaper_cycles.core import VertexPath
 from leaper_cycles.document import CycleDocument, parse_document, render_text
 from leaper_cycles.graycode import gray_tour, reflect_extend
 from leaper_cycles.leapers import leaper_by_name, leaper_feasible, leaper_step, min_dimension
-from leaper_cycles.oracle import ORACLE_K_MAX, oracle_count, oracle_exists
+from leaper_cycles.oracle import COUNT_K_MAX, ORACLE_K_MAX, oracle_count, oracle_exists
 from leaper_cycles.transforms import (
     append_coordinate,
     complement_odd_indices,
@@ -174,7 +174,15 @@ def test_criterion_7_enumeration_spot_values():
 
 
 def test_feasibility_and_oracle_never_disagree_on_the_sweep():
-    # belt-and-braces restatement of the equivalence used throughout
+    # belt-and-braces restatement of the equivalence used throughout, and
+    # the oracle's stated bound over the whole domain its caps admit: an
+    # existence search refutes by precheck alone or never backtracks
     for k in range(2, ORACLE_K_MAX + 1):
-        for h in range(1, max(8, k + 2)):
-            assert feasibility(k, h).feasible == oracle_exists(k, h).exists, (k, h)
+        for h in range(1, max(9, k + 2)):
+            feasible = feasibility(k, h).feasible
+            result = oracle_exists(k, h)
+            assert result.exists == feasible, (k, h)
+            assert result.nodes_explored == ((1 << k) - 1 if feasible else 0), (k, h)
+    for k in range(1, COUNT_K_MAX + 1):
+        for h in range(1, k + 2):
+            assert oracle_count(k, h).nodes_explored <= 22_669, (k, h)

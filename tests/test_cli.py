@@ -136,6 +136,13 @@ class TestVerify:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_non_utf8_byte_reports_line(self, capsys, tmp_path):
+        target = tmp_path / "bad.txt"
+        target.write_bytes(b"# k=2 h=1 encoding=ints closed=true\n0\n1\n3\xff\n2\n")
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == 1 and out == ""
+        assert err == "error: line 4: not UTF-8: byte 0xff, invalid start byte\n"
+
     def test_malformed_body_reports_line(self, capsys, tmp_path):
         target = tmp_path / "bad.txt"
         target.write_text("# k=2 h=1 encoding=tuples closed=true\n0 0\n0 x\n")

@@ -198,6 +198,14 @@ class TestDimensionCeiling:
         with pytest.raises(CapacityError):
             max_k()
 
+    @pytest.mark.parametrize(
+        "raw", ["\u0661\u0662", "1_2", "+12", pytest.param("1" * 5000, id="5000-digits")]
+    )
+    def test_env_rejected_if_not_ascii_digits(self, monkeypatch, raw):
+        monkeypatch.setenv(MAX_K_ENV, raw)
+        with pytest.raises(CapacityError, match=MAX_K_ENV):
+            max_k()
+
     def test_check_dimension_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_dimension(0)

@@ -325,6 +325,34 @@ def test_parser_returns_a_document_or_names_a_line(text):
         assert isinstance(doc, CycleDocument)
 
 
+# Whitespace the renderer never writes; each line break in the list once
+# shifted every later line number away from the file's LF count.
+STRAY_WHITESPACE = [
+    pytest.param("#\u3000k=2 h=1 encoding=tuples closed=true\n0 0\n", 1, "\u3000", id="header-U+3000"),
+    pytest.param("# k=2 h=1 encoding=tuples closed=true\n0 0\n0\u30000\n", 3, "\u3000", id="row-U+3000"),
+    pytest.param("# k=2 h=1 encoding=ints closed=true\n0\n1\u20283\n2\n", 3, "\u2028", id="U+2028"),
+    pytest.param("# k=2 h=1 encoding=ints closed=true\n0\n1\x853\n2\n", 3, "\x85", id="U+0085"),
+    pytest.param("# k=2 h=1 encoding=ints closed=true\n0\n1\n3\v2\n", 4, "\v", id="vertical-tab"),
+]
+
+
+@pytest.mark.parametrize("text, lineno, char", STRAY_WHITESPACE)
+def test_stray_whitespace_refused_on_its_line(text, lineno, char):
+    with pytest.raises(DocumentError) as exc:
+        parse_document(text)
+    assert str(exc.value) == (
+        f"line {lineno}: whitespace {char!r} is not a space, tab or line end"
+    )
+
+
+def test_crlf_line_ends_accepted():
+    doc = sample_doc()
+    assert parse_document(render_text(doc).replace("\n", "\r\n")) == doc
+    with pytest.raises(DocumentError) as exc:
+        parse_document(render_text(doc).replace("\n", "\r"))
+    assert str(exc.value).startswith("line 1: ")
+
+
 @st.composite
 def documents(draw):
     k = draw(st.integers(1, 8))

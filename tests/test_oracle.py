@@ -146,7 +146,7 @@ class TestFirstMoveSymmetry:
 
     @pytest.mark.parametrize(
         "k,h,count,nodes",
-        [(2, 1, 1, 3), (3, 1, 6, 27), (4, 1, 1344, 7783), (4, 3, 1344, 7783)],
+        [(2, 1, 1, 3), (3, 1, 6, 37), (4, 1, 1344, 22669), (4, 3, 1344, 22669)],
     )
     def test_count_matches_full_search(self, k, h, count, nodes):
         result = oracle_count(k, h)
@@ -311,13 +311,13 @@ PINNED_COUNTS = {
     (2, 1): (1, 3),
     (2, 2): (0, 0),
     (2, 3): (0, 0),
-    (3, 1): (6, 27),
+    (3, 1): (6, 37),
     (3, 2): (0, 0),
     (3, 3): (0, 0),
     (3, 4): (0, 0),
-    (4, 1): (1344, 7783),
+    (4, 1): (1344, 22669),
     (4, 2): (0, 0),
-    (4, 3): (1344, 7783),
+    (4, 3): (1344, 22669),
     (4, 4): (0, 0),
     (4, 5): (0, 0),
 }
