@@ -15,28 +15,16 @@ from .constructor import (
     feasibility,
     lift,
 )
-from .core import (
-    CapacityError,
-    DimensionMismatch,
-    Vertex,
-    VertexPath,
-    complement,
-    flip_prefix,
-    hamming,
-    max_k,
-    parity,
-)
+from .core import CapacityError, VertexPath, max_k
 from .document import CycleDocument, DocumentError, parse_document, render_json, render_text
-from .graycode import gray_code, gray_tour, reflect_extend
+from .graycode import gray_tour, reflect_extend
 from .leapers import (
     CATALOG,
     LeaperSpec,
-    LeaperVerdict,
     UnknownLeaperError,
     leaper_by_name,
     leaper_feasible,
     leaper_step,
-    leaper_verdict,
     min_dimension,
 )
 from .oracle import OracleResult, oracle_count, oracle_exists
@@ -55,39 +43,30 @@ __all__ = [
     "CapacityError",
     "CycleCertificate",
     "CycleDocument",
-    "DimensionMismatch",
     "DocumentError",
     "Feasibility",
     "FeasibilityVerdict",
     "LeaperSpec",
-    "LeaperVerdict",
     "OracleResult",
     "UnknownLeaperError",
     "VerifyReport",
-    "Vertex",
     "VertexPath",
     "Violation",
     "append_coordinate",
     "base_cycle",
-    "complement",
     "complement_odd_indices",
     "construct",
     "feasibility",
-    "flip_prefix",
     "flip_prefix_path",
-    "gray_code",
     "gray_tour",
-    "hamming",
     "leaper_by_name",
     "leaper_feasible",
     "leaper_step",
-    "leaper_verdict",
     "lift",
     "max_k",
     "min_dimension",
     "oracle_count",
     "oracle_exists",
-    "parity",
     "parse_document",
     "reflect_extend",
     "render_json",

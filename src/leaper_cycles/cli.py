@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from .constructor import CycleCertificate, construct
+from .core import VertexPath
 from .document import CycleDocument, DocumentError, parse_document, render_json, render_text
 from .leapers import LeaperSpec, leaper_by_name, leaper_feasible, leaper_step, min_dimension
 from .oracle import oracle_count, oracle_exists
@@ -97,7 +98,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _emit_document(doc: CycleDocument, fmt: str, output: str | None) -> None:
+def _emit_document(h: int, path: VertexPath, fmt: str, output: str | None) -> None:
+    doc = CycleDocument(h, "ints" if fmt == "ints" else "tuples", path)
     text = render_json(doc) if fmt == "json" else render_text(doc)
     if output:
         with open(output, "w", encoding="utf-8") as fh:
@@ -116,9 +118,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"status: {result.status.value}")
         print(f"detail: {result.detail}")
         return 2
-    encoding = "ints" if args.format == "ints" else "tuples"
-    doc = CycleDocument(h, encoding, result.path)
-    _emit_document(doc, args.format, args.output)
+    _emit_document(h, result.path, args.format, args.output)
     return 0
 
 
@@ -152,6 +152,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    if args.output and not args.witness:
+        raise ValueError("--output needs --witness")
     search = oracle_count if args.count else oracle_exists
     result = search(args.k, args.h, want_witness=args.witness)
     print(f"exists: {'true' if result.exists else 'false'}")
@@ -159,9 +161,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         print(f"count: {result.count}")
     print(f"nodes_explored: {result.nodes_explored}")
     if result.witness is not None:
-        encoding = "ints" if args.format == "ints" else "tuples"
-        doc = CycleDocument(args.h, encoding, result.witness)
-        _emit_document(doc, args.format, args.output)
+        _emit_document(args.h, result.witness, args.format, args.output)
     return 0 if result.exists else 2
 
 
@@ -174,13 +174,13 @@ def _cmd_leaper(args: argparse.Namespace) -> int:
         spec = LeaperSpec(args.a, args.b)
     else:
         raise ValueError("give --name, or both --a and --b")
+    verdict = None if args.k is None else leaper_feasible(spec, args.k)
     print(f"leaper: {spec.label()}")
     print(f"step: {leaper_step(spec)}")
     k_min = min_dimension(spec)
     print(f"min_dimension: {'never' if k_min is None else k_min}")
-    if args.k is None:
+    if verdict is None:
         return 0
-    verdict = leaper_feasible(spec, args.k)
     print(f"k: {args.k}")
     print(f"status: {verdict.status.value}")
     print(f"detail: {verdict.detail}")

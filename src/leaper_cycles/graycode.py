@@ -12,11 +12,6 @@ from .core import VertexPath, check_dimension
 from .verifier import verify_cycle
 
 
-def gray_code(j: int) -> int:
-    """Code of the j-th vertex on the change-1 tour."""
-    return j ^ (j >> 1)
-
-
 def gray_tour(k: int) -> VertexPath:
     """Closed change-1 tour of {0,1}^k starting at the all-zeros vertex.
 

@@ -55,18 +55,6 @@ class LeaperSpec:
         return f"{self.name} {base}" if self.name else base
 
 
-@dataclass(frozen=True)
-class LeaperVerdict:
-    """Which dimensions admit a closed tour: none, or all k >= k_min."""
-
-    k_min: int | None
-    reason: str
-
-    @property
-    def never(self) -> bool:
-        return self.k_min is None
-
-
 def leaper_by_name(name: str) -> LeaperSpec:
     """Catalog lookup, case-insensitive."""
     key = name.strip().lower()
@@ -89,20 +77,6 @@ def min_dimension(spec: LeaperSpec) -> int | None:
     return leaper_step(spec) + 1
 
 
-def leaper_verdict(spec: LeaperSpec) -> LeaperVerdict:
-    k_min = min_dimension(spec)
-    if k_min is None:
-        return LeaperVerdict(
-            None,
-            f"{spec.label()} can never tour: a+b is even, so every leap "
-            f"preserves vertex parity",
-        )
-    return LeaperVerdict(
-        k_min,
-        f"{spec.label()} tours every dimension k >= {k_min}",
-    )
-
-
 def leaper_feasible(spec: LeaperSpec, k: int) -> FeasibilityVerdict:
     """Closed-tour feasibility of this leaper in {0,1}^k.
 
@@ -113,6 +87,8 @@ def leaper_feasible(spec: LeaperSpec, k: int) -> FeasibilityVerdict:
     verdict = feasibility(k, leaper_step(spec))
     if verdict.status is Feasibility.INFEASIBLE_RANGE and min_dimension(spec) is None:
         return FeasibilityVerdict(
-            Feasibility.INFEASIBLE_PARITY, leaper_verdict(spec).reason
+            Feasibility.INFEASIBLE_PARITY,
+            f"{spec.label()} can never tour: a+b is even, so every leap "
+            f"preserves vertex parity",
         )
     return verdict

@@ -58,17 +58,16 @@ def verify_cycle(path: VertexPath, h: int) -> VerifyReport:
     if len(codes) != n:
         violations.append(Violation(WRONG_LENGTH, len(codes)))
 
-    # Presence table of 2**k bits bounds duplicate detection at O(2**k).
-    seen = bytearray((n + 7) >> 3)
+    # Presence table of one byte per vertex bounds duplicate detection at
+    # O(2**k) time and 2**k bytes.
+    seen = bytearray(n)
     for i, c in enumerate(codes):
         if not 0 <= c < n:
             violations.append(Violation(DIMENSION_OVERFLOW, i))
-            continue
-        byte, bit = c >> 3, 1 << (c & 7)
-        if seen[byte] & bit:
+        elif seen[c]:
             violations.append(Violation(DUPLICATE_VERTEX, i))
         else:
-            seen[byte] |= bit
+            seen[c] = 1
 
     for i in range(len(codes) - 1):
         if (codes[i] ^ codes[i + 1]).bit_count() != h:

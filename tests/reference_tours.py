@@ -6,6 +6,15 @@ odd-index antipode rule, the append/flip/reverse lift stages) before
 being frozen, so the tests pin the construction bit for bit.
 """
 
+from leaper_cycles.core import VertexPath
+
+
+def path_of(rows):
+    """The path whose vertices are these coordinate rows, leftmost at bit 0."""
+    codes = tuple(sum(c << i for i, c in enumerate(row)) for row in rows)
+    return VertexPath(len(rows[0]), codes)
+
+
 DIM2_UNIT_TOUR = [
     (0, 0), (1, 0), (1, 1), (0, 1),
 ]

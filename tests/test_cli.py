@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from leaper_cycles import cli
 from leaper_cycles.cli import main
 from leaper_cycles.core import MAX_K_ENV
 from leaper_cycles.document import parse_document
@@ -245,6 +246,22 @@ class TestOracle:
         assert "exists: true" in out
         assert verify_cycle(parse_document(target.read_text()).path, 1).valid
 
+    def test_output_without_witness_refused_before_search(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "oracle_exists", no_search)
+        target = tmp_path / "o.txt"
+        code, out, err = run(
+            capsys, "oracle", "--k", "3", "--h", "1", "--output", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: --output needs --witness\n"
+        assert not target.exists()
+
 
 class TestLeaper:
     def test_catalog_listing(self, capsys):
@@ -286,6 +303,12 @@ class TestLeaper:
     def test_name_and_pair_conflict(self, capsys):
         code, _, err = run(capsys, "leaper", "--name", "knight", "--a", "1", "--b", "2")
         assert code == 1
+
+    def test_bad_dimension_prints_nothing_to_stdout(self, capsys):
+        code, out, err = run(capsys, "leaper", "--a", "1", "--b", "2", "--k", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 def test_main_leaves_the_environment_unchanged(capsys, tmp_path, monkeypatch):

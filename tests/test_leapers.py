@@ -8,7 +8,6 @@ from leaper_cycles.leapers import (
     leaper_by_name,
     leaper_feasible,
     leaper_step,
-    leaper_verdict,
     min_dimension,
 )
 from leaper_cycles.verifier import verify_cycle
@@ -83,14 +82,6 @@ def test_min_dimension(name, k_min):
     assert min_dimension(leaper_by_name(name)) == k_min
 
 
-def test_verdict_summaries():
-    never = leaper_verdict(leaper_by_name("alfil"))
-    assert never.never and never.k_min is None
-    assert "parity" in never.reason
-    knight = leaper_verdict(leaper_by_name("knight"))
-    assert not knight.never and knight.k_min == 6
-
-
 class TestFeasible:
     def test_knight_boundary(self):
         knight = leaper_by_name("knight")
@@ -104,6 +95,10 @@ class TestFeasible:
         alfil = leaper_by_name("alfil")
         for k in (2, 5, 9, 30):
             assert leaper_feasible(alfil, k).status is Feasibility.INFEASIBLE_PARITY
+        assert leaper_feasible(alfil, 5).detail == (
+            "alfil (a=2, b=2) can never tour: a+b is even, so every leap "
+            "preserves vertex parity"
+        )
 
     def test_tiny_dimension(self):
         assert (

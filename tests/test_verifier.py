@@ -16,7 +16,7 @@ from leaper_cycles.verifier import (
     verify_cycle,
 )
 
-from reference_tours import DIM5_STEP3_TOUR
+from reference_tours import DIM5_STEP3_TOUR, path_of
 
 
 def kinds(report):
@@ -24,7 +24,7 @@ def kinds(report):
 
 
 def test_reference_change3_cycle_is_valid():
-    path = VertexPath.from_tuples(DIM5_STEP3_TOUR)
+    path = path_of(DIM5_STEP3_TOUR)
     report = verify_cycle(path, 3)
     assert report.valid
     assert report.violations == ()
