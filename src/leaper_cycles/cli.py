@@ -9,7 +9,9 @@ that found nothing).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+from typing import IO, ContextManager
 
 from .constructor import CycleCertificate, construct
 from .core import VertexPath
@@ -98,14 +100,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _emit_document(h: int, path: VertexPath, fmt: str, output: str | None) -> None:
+def _render(h: int, path: VertexPath, fmt: str) -> str:
     doc = CycleDocument(h, "ints" if fmt == "ints" else "tuples", path)
-    text = render_json(doc) if fmt == "json" else render_text(doc)
+    return render_json(doc) if fmt == "json" else render_text(doc)
+
+
+def _open_output(output: str | None) -> ContextManager[IO[str]]:
+    """The ``--output`` file opened for writing, or stdout."""
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return open(output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -118,7 +122,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"status: {result.status.value}")
         print(f"detail: {result.detail}")
         return 2
-    _emit_document(h, result.path, args.format, args.output)
+    text = _render(h, result.path, args.format)
+    with _open_output(args.output) as out:
+        out.write(text)
     return 0
 
 
@@ -156,12 +162,17 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--output needs --witness")
     search = oracle_count if args.count else oracle_exists
     result = search(args.k, args.h, want_witness=args.witness)
-    print(f"exists: {'true' if result.exists else 'false'}")
-    if result.count is not None:
-        print(f"count: {result.count}")
-    print(f"nodes_explored: {result.nodes_explored}")
+    # Render and open the output first, so a refusal prints nothing.
+    witness = None
     if result.witness is not None:
-        _emit_document(args.h, result.witness, args.format, args.output)
+        witness = _render(args.h, result.witness, args.format)
+    with _open_output(args.output if witness else None) as out:
+        print(f"exists: {'true' if result.exists else 'false'}")
+        if result.count is not None:
+            print(f"count: {result.count}")
+        print(f"nodes_explored: {result.nodes_explored}")
+        if witness:
+            out.write(witness)
     return 0 if result.exists else 2
 
 

@@ -13,13 +13,19 @@ first, so files are directly comparable with printed listings; with
 coordinate = least significant bit). The JSON alternative carries the same
 fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
+
+A body shaped as the renderers write it is checked whole at C speed; any
+other body goes through the per-line loop, which accepts the same
+documents and names the line at fault.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain, islice, repeat
 
 from .core import CapacityError, VertexPath, check_dimension
 
@@ -47,27 +53,73 @@ class CycleDocument:
 
 
 def render_text(doc: CycleDocument) -> str:
+    _check_codes(doc.path)
     lines = [f"# k={doc.path.k} h={doc.h} encoding={doc.encoding} closed=true"]
     if doc.encoding == "tuples":
-        lines += [" ".join(map(str, row)) for row in doc.path.to_tuples()]
+        lines += _tuple_rows(doc.path, " ")
     else:
         lines += [str(c) for c in doc.path.codes]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line end, without a second copy of the text
+    return "\n".join(lines)
 
 
 def render_json(doc: CycleDocument) -> str:
+    _check_codes(doc.path)
     if doc.encoding == "tuples":
-        cycle: list = [list(row) for row in doc.path.to_tuples()]
-    else:
-        cycle = list(doc.path.codes)
+        # Written directly: the text json.dumps would write for this object.
+        cycle = ",".join(_tuple_rows(doc.path, ",", "[", "]"))
+        return (
+            f'{{"k":{doc.path.k},"h":{doc.h},"encoding":"tuples",'
+            f'"cycle":[{cycle}],"closed":true}}\n'
+        )
     obj = {
         "k": doc.path.k,
         "h": doc.h,
         "encoding": doc.encoding,
-        "cycle": cycle,
+        "cycle": list(doc.path.codes),
         "closed": True,
     }
     return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
+
+
+def _check_codes(path: VertexPath) -> None:
+    """Refuse a code outside [0, 2**k): its row would name another vertex."""
+    codes, k = path.codes, path.k
+    if codes and (min(codes) < 0 or max(codes) >> k):
+        index, code = next(
+            (i, c) for i, c in enumerate(codes) if not 0 <= c < 1 << k
+        )
+        raise ValueError(f"code at index {index} is {code}, outside [0, 2**{k})")
+
+
+def _tuple_rows(
+    path: VertexPath, sep: str, left: str = "", right: str = ""
+) -> Iterator[str]:
+    """Each code's coordinates, leftmost first, joined by ``sep``.
+
+    The coordinates split into pieces of at most 11 (two halves up to
+    k = 22), and a row joins one entry per piece from a table of that
+    piece's rows, built per call, so no table outgrows 2**11 rows.
+    """
+    k, codes = path.k, path.codes
+    pieces = -(-k // 11)
+    bounds = [k * i // pieces for i in range(pieces + 1)]
+    columns = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        prefix = left if lo == 0 else sep
+        suffix = right if hi == k else ""
+        table = [prefix + row + suffix for row in _coordinate_rows(hi - lo, sep)]
+        mask = (1 << (hi - lo)) - 1
+        columns.append(map(table.__getitem__, map(mask.__and__, map(lo.__rrshift__, codes))))
+    return map("".join, zip(*columns))
+
+
+def _coordinate_rows(width: int, sep: str) -> list[str]:
+    """Row ``v`` lists the ``width`` low bits of ``v``, bit 0 first."""
+    return [
+        sep.join("1" if v >> i & 1 else "0" for i in range(width))
+        for v in range(1 << width)
+    ]
 
 
 def parse_document(text: str) -> CycleDocument:
@@ -80,10 +132,13 @@ def parse_document(text: str) -> CycleDocument:
     return _parse_text(text)
 
 
-def _parse_text(text: str) -> CycleDocument:
+def _parse_text(text: str, *, scalar: bool = False) -> CycleDocument:
+    """The text form; ``scalar=True`` skips the whole-body check."""
     _check_whitespace(text)
-    lines = text.split("\n")
-    header = _HEADER_RE.match(lines[0])
+    end = text.find("\n")
+    if end < 0:
+        end = len(text)
+    header = _HEADER_RE.match(text[:end])
     if header is None:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
@@ -93,6 +148,53 @@ def _parse_text(text: str) -> CycleDocument:
     encoding = header.group(3)
     _check_header(k, h, encoding)
 
+    codes = None if scalar else _fast_text_codes(text, end + 1, k, encoding)
+    if codes is None:
+        codes = _text_codes(text.split("\n"), k, encoding)
+    if not codes:
+        raise DocumentError("line 2: document has no vertices")
+    return CycleDocument(h, encoding, VertexPath(k, codes))
+
+
+def _fast_text_codes(
+    text: str, start: int, k: int, encoding: str
+) -> tuple[int, ...] | None:
+    """The codes of a body from ``start`` on, if it is shaped as rendered.
+
+    One check of the whole body at C speed. Any other body, valid or not,
+    returns None and goes to the per-line loop, which accepts the same
+    documents and names the line at fault.
+    """
+    if encoding == "tuples":
+        rows, rest = divmod(len(text) - start, 2 * k)
+        if rest or text[start + 1::2] != (" " * (k - 1) + "\n") * rows:
+            return None
+        bits = text[start::2]
+        return None if bits.strip("01") else _codes_from_bits(bits, k)
+    lines = text.split("\n")
+    last = len(lines) - 1
+    if (
+        not text.isascii()
+        or lines[last]
+        or not all(map(str.isdigit, islice(lines, 1, last)))
+    ):
+        return None
+    try:
+        return tuple(map(int, islice(lines, 1, last)))
+    except ValueError:  # a row over int()'s digit limit
+        return None
+
+
+def _codes_from_bits(bits: str | bytes, k: int) -> tuple[int, ...]:
+    """Codes of rows of ``k`` 0/1 digits, leftmost coordinate first, run together."""
+    n = len(bits)
+    tail_first = bits[::-1]  # row i, reversed, is tail_first[n-(i+1)k : n-ik]
+    rows = map(tail_first.__getitem__, map(slice, range(n - k, -1, -k), range(n, 0, -k)))
+    return tuple(map(int, rows, repeat(2)))
+
+
+def _text_codes(lines: list[str], k: int, encoding: str) -> tuple[int, ...]:
+    """The per-line loop: the codes of any accepted body, or the line at fault."""
     codes: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -128,9 +230,7 @@ def _parse_text(text: str) -> CycleDocument:
                 raise DocumentError(
                     f"line {lineno}: vertex code has too many digits"
                 ) from None
-    if not codes:
-        raise DocumentError("line 2: document has no vertices")
-    return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))
+    return tuple(codes)
 
 
 def _check_whitespace(text: str) -> None:
@@ -153,7 +253,8 @@ def _check_whitespace(text: str) -> None:
         )
 
 
-def _parse_json(text: str) -> CycleDocument:
+def _parse_json(text: str, *, scalar: bool = False) -> CycleDocument:
+    """The JSON form; ``scalar=True`` skips the all-rows check."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -177,6 +278,39 @@ def _parse_json(text: str) -> CycleDocument:
         raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
         raise DocumentError("line 1: cycle must be a non-empty array")
+    codes = None if scalar else _fast_json_codes(cycle, k, encoding)
+    if codes is None:
+        codes = _json_codes(cycle, k, encoding)
+    return CycleDocument(h, encoding, VertexPath(k, codes))
+
+
+def _fast_json_codes(
+    cycle: list, k: int, encoding: str
+) -> tuple[int, ...] | None:
+    """The codes of ``cycle`` if all its rows pass one check, else None.
+
+    Any cycle that fails goes to the per-row loop, which names the index
+    at fault.
+    """
+    if encoding == "ints":
+        if set(map(type, cycle)) == {int} and min(cycle) >= 0:
+            return tuple(cycle)
+        return None
+    if set(map(type, cycle)) != {list} or set(map(len, cycle)) != {k}:
+        return None
+    if set(map(type, chain.from_iterable(cycle))) != {int}:
+        return None
+    try:
+        bits = bytes(chain.from_iterable(cycle))
+    except ValueError:  # a coordinate outside [0, 256)
+        return None
+    if bits.translate(None, b"\0\1"):
+        return None
+    return _codes_from_bits(bits.translate(bytes.maketrans(b"\0\1", b"01")), k)
+
+
+def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:
+    """The per-row loop: the codes of any accepted cycle, or the index at fault."""
     codes: list[int] = []
     for i, item in enumerate(cycle):
         if encoding == "tuples":
@@ -196,7 +330,7 @@ def _parse_json(text: str) -> CycleDocument:
                     f"line 1: cycle[{i}] must be a nonnegative integer"
                 )
             codes.append(item)
-    return CycleDocument(h, encoding, VertexPath(k, tuple(codes)))
+    return tuple(codes)
 
 
 def _header_int(name: str, digits: str) -> int:

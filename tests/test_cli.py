@@ -246,6 +246,16 @@ class TestOracle:
         assert "exists: true" in out
         assert verify_cycle(parse_document(target.read_text()).path, 1).valid
 
+    def test_unwritable_output_prints_nothing_to_stdout(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "w.txt"
+        code, out, err = run(
+            capsys, "oracle", "--k", "4", "--h", "1", "--witness",
+            "--output", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
     def test_output_without_witness_refused_before_search(
         self, capsys, tmp_path, monkeypatch
     ):
@@ -346,3 +356,16 @@ def test_usage_error_exits_1_in_subprocess():
         env=env,
     )
     assert result.returncode == 1
+
+
+def test_cli_imports_only_the_standard_library():
+    # numpy would add to the start-up time and peak memory of every call.
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, leaper_cycles.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"

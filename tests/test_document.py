@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from leaper_cycles import document
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath
 from leaper_cycles.document import (
@@ -376,3 +378,116 @@ def test_header_always_matches_the_row_width(doc):
     if doc.encoding == "tuples":
         assert {len(line.split()) for line in lines[1:]} == {k}
         assert {len(row) for row in obj["cycle"]} == {k}
+
+
+# SHA-256 of the renderers' output before their rows came from lookup
+# tables; the tables must write the same bytes.
+RENDERED_SHA256 = {
+    (12, 5, "tuples", "text"): "c3aa7190af5ba3fb859bb74ea49533b135d0f77fe2f212c5260b6c715848e36d",
+    (12, 5, "tuples", "json"): "9ce3385f63301e27589ae5eafeff9c3d8bdc6eb001e33723401bbc5775029b87",
+    (12, 5, "ints", "text"): "8e2d00c33c59400b239ac2c1e5b2da848c470e143b1a806f4dcbca0a50c6e49a",
+    (12, 5, "ints", "json"): "ad0260720b8d3a7185f5617827ef86151ec14433e77abb604a2dc9b4f748f6fa",
+    (9, 1, "tuples", "text"): "cac1db5d922e0b946f83ed5eac5c7455a189d1aeacd443ed5f5c2fd01e36fd13",
+    (9, 1, "tuples", "json"): "89ab17630108f27a834c3d730cabcfa5de8d91f5215ed859eb386e23a7368a49",
+    (9, 1, "ints", "text"): "49b1b0ff2f10b69b8997c3437624118f23bd9823cf4b4856a2d3a3e522fa17e8",
+    (9, 1, "ints", "json"): "0e67fed61b90970aec89ce4b3dbe091063937a56449b1e41b09faf7807ca6d1b",
+    (2, 1, "tuples", "text"): "9cdd8e982e624cec2e5192ec8b297e3a66afc11575630bd167055206ee2343ca",
+    (2, 1, "tuples", "json"): "d8e0e99ac65623d6257ec9ecab53ea891e6d62819f47b3669cd262f91f541038",
+    (2, 1, "ints", "text"): "2f5ae763893fa36b84a03681a2e7572ced8d6ff26af407b8383dbcdd3a1c9022",
+    (2, 1, "ints", "json"): "727644ce2cbe29f8a362a22ee636532c0707f2e5335ae25752d4b6a0377ab2c2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(RENDERED_SHA256))
+def test_rendered_bytes_are_pinned(key):
+    k, h, encoding, form = key
+    doc = CycleDocument(h, encoding, construct(k, h).path)
+    text = render_json(doc) if form == "json" else render_text(doc)
+    assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_SHA256[key]
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_table_rows_match_joined_coordinates_for_every_code(k):
+    path = VertexPath(k, tuple(range(1 << k)))
+    rows = path.to_tuples()
+    text = render_text(CycleDocument(1, "tuples", path))
+    assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows]
+    obj = {"k": k, "h": 1, "encoding": "tuples", "cycle": [list(row) for row in rows], "closed": True}
+    assert render_json(CycleDocument(1, "tuples", path)) == (
+        json.dumps(obj, separators=(",", ":")) + "\n"
+    )
+
+
+@pytest.mark.parametrize("k", [23, 34, 64])
+def test_wide_rows_match_joined_coordinates(k):
+    # Row tables stay small however wide a row is: a short path in a high
+    # dimension must not build a table of 2**(k/2) rows.
+    path = VertexPath(k, (0, (1 << k) - 1, (1 << k) // 3, 5))
+    text = render_text(CycleDocument(1, "tuples", path))
+    assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in path.to_tuples()]
+
+
+@pytest.mark.parametrize("render", [render_text, render_json])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize(
+    "codes, index, code", [((0, 5), 1, 5), ((0, 1, -1, 7, 2), 2, -1), ((4,), 0, 4)]
+)
+def test_renderers_refuse_codes_outside_the_cube(render, encoding, codes, index, code):
+    # Such a code once rendered as a row of another vertex, or as a row
+    # that parse_document refuses.
+    doc = CycleDocument(1, encoding, VertexPath(2, codes))
+    with pytest.raises(ValueError) as exc:
+        render(doc)
+    assert str(exc.value) == f"code at index {index} is {code}, outside [0, 2**2)"
+
+
+MUTATION_CHARS = "01 \t\r\n2x+_-"
+
+
+@st.composite
+def mutated_renderings(draw):
+    """Renderer output with one mutation: a char, CRLF, a blank line or a long row."""
+    doc = draw(documents())
+    text = draw(st.sampled_from([render_text, render_json]))(doc)
+    kind = draw(st.sampled_from(["replace", "insert", "delete", "crlf", "blank", "long"]))
+    if kind == "crlf":
+        return text.replace("\n", "\r\n")
+    if kind in ("blank", "long"):
+        lines = text.split("\n")
+        i = draw(st.integers(1, len(lines) - 1))
+        if kind == "blank":
+            lines.insert(i, "")
+        else:
+            lines[i] = "1" * 5000
+        return "\n".join(lines)
+    # Mutate the rows, where the fast path and the loop differ.
+    body = text.index("[") if text[0] == "{" else text.index("\n") + 1
+    i = draw(st.integers(body, len(text) - 1))
+    if kind == "delete":
+        return text[:i] + text[i + 1:]
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    return text[:i] + char + text[i + (kind == "replace"):]
+
+
+def scalar_parse(text):
+    """parse_document through the per-line (or per-row) loop alone."""
+    parse = document._parse_json if text.lstrip()[:1] == "{" else document._parse_text
+    return parse(text, scalar=True)
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except DocumentError as exc:
+        return str(exc)
+
+
+@given(mutated_renderings())
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1_0\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1\t3\n2\n")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1\t0\n1 1\n0 1\n")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1_0\n1 1\n0 1\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n\u0661\n3\n2\n")
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,true],[1,1]],"closed":true}')
+def test_fast_path_matches_the_scalar_loop(text):
+    assert outcome(parse_document, text) == outcome(scalar_parse, text)
