@@ -161,10 +161,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.output and not args.witness:
         raise ValueError("--output needs --witness")
     search = oracle_count if args.count else oracle_exists
-    result = search(args.k, args.h, want_witness=args.witness)
+    result = search(args.k, args.h)
     # Render and open the output first, so a refusal prints nothing.
     witness = None
-    if result.witness is not None:
+    if args.witness and result.witness is not None:
         witness = _render(args.h, result.witness, args.format)
     with _open_output(args.output if witness else None) as out:
         print(f"exists: {'true' if result.exists else 'false'}")

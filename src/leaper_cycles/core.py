@@ -43,7 +43,7 @@ def max_k() -> int:
     return value
 
 
-def check_dimension(k: int) -> int:
+def check_dimension(k: int) -> None:
     """Validate a dimension that will be materialized as 2**k vertices."""
     if k < 1:
         raise ValueError(f"dimension must be a positive integer, got {k}")
@@ -53,7 +53,6 @@ def check_dimension(k: int) -> int:
             f"dimension {k} exceeds the ceiling {ceiling}; raise {MAX_K_ENV} "
             f"(hard limit {HARD_MAX_K}) to go higher"
         )
-    return k
 
 
 @dataclass(frozen=True)

@@ -64,28 +64,24 @@ def render_text(doc: CycleDocument) -> str:
 
 
 def render_json(doc: CycleDocument) -> str:
+    """The text ``json.dumps`` would write, compact, with the fields in order."""
     _check_codes(doc.path)
     if doc.encoding == "tuples":
-        # Written directly: the text json.dumps would write for this object.
-        cycle = ",".join(_tuple_rows(doc.path, ",", "[", "]"))
-        return (
-            f'{{"k":{doc.path.k},"h":{doc.h},"encoding":"tuples",'
-            f'"cycle":[{cycle}],"closed":true}}\n'
-        )
-    obj = {
-        "k": doc.path.k,
-        "h": doc.h,
-        "encoding": doc.encoding,
-        "cycle": list(doc.path.codes),
-        "closed": True,
-    }
-    return json.dumps(obj, indent=None, separators=(",", ":")) + "\n"
+        rows = ",".join(_tuple_rows(doc.path, ",", "[", "]"))
+    else:
+        rows = json.dumps(doc.path.codes, separators=(",", ":"))[1:-1]
+    return (
+        f'{{"k":{doc.path.k},"h":{doc.h},"encoding":"{doc.encoding}",'
+        f'"cycle":[{rows}],"closed":true}}\n'
+    )
 
 
 def _check_codes(path: VertexPath) -> None:
-    """Refuse a code outside [0, 2**k): its row would name another vertex."""
+    """Refuse an empty path or a code outside [0, 2**k): neither reads back."""
     codes, k = path.codes, path.k
-    if codes and (min(codes) < 0 or max(codes) >> k):
+    if not codes:
+        raise ValueError("a cycle document needs at least one vertex")
+    if min(codes) < 0 or max(codes) >> k:
         index, code = next(
             (i, c) for i, c in enumerate(codes) if not 0 <= c < 1 << k
         )
@@ -132,8 +128,8 @@ def parse_document(text: str) -> CycleDocument:
     return _parse_text(text)
 
 
-def _parse_text(text: str, *, scalar: bool = False) -> CycleDocument:
-    """The text form; ``scalar=True`` skips the whole-body check."""
+def _parse_text(text: str) -> CycleDocument:
+    """The text form."""
     _check_whitespace(text)
     end = text.find("\n")
     if end < 0:
@@ -148,7 +144,7 @@ def _parse_text(text: str, *, scalar: bool = False) -> CycleDocument:
     encoding = header.group(3)
     _check_header(k, h, encoding)
 
-    codes = None if scalar else _fast_text_codes(text, end + 1, k, encoding)
+    codes = _fast_text_codes(text, end + 1, k, encoding)
     if codes is None:
         codes = _text_codes(text.split("\n"), k, encoding)
     if not codes:
@@ -253,8 +249,8 @@ def _check_whitespace(text: str) -> None:
         )
 
 
-def _parse_json(text: str, *, scalar: bool = False) -> CycleDocument:
-    """The JSON form; ``scalar=True`` skips the all-rows check."""
+def _parse_json(text: str) -> CycleDocument:
+    """The JSON form."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -278,7 +274,7 @@ def _parse_json(text: str, *, scalar: bool = False) -> CycleDocument:
         raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
         raise DocumentError("line 1: cycle must be a non-empty array")
-    codes = None if scalar else _fast_json_codes(cycle, k, encoding)
+    codes = _fast_json_codes(cycle, k, encoding)
     if codes is None:
         codes = _json_codes(cycle, k, encoding)
     return CycleDocument(h, encoding, VertexPath(k, codes))

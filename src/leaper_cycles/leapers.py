@@ -36,7 +36,11 @@ class UnknownLeaperError(ValueError):
 
 @dataclass(frozen=True)
 class LeaperSpec:
-    """An (a,b) jump pattern, normalized to a <= b; the name is cosmetic."""
+    """An (a,b) jump pattern; the name is cosmetic.
+
+    Requires 0 <= a <= b and b >= 1. The components are not reordered:
+    (2,1) raises ValueError.
+    """
 
     a: int
     b: int

@@ -42,41 +42,36 @@ class OracleResult:
     witness: VertexPath | None
 
 
-def oracle_exists(k: int, h: int, want_witness: bool = False) -> OracleResult:
+def oracle_exists(k: int, h: int) -> OracleResult:
     """Decide by exhaustive search whether a change-h cycle exists.
 
     ``nodes_explored`` counts every vertex appended to the search path
     after the anchor, within the branch through the smallest flip mask.
+    ``witness`` is the cycle found, present whenever ``exists`` is true.
     """
     _check_args(k, h, ORACLE_K_MAX, "existence search")
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
         return OracleResult(False, None, 0, None)
-    found, nodes, wit = _dfs(
-        k, h, masks, count_mode=False, want_witness=want_witness,
-        prefix=(0, masks[0]),
-    )
+    found, nodes, wit = _dfs(k, h, masks, count_mode=False, prefix=(0, masks[0]))
     witness = VertexPath(k, tuple(wit)) if wit is not None else None
     return OracleResult(bool(found), None, nodes, witness)
 
 
-def oracle_count(k: int, h: int, want_witness: bool = False) -> OracleResult:
+def oracle_count(k: int, h: int) -> OracleResult:
     """Count undirected change-h Hamiltonian cycles.
 
     Enumerates the D directed cycles whose first move is the smallest flip
     mask. By the first-move symmetry every one of the C(k,h) first moves
     starts D of them, and each undirected cycle is met in both directions,
-    so the count is C(k,h) * D / 2. The witness, if asked for, is the first
-    cycle found, and the count is independent of neighbor ordering.
+    so the count is C(k,h) * D / 2, independent of neighbor ordering. The
+    witness, present whenever ``exists`` is true, is the first cycle found.
     """
     _check_args(k, h, COUNT_K_MAX, "cycle counting")
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
         return OracleResult(False, 0, 0, None)
-    directed, nodes, wit = _dfs(
-        k, h, masks, count_mode=True, want_witness=want_witness,
-        prefix=(0, masks[0]),
-    )
+    directed, nodes, wit = _dfs(k, h, masks, count_mode=True, prefix=(0, masks[0]))
     count = len(masks) * directed // 2
     witness = VertexPath(k, tuple(wit)) if wit is not None else None
     return OracleResult(count > 0, count, nodes, witness)
@@ -119,7 +114,6 @@ def _dfs(
     masks: list[int],
     *,
     count_mode: bool,
-    want_witness: bool,
     prefix: tuple[int, ...],
 ) -> tuple[int, int, list[int] | None]:
     """Backtracking core. Returns (found-or-count, nodes, witness codes).
@@ -159,9 +153,9 @@ def _dfs(
         if len(path) + 1 == n:
             if v.bit_count() == h:  # closing edge back to all-zeros
                 if not count_mode:
-                    return (1, nodes, path + [v] if want_witness else None)
+                    return (1, nodes, path + [v])
                 count += 1
-                if want_witness and witness is None:
+                if witness is None:
                     witness = path + [v]
             continue
         visited[v] = 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -441,6 +442,16 @@ def test_renderers_refuse_codes_outside_the_cube(render, encoding, codes, index,
     assert str(exc.value) == f"code at index {index} is {code}, outside [0, 2**2)"
 
 
+@pytest.mark.parametrize("render", [render_text, render_json])
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_renderers_refuse_an_empty_path(render, encoding):
+    # Such a path once rendered as a document that parse_document refuses.
+    doc = CycleDocument(1, encoding, VertexPath(2, ()))
+    with pytest.raises(ValueError) as exc:
+        render(doc)
+    assert str(exc.value) == "a cycle document needs at least one vertex"
+
+
 MUTATION_CHARS = "01 \t\r\n2x+_-"
 
 
@@ -471,8 +482,9 @@ def mutated_renderings(draw):
 
 def scalar_parse(text):
     """parse_document through the per-line (or per-row) loop alone."""
-    parse = document._parse_json if text.lstrip()[:1] == "{" else document._parse_text
-    return parse(text, scalar=True)
+    with mock.patch.object(document, "_fast_text_codes", return_value=None), \
+            mock.patch.object(document, "_fast_json_codes", return_value=None):
+        return parse_document(text)
 
 
 def outcome(parse, text):

@@ -56,15 +56,15 @@ class TestExists:
 
     def test_witness_passes_verification(self):
         for k, h in [(3, 1), (4, 3), (5, 3), (6, 5)]:
-            result = oracle_exists(k, h, want_witness=True)
+            result = oracle_exists(k, h)
             assert result.exists
             assert result.witness is not None
             assert result.witness.codes[0] == 0
             assert verify_cycle(result.witness, h).valid
 
-    def test_witness_only_when_requested(self):
-        assert oracle_exists(4, 3).witness is None
-        assert oracle_exists(4, 2, want_witness=True).witness is None
+    def test_witness_present_exactly_when_a_cycle_exists(self):
+        assert verify_cycle(oracle_exists(4, 3).witness, 3).valid
+        assert oracle_exists(4, 2).witness is None
 
     def test_nodes_explored_reproducible(self):
         a = oracle_exists(5, 3)
@@ -103,7 +103,7 @@ class TestCount:
             assert oracle_exists(k, h).exists == exists, (k, h)
 
     def test_count_witness(self):
-        result = oracle_count(3, 1, want_witness=True)
+        result = oracle_count(3, 1)
         assert result.witness is not None
         assert verify_cycle(result.witness, 1).valid
 
@@ -112,20 +112,18 @@ def test_count_independent_of_neighbor_ordering():
     for k, h in [(3, 1), (4, 1), (4, 3)]:
         masks = oracle_mod._flip_masks(k, h)
         ascending = oracle_mod._dfs(
-            k, h, masks, count_mode=True, want_witness=False, prefix=(0,)
+            k, h, masks, count_mode=True, prefix=(0,)
         )
         descending = oracle_mod._dfs(
-            k, h, masks[::-1], count_mode=True, want_witness=False, prefix=(0,)
+            k, h, masks[::-1], count_mode=True, prefix=(0,)
         )
         assert ascending[0] == descending[0], (k, h)
 
 
-def full_search(k, h, *, count_mode, want_witness=False):
+def full_search(k, h, *, count_mode):
     """The unreduced search: every first move from the anchor."""
     return oracle_mod._dfs(
-        k, h, oracle_mod._flip_masks(k, h), count_mode=count_mode,
-        want_witness=want_witness,
-        prefix=(0,),
+        k, h, oracle_mod._flip_masks(k, h), count_mode=count_mode, prefix=(0,)
     )
 
 
@@ -135,8 +133,7 @@ class TestFirstMoveSymmetry:
         masks = oracle_mod._flip_masks(k, h)
         directed = {
             oracle_mod._dfs(
-                k, h, order, count_mode=True, want_witness=False,
-                prefix=(0, first),
+                k, h, order, count_mode=True, prefix=(0, first),
             )[0]
             for order in (masks, masks[::-1])
             for first in masks
@@ -157,10 +154,8 @@ class TestFirstMoveSymmetry:
 
     @pytest.mark.parametrize("k,h", [(5, 3), (6, 5), (7, 3)])
     def test_exists_matches_full_search(self, k, h):
-        result = oracle_exists(k, h, want_witness=True)
-        found, nodes, witness = full_search(
-            k, h, count_mode=False, want_witness=True
-        )
+        result = oracle_exists(k, h)
+        found, nodes, witness = full_search(k, h, count_mode=False)
         assert result.exists and found
         assert result.nodes_explored == nodes
         assert list(result.witness.codes) == witness
@@ -232,8 +227,7 @@ def test_any_neighbor_order_agrees_with_feasibility(k):
                 len(order) >= 2
                 and oracle_mod._connected(k, order)
                 and oracle_mod._dfs(
-                    k, h, order, count_mode=False, want_witness=False,
-                    prefix=(0, order[0]),
+                    k, h, order, count_mode=False, prefix=(0, order[0]),
                 )[0] == 1
             )
             assert found == feasibility(k, h).feasible, (k, h)
@@ -247,7 +241,7 @@ def witness_digest(witness):
 
 
 # Frozen (nodes_explored, first 16 hex digits of the SHA-256 of the
-# comma-joined witness codes) of oracle_exists(k, h, want_witness=True) and
+# comma-joined witness codes) of oracle_exists(k, h) and
 # (count, nodes_explored) of oracle_count(k, h). A change to the neighbor
 # order, the pruning or the first move shows up here.
 PINNED_EXISTS = {
@@ -327,7 +321,7 @@ def test_search_order_is_pinned():
     exists = {}
     for k in range(2, 10):
         for h in range(1, k + 2):
-            result = oracle_exists(k, h, want_witness=True)
+            result = oracle_exists(k, h)
             exists[k, h] = (result.nodes_explored, witness_digest(result.witness))
     assert exists == PINNED_EXISTS
     counts = {}

@@ -1,4 +1,9 @@
+import importlib.util
+from pathlib import Path
+
 import leaper_cycles
+
+BENCH_WORKER = Path(__file__).resolve().parents[1] / "bench" / "worker.py"
 
 REMOVED = {
     "DimensionMismatch",
@@ -27,3 +32,19 @@ def test_all_is_sorted_without_duplicates():
 def test_removed_names_stay_gone():
     assert REMOVED.isdisjoint(leaper_cycles.__all__)
     assert not any(hasattr(leaper_cycles, name) for name in REMOVED)
+
+
+def test_every_name_the_bench_traces_stays_bound():
+    # The bench wraps functions by (module, attribute) and reads its
+    # per-layer metrics from the wrappers, so an unbound name drops metrics
+    # from its result line.
+    spec = importlib.util.spec_from_file_location("bench_worker", BENCH_WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    unbound = [
+        f"{module}.{attr}"
+        for module, names in worker.WRAPS.items()
+        for attr in names
+        if not hasattr(importlib.import_module(f"leaper_cycles.{module}"), attr)
+    ]
+    assert unbound == []
