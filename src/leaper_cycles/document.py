@@ -14,9 +14,12 @@ coordinate = least significant bit). The JSON alternative carries the same
 fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
 
-A body shaped as the renderers write it is checked whole at C speed; any
-other body goes through the per-line loop, which accepts the same
-documents and names the line at fault.
+Rendering joins the rows a block at a time, so it never holds a string
+per row, though its blocks and the joined text are held together at the
+end. Parsing cuts the body into line-aligned windows and holds at most
+one window's rows at once. A window shaped as the renderers write it is
+checked whole at C speed; any other window goes through the per-line
+loop, which accepts the same documents and names the line at fault.
 """
 
 from __future__ import annotations
@@ -35,6 +38,13 @@ _HEADER_RE = re.compile(
     r"^#\s*k=([0-9]+)\s+h=([0-9]+)\s+encoding=(\w+)\s+closed=true\s*$"
 )
 _STRAY_WHITESPACE_RE = re.compile(r"[^\S \t\n\r]|\r(?!\n)")
+_JSON_TUPLES_RE = re.compile(
+    r'\{"k":([1-9][0-9]*),"h":([1-9][0-9]*),"encoding":"tuples","cycle":\['
+)
+_JSON_TAIL = '],"closed":true}\n'
+
+_BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
+_WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 
 
 class DocumentError(ValueError):
@@ -54,26 +64,34 @@ class CycleDocument:
 
 def render_text(doc: CycleDocument) -> str:
     _check_codes(doc.path)
-    lines = [f"# k={doc.path.k} h={doc.h} encoding={doc.encoding} closed=true"]
+    header = f"# k={doc.path.k} h={doc.h} encoding={doc.encoding} closed=true\n"
     if doc.encoding == "tuples":
-        lines += _tuple_rows(doc.path, " ")
+        rows = _tuple_rows(doc.path, " ")
     else:
-        lines += [str(c) for c in doc.path.codes]
-    lines.append("")  # the final line end, without a second copy of the text
-    return "\n".join(lines)
+        rows = map(str, doc.path.codes)
+    return "".join([header, *_joined_blocks(rows, len(doc.path), "\n"), "\n"])
 
 
 def render_json(doc: CycleDocument) -> str:
     """The text ``json.dumps`` would write, compact, with the fields in order."""
     _check_codes(doc.path)
     if doc.encoding == "tuples":
-        rows = ",".join(_tuple_rows(doc.path, ",", "[", "]"))
+        rows = _joined_blocks(_tuple_rows(doc.path, ",", "[", "]"), len(doc.path), ",")
     else:
-        rows = json.dumps(doc.path.codes, separators=(",", ":"))[1:-1]
-    return (
-        f'{{"k":{doc.path.k},"h":{doc.h},"encoding":"{doc.encoding}",'
-        f'"cycle":[{rows}],"closed":true}}\n'
-    )
+        rows = [json.dumps(doc.path.codes, separators=(",", ":"))[1:-1]]
+    return "".join([
+        f'{{"k":{doc.path.k},"h":{doc.h},"encoding":"{doc.encoding}","cycle":[',
+        *rows,
+        _JSON_TAIL,
+    ])
+
+
+def _joined_blocks(rows: Iterator[str], n: int, sep: str) -> Iterator[str]:
+    """The pieces of ``sep.join(rows)`` for ``n`` rows, one block of rows each."""
+    for start in range(0, n, _BLOCK_ROWS):
+        if start:
+            yield sep
+        yield sep.join(islice(rows, _BLOCK_ROWS))
 
 
 def _check_codes(path: VertexPath) -> None:
@@ -144,44 +162,63 @@ def _parse_text(text: str) -> CycleDocument:
     encoding = header.group(3)
     _check_header(k, h, encoding)
 
-    codes = _fast_text_codes(text, end + 1, k, encoding)
-    if codes is None:
-        codes = _text_codes(text.split("\n"), k, encoding)
+    codes = tuple(chain.from_iterable(
+        _window_codes(window, lineno, k, encoding)
+        for window, lineno in _windows(text, end + 1)
+    ))
     if not codes:
         raise DocumentError("line 2: document has no vertices")
     return CycleDocument(h, encoding, VertexPath(k, codes))
 
 
-def _fast_text_codes(
-    text: str, start: int, k: int, encoding: str
-) -> tuple[int, ...] | None:
-    """The codes of a body from ``start`` on, if it is shaped as rendered.
+def _windows(text: str, start: int) -> Iterator[tuple[str, int]]:
+    """The body from ``start`` on, in windows of whole lines (the last may
+    lack its line end), each with the number of its first line."""
+    lineno = 2
+    while start < len(text):
+        stop = text.find("\n", start + _WINDOW_CHARS) + 1 or len(text)
+        window = text[start:stop]
+        yield window, lineno
+        lineno += window.count("\n")
+        start = stop
 
-    One check of the whole body at C speed. Any other body, valid or not,
-    returns None and goes to the per-line loop, which accepts the same
-    documents and names the line at fault.
+
+def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int, ...]:
+    """The codes of a window of whole lines whose first is line ``lineno``."""
+    codes = _fast_text_codes(window, k, encoding)
+    if codes is None:
+        codes = _text_codes(window.split("\n"), lineno, k, encoding)
+    return codes
+
+
+def _fast_text_codes(window: str, k: int, encoding: str) -> tuple[int, ...] | None:
+    """The codes of a window, if it is shaped as rendered.
+
+    One check of the whole window at C speed. Any other window, valid or
+    not, returns None and goes to the per-line loop, which accepts the
+    same documents and names the line at fault.
     """
     if encoding == "tuples":
-        rows, rest = divmod(len(text) - start, 2 * k)
-        if rest or text[start + 1::2] != (" " * (k - 1) + "\n") * rows:
+        rows, rest = divmod(len(window), 2 * k)
+        if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
             return None
-        bits = text[start::2]
+        bits = window[::2]
         return None if bits.strip("01") else _codes_from_bits(bits, k)
-    lines = text.split("\n")
+    lines = window.split("\n")
     last = len(lines) - 1
     if (
-        not text.isascii()
+        not window.isascii()
         or lines[last]
-        or not all(map(str.isdigit, islice(lines, 1, last)))
+        or not all(map(str.isdigit, islice(lines, last)))
     ):
         return None
     try:
-        return tuple(map(int, islice(lines, 1, last)))
+        return tuple(map(int, islice(lines, last)))
     except ValueError:  # a row over int()'s digit limit
         return None
 
 
-def _codes_from_bits(bits: str | bytes, k: int) -> tuple[int, ...]:
+def _codes_from_bits(bits: str, k: int) -> tuple[int, ...]:
     """Codes of rows of ``k`` 0/1 digits, leftmost coordinate first, run together."""
     n = len(bits)
     tail_first = bits[::-1]  # row i, reversed, is tail_first[n-(i+1)k : n-ik]
@@ -189,10 +226,13 @@ def _codes_from_bits(bits: str | bytes, k: int) -> tuple[int, ...]:
     return tuple(map(int, rows, repeat(2)))
 
 
-def _text_codes(lines: list[str], k: int, encoding: str) -> tuple[int, ...]:
-    """The per-line loop: the codes of any accepted body, or the line at fault."""
+def _text_codes(
+    lines: list[str], first: int, k: int, encoding: str
+) -> tuple[int, ...]:
+    """The per-line loop: the codes of lines numbered from ``first`` on, or
+    the line at fault."""
     codes: list[int] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines, start=first):
         if not line.strip():
             continue
         tokens = line.split()
@@ -251,6 +291,9 @@ def _check_whitespace(text: str) -> None:
 
 def _parse_json(text: str) -> CycleDocument:
     """The JSON form."""
+    doc = _fast_json_tuples(text)
+    if doc is not None:
+        return doc
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -274,35 +317,64 @@ def _parse_json(text: str) -> CycleDocument:
         raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
         raise DocumentError("line 1: cycle must be a non-empty array")
-    codes = _fast_json_codes(cycle, k, encoding)
+    codes = _fast_json_codes(cycle, encoding)
     if codes is None:
         codes = _json_codes(cycle, k, encoding)
     return CycleDocument(h, encoding, VertexPath(k, codes))
 
 
-def _fast_json_codes(
-    cycle: list, k: int, encoding: str
-) -> tuple[int, ...] | None:
-    """The codes of ``cycle`` if all its rows pass one check, else None.
+def _fast_json_tuples(text: str) -> CycleDocument | None:
+    """A ``tuples`` document in exactly the text ``render_json`` writes.
 
-    Any cycle that fails goes to the per-row loop, which names the index
-    at fault.
+    The header fields are checked first, the ceiling before any work on
+    the rows, and the rows then window by window at C speed. Any other
+    text returns None and goes to ``json.loads``, which names the fault.
     """
-    if encoding == "ints":
-        if set(map(type, cycle)) == {int} and min(cycle) >= 0:
-            return tuple(cycle)
-        return None
-    if set(map(type, cycle)) != {list} or set(map(len, cycle)) != {k}:
-        return None
-    if set(map(type, chain.from_iterable(cycle))) != {int}:
+    head = _JSON_TUPLES_RE.match(text)
+    if head is None or not text.endswith("]" + _JSON_TAIL):
         return None
     try:
-        bits = bytes(chain.from_iterable(cycle))
-    except ValueError:  # a coordinate outside [0, 256)
+        k, h = int(head.group(1)), int(head.group(2))
+        _check_header(k, h, "tuples")
+    except ValueError:  # too many digits, or a refusal: json.loads names the first fault
         return None
-    if bits.translate(None, b"\0\1"):
+    # With a "," after the last row, the rows form a grid of "[b,...,b],".
+    width = 2 * k + 2
+    start, stop = head.end(), len(text) - len(_JSON_TAIL)
+    if (stop + 1 - start) % width:
         return None
-    return _codes_from_bits(bits.translate(bytes.maketrans(b"\0\1", b"01")), k)
+    step = max(1, _WINDOW_CHARS // width) * width
+    parts = []
+    for left in range(start, stop, step):
+        right = min(left + step, stop)
+        codes = _grid_codes(text[left:right] + ("," if right == stop else ""), k)
+        if codes is None:
+            return None
+        parts.append(codes)
+    return CycleDocument(h, "tuples", VertexPath(k, tuple(chain.from_iterable(parts))))
+
+
+def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
+    """The codes of rows ``[b,...,b],`` of ``k`` 0/1 digits, else None."""
+    rows = len(grid) // (2 * k + 2)
+    if grid[::2] != ("[" + "," * (k - 1) + "]") * rows:
+        return None
+    digits = grid[1::2]  # each row's k digits, then its ","
+    bits = digits.replace(",", "")
+    if digits[k::k + 1] != "," * rows or len(bits) != rows * k or bits.strip("01"):
+        return None
+    return _codes_from_bits(bits, k)
+
+
+def _fast_json_codes(cycle: list, encoding: str) -> tuple[int, ...] | None:
+    """The codes of an ``ints`` cycle if all its rows pass one check, else None.
+
+    Any other cycle goes to the per-row loop, which names the index at
+    fault; JSON ``tuples`` in the renderer's text never reaches here.
+    """
+    if encoding == "ints" and set(map(type, cycle)) == {int} and min(cycle) >= 0:
+        return tuple(cycle)
+    return None
 
 
 def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:

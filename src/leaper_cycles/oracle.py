@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import CapacityError, VertexPath
+from .core import CapacityError, VertexPath, check_dimension
 
 ORACLE_K_MAX = 12
 COUNT_K_MAX = 4
@@ -80,6 +80,7 @@ def oracle_count(k: int, h: int) -> OracleResult:
 def _check_args(k: int, h: int, cap: int, what: str) -> None:
     if k < 1 or h < 1:
         raise ValueError(f"need k >= 1 and h >= 1, got k={k}, h={h}")
+    check_dimension(k)
     if k > cap:
         raise CapacityError(f"{what} is capped at k <= {cap}, got k={k}")
 

@@ -231,6 +231,29 @@ class TestOracle:
         assert code == 1
         assert "capped" in err
 
+    @pytest.mark.parametrize(
+        "ceiling, message",
+        [
+            ("5", "error: dimension 6 exceeds the ceiling 5"),
+            ("abc", f"error: {MAX_K_ENV} must be ASCII digits in [1, 64], got 'abc'"),
+        ],
+        ids=["ceiling-5", "ceiling-abc"],
+    )
+    def test_ceiling_comes_from_the_environment(
+        self, capsys, tmp_path, monkeypatch, ceiling, message
+    ):
+        # The oracle once wrote a k=6 witness that verify then refused
+        # under the same ceiling.
+        monkeypatch.setenv(MAX_K_ENV, ceiling)
+        target = tmp_path / "w.txt"
+        code, out, err = run(
+            capsys, "oracle", "--k", "6", "--h", "5", "--witness",
+            "--format", "ints", "--output", str(target),
+        )
+        assert code == 1 and out == ""
+        assert err.startswith(message)
+        assert not target.exists()
+
     def test_threads_flag_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "oracle", "--k", "4", "--h", "3", "--threads", "2")
         assert code == 1

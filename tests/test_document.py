@@ -1,6 +1,8 @@
+import contextlib
 import hashlib
 import json
 import re
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -381,6 +383,15 @@ def test_header_always_matches_the_row_width(doc):
         assert {len(row) for row in obj["cycle"]} == {k}
 
 
+def small_blocks(rows=2, chars=3):
+    """Render blocks of ``rows`` rows and parse windows of about ``chars``
+    characters; the defaults make a small document cross many cuts."""
+    return mock.patch.multiple(document, _BLOCK_ROWS=rows, _WINDOW_CHARS=chars)
+
+
+BLOCK_SIZES = (contextlib.nullcontext, small_blocks)
+
+
 # SHA-256 of the renderers' output before their rows came from lookup
 # tables; the tables must write the same bytes.
 RENDERED_SHA256 = {
@@ -403,20 +414,23 @@ RENDERED_SHA256 = {
 def test_rendered_bytes_are_pinned(key):
     k, h, encoding, form = key
     doc = CycleDocument(h, encoding, construct(k, h).path)
-    text = render_json(doc) if form == "json" else render_text(doc)
-    assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_SHA256[key]
+    for blocks in BLOCK_SIZES:
+        with blocks():
+            text = render_json(doc) if form == "json" else render_text(doc)
+        assert hashlib.sha256(text.encode()).hexdigest() == RENDERED_SHA256[key]
 
 
 @pytest.mark.parametrize("k", range(1, 11))
 def test_table_rows_match_joined_coordinates_for_every_code(k):
     path = VertexPath(k, tuple(range(1 << k)))
     rows = path.to_tuples()
-    text = render_text(CycleDocument(1, "tuples", path))
-    assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows]
     obj = {"k": k, "h": 1, "encoding": "tuples", "cycle": [list(row) for row in rows], "closed": True}
-    assert render_json(CycleDocument(1, "tuples", path)) == (
-        json.dumps(obj, separators=(",", ":")) + "\n"
-    )
+    for blocks in BLOCK_SIZES:
+        with blocks():
+            text = render_text(CycleDocument(1, "tuples", path))
+            json_text = render_json(CycleDocument(1, "tuples", path))
+        assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows]
+        assert json_text == json.dumps(obj, separators=(",", ":")) + "\n"
 
 
 @pytest.mark.parametrize("k", [23, 34, 64])
@@ -483,6 +497,7 @@ def mutated_renderings(draw):
 def scalar_parse(text):
     """parse_document through the per-line (or per-row) loop alone."""
     with mock.patch.object(document, "_fast_text_codes", return_value=None), \
+            mock.patch.object(document, "_fast_json_tuples", return_value=None), \
             mock.patch.object(document, "_fast_json_codes", return_value=None):
         return parse_document(text)
 
@@ -501,5 +516,65 @@ def outcome(parse, text):
 @example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1_0\n1 1\n0 1\n")
 @example("# k=2 h=1 encoding=ints closed=true\n0\n\u0661\n3\n2\n")
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,true],[1,1]],"closed":true}')
+# With small blocks a window holds two rows of these ints bodies and one
+# row of these tuples and JSON bodies, so each fault below sits on the
+# first line of a window.
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1\nx\n2\n")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 0\n1 x\n0 1\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1\n\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\r\n1\r\n3\r\n2\r\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1\n3\n2")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 0\n1 1\n0 1")
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,2],[0,1]],"closed":true}\n')
+# JSON tuples one change away from the renderer's text, left to json.loads.
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}')
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]], "closed":true}\n')
+@example('{"h":1,"k":2,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}\n')
+@example('{"k":02,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}\n')
+@example('{"k":40,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1],"closed":true}\n')
 def test_fast_path_matches_the_scalar_loop(text):
-    assert outcome(parse_document, text) == outcome(scalar_parse, text)
+    expected = outcome(scalar_parse, text)  # these bodies fit one default window
+    for blocks in BLOCK_SIZES:
+        with blocks():
+            assert outcome(parse_document, text) == expected
+            assert outcome(scalar_parse, text) == expected
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_rendered_documents_skip_the_slow_paths(encoding):
+    # Every window of a rendered body passes the fast check; the per-line
+    # and per-row loops, and json.loads for tuples, serve other texts.
+    doc = CycleDocument(3, encoding, construct(7, 3).path)
+    texts = [render_text(doc), render_json(doc)]
+    refuse = mock.Mock(side_effect=AssertionError("a slow path ran"))
+    slow = {"_text_codes": refuse, "_json_codes": refuse}
+    if encoding == "tuples":
+        slow["json"] = mock.Mock(loads=refuse)
+    for blocks in BLOCK_SIZES:
+        with blocks(), mock.patch.multiple(document, **slow):
+            assert [parse_document(text) for text in texts] == [doc, doc]
+
+
+def bytes_beyond_result(call, *args):
+    """The result of ``call(*args)`` and its tracemalloc peak less what it retains."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - retained
+
+
+def test_render_and_parse_hold_one_block_of_rows():
+    # Both once built a list of 2**k row strings, about 64 B/vertex
+    # beyond what they return. Blocks of a few rows would cost as much in
+    # block strings, so these are 1/64 of the document.
+    k = 14
+    doc = CycleDocument(1, "ints", VertexPath(k, tuple(j ^ (j >> 1) for j in range(1 << k))))
+    with small_blocks(1 << 8, 1 << 11):
+        text, render_extra = bytes_beyond_result(render_text, doc)
+        parsed, parse_extra = bytes_beyond_result(parse_document, text)
+    assert parsed == doc
+    assert render_extra >> k < 16 and parse_extra >> k < 16
