@@ -14,22 +14,23 @@ import os
 import stat
 import sys
 from collections.abc import Iterator
-from typing import IO
+from typing import IO, BinaryIO
 
 # construct stays bound for the bench tracer: test_every_name_the_bench_traces_stays_bound, ROADMAP item 1
 from .constructor import FeasibilityVerdict, construct, construct_chunks  # noqa: F401
 from .core import VertexPath
 from .document import (
     CycleDocument,
-    DocumentError,
+    decode_text,
     parse_document,
+    read_cycle,
     render_json,
     render_pieces,
     render_text,
 )
 from .leapers import LeaperSpec, leaper_by_name, leaper_feasible, leaper_step, min_dimension
 from .oracle import oracle_count, oracle_exists
-from .verifier import verify_cycle
+from .verifier import CycleChecker, VerifyReport, verify_cycle
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,33 +167,51 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_text(path: str) -> str:
-    """A file's UTF-8 text, lines unchanged; a bad byte is reported by line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DocumentError(
-            f"line {lineno}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}"
-        ) from None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
-    doc = parse_document(_read_text(args.input))
-    h = doc.h if args.h is None else args.h
-    report = verify_cycle(doc.path, h)
+    with open(args.input, "rb") as fh:
+        verdict = _verify_windows(fh, args.h)
+        if verdict is None:
+            doc = parse_document(decode_text(fh.read()))
+            h = doc.h if args.h is None else args.h
+            verdict = doc.path.k, h, verify_cycle(doc.path, h)
+    k, h, report = verdict
     if report.valid:
-        print(
-            f"valid: change-{h} cycle on {len(doc.path)} vertices "
-            f"in dimension {doc.path.k}"
-        )
+        print(f"valid: change-{h} cycle on {1 << k} vertices in dimension {k}")
         return 0
-    print(f"invalid: {len(report.violations)} violation(s)")
+    print(f"invalid: {report.total} violation(s)")
     for violation in report.violations:
         print(violation)
+    if report.total > len(report.violations):
+        print(f"... and {report.total - len(report.violations)} more")
     return 2
+
+
+def _verify_windows(
+    fh: BinaryIO, h_flag: int | None
+) -> tuple[int, int, VerifyReport] | None:
+    """``(k, h, report)`` for the document in ``fh``, read window by window
+    into a CycleChecker, or None, with ``fh`` back at its start, for a
+    document to be parsed whole.
+
+    A pipe cannot be read twice, and an ``--h`` below 1 is refused only
+    once the whole document has parsed, so both are parsed whole.
+    """
+    if not fh.seekable() or (h_flag is not None and h_flag < 1):
+        return None
+    cycle = read_cycle(fh)
+    if cycle is not None:
+        k, h, _, chunks = cycle
+        h = h if h_flag is None else h_flag
+        checker = CycleChecker(k, h)
+        for codes in chunks:
+            if codes is None:
+                break
+            checker.feed(codes)
+            del codes  # parse the next window without this one's codes
+        else:
+            return k, h, checker.finish()
+    fh.seek(0)
+    return None
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain
+from itertools import chain, islice
 
 from .core import VertexPath, check_dimension
 from .graycode import gray_tour
@@ -170,24 +170,33 @@ def _checked_chunks(k: int, h: int) -> Iterator[tuple[int, ...]]:
 def _code_chunks(k: int, h: int) -> Iterator[tuple[int, ...]]:
     """The codes of the change-h cycle of {0,1}^k, at most _CHUNK_CODES at a time.
 
+    :func:`_code` is GF(2)-linear in the index, so the first chunk is
+    built by doubling, codes ``[2**i, 2**(i+1))`` being ``_code(h, 2**i)``
+    xor'ed onto codes ``[0, 2**i)``, and the chunk starting at index j is
+    the first chunk with ``_code(h, j)`` xor'ed onto every code.
+    """
+    size = min(1 << k, _CHUNK_CODES)
+    first = [0]
+    while len(first) < size:
+        # islice reads only the codes already there as the list grows.
+        first.extend(map(_code(h, len(first)).__xor__, islice(first, len(first))))
+    for start in range(0, 1 << k, size):
+        yield tuple(map(_code(h, start).__xor__, first))
+
+
+def _code(h: int, j: int) -> int:
+    """The code at index j of the change-h cycle.
+
     Lifting the base cycle k-(h+1) times unrolls to a GF(2)-linear map of
     the index: code(j) = g(j) ^ (M if j is odd) ^ (S if bit h+1 of j is
     set), with g(x) = x ^ (x >> 1), M = 2**(h+1) - 1 and S = 3 << (h-1);
-    for h = 1 the change-1 tour is the cycle, code(j) = g(j). Being
-    linear, the map sends the chunk starting at index j to the first
-    chunk with code(j) xor'ed onto every code, so only the first chunk is
-    computed code by code.
+    for h = 1 the change-1 tour is the cycle, code(j) = g(j).
     """
-    size = min(1 << k, _CHUNK_CODES)
+    gray = j ^ (j >> 1)
+    if h == 1:
+        return gray
     b = h + 1
-    m, s = (0, 0) if h == 1 else ((1 << b) - 1, 3 << (h - 1))
-
-    def code(j: int) -> int:
-        return j ^ (j >> 1) ^ (m if j & 1 else 0) ^ (s if j >> b & 1 else 0)
-
-    first = tuple(map(code, range(size)))
-    for start in range(0, 1 << k, size):
-        yield tuple(map(code(start).__xor__, first))
+    return gray ^ ((1 << b) - 1 if j & 1 else 0) ^ (3 << (h - 1) if j >> b & 1 else 0)
 
 
 def _certify(h: int, path: VertexPath) -> CycleCertificate:

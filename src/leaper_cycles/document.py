@@ -19,20 +19,25 @@ of codes at a time, and the tail, so it never holds a string per row.
 ``construct`` in the CLI writes the pieces as they come and holds one
 chunk's rows at a time; ``render_text`` and ``render_json`` join them,
 holding the pieces and the joined text together at the end. Parsing
-cuts the body into line-aligned windows and holds at most one window's
-rows at once. A window shaped as the renderers write it is checked whole
-at C speed; any other window goes through the per-line loop, which
-accepts the same documents and names the line at fault.
+cuts the body into windows of whole rows and holds at most one window's
+rows at once: :func:`read_cycle` reads them from a file one block at a
+time and yields each window's codes, and :func:`parse_document` collects
+the same windows of a text into one path. A window shaped as the
+renderers write it is checked whole at C speed; any other text window
+goes through the per-line loop, which accepts the same documents and
+names the line at fault, and any other JSON goes to ``json.loads``.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, repeat
+from typing import AnyStr, BinaryIO
 
 from .core import CapacityError, VertexPath, check_dimension
 
@@ -42,13 +47,18 @@ _HEADER_RE = re.compile(
     r"^#\s*k=([0-9]+)\s+h=([0-9]+)\s+encoding=(\w+)\s+closed=true\s*$"
 )
 _STRAY_WHITESPACE_RE = re.compile(r"[^\S \t\n\r]|\r(?!\n)")
-_JSON_TUPLES_RE = re.compile(
-    r'\{"k":([1-9][0-9]*),"h":([1-9][0-9]*),"encoding":"tuples","cycle":\['
+# The JSON text render_json writes, up to the first row; tuples rows open
+# with one more "[".
+_JSON_HEAD_RE = re.compile(
+    r'\{"k":([1-9][0-9]*),"h":([1-9][0-9]*),"encoding":"(tuples|ints)","cycle":\[(\[?)'
 )
 _JSON_TAIL = '],"closed":true}\n'
+# encoding -> (what ends each row of the body but the last, the tail after it)
+_JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
 _BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
+_HEAD_BYTES = 1 << 12  # bytes read_cycle reads to find the header
 
 
 class DocumentError(ValueError):
@@ -173,13 +183,102 @@ def parse_document(text: str) -> CycleDocument:
     return _parse_text(text)
 
 
+def read_cycle(
+    fh: BinaryIO,
+) -> tuple[int, int, str, Iterator[tuple[int, ...] | None]] | None:
+    """The header and code chunks of the document in ``fh``, read in windows.
+
+    ``fh`` is a binary file at its start. Its first 4 KiB are read for
+    the header, and the body then in blocks of about 1 MiB, each cut
+    after its last row, so no more than a window of the file is held.
+    Returns ``(k, h, encoding, chunks)`` for a text document whose first
+    byte is ``#`` and whose header line ends within those 4 KiB, and for
+    a JSON document that opens as the renderer writes it; None for any
+    other document, which :func:`parse_document` reads whole.
+
+    A fault in a text document is raised as a DocumentError with the
+    text that ``parse_document`` of the whole decoded file raises. In
+    JSON, a chunk of None means the body or its tail is not in the
+    renderer's shape, and the file is to be parsed whole instead.
+    """
+    head = fh.read(_HEAD_BYTES)
+    blocks = iter(partial(fh.read, _WINDOW_CHARS), b"")
+    if head[:1] == b"#":
+        end = head.find(b"\n") + 1
+        if not end:
+            if len(head) == _HEAD_BYTES:  # the header runs on past the limit
+                return None
+            end = len(head)
+        return _text_cycle(head[:end], _windows(chain([head[end:]], blocks), b"\n"))
+    if head[:1] == b"{":
+        # latin-1 keeps byte offsets; a byte outside ASCII fits no row.
+        prefix = _JSON_HEAD_RE.match(head.decode("latin-1"))
+        if prefix is not None:
+            body = chain([head[prefix.end():]], blocks)
+            return _json_cycle(prefix, (block.decode("latin-1") for block in body))
+    return None
+
+
 def _parse_text(text: str) -> CycleDocument:
-    """The text form."""
-    _check_whitespace(text)
-    end = text.find("\n")
-    if end < 0:
-        end = len(text)
-    header = _HEADER_RE.match(text[:end])
+    """The text form: its windows' codes collected into one path."""
+    end = text.find("\n") + 1 or len(text)
+    k, h, encoding, chunks = _text_cycle(text[:end], _windows(_slices(text, end), "\n"))
+    return CycleDocument(h, encoding, VertexPath(k, tuple(chain.from_iterable(chunks))))
+
+
+def _slices(text: str, start: int) -> Iterator[str]:
+    """``text`` from ``start`` on, in blocks of ``_WINDOW_CHARS``."""
+    return (text[i:i + _WINDOW_CHARS] for i in range(start, len(text), _WINDOW_CHARS))
+
+
+def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
+    """The blocks run together and cut after the last ``sep`` of each, so
+    every window but the last ends with ``sep``; a block without one is
+    carried into the next window."""
+    carried: list[AnyStr] = []
+    for block in blocks:
+        cut = block.rfind(sep) + 1
+        if cut:
+            carried.append(block[:cut])
+            yield sep[:0].join(carried)
+            carried = [block[cut:]]
+        else:
+            carried.append(block)
+    last = sep[:0].join(carried)
+    if last:
+        yield last
+
+
+def _text_cycle(
+    first: AnyStr, windows: Iterable[AnyStr]
+) -> tuple[int, int, str, Iterator[tuple[int, ...]]]:
+    """The header and code chunks of a text document, from its first line
+    and the windows of whole lines that follow it.
+
+    A header at fault is raised only after :func:`_text_chunks` has
+    scanned the body for a fault named before it.
+    """
+    header = decode_text(first)
+    k, h, encoding = 0, 0, ""
+    try:
+        _check_whitespace(header)
+    except DocumentError as exc:
+        fault, spaced = exc, True
+    else:
+        fault, spaced = None, False
+        try:
+            k, h, encoding = _text_header(header)
+        except DocumentError as exc:
+            fault = exc
+    chunks = _text_chunks(windows, k, encoding, fault, spaced)
+    if fault is not None:
+        deque(chunks, maxlen=0)  # raises the fault, or one the body names first
+    return k, h, encoding, chunks
+
+
+def _text_header(line: str) -> tuple[int, int, str]:
+    """The dimension, step size and encoding named by a header line."""
+    header = _HEADER_RE.match(line)
     if header is None:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
@@ -188,26 +287,63 @@ def _parse_text(text: str) -> CycleDocument:
     h = _header_int("h", header.group(2))
     encoding = header.group(3)
     _check_header(k, h, encoding)
-
-    codes = tuple(chain.from_iterable(
-        _window_codes(window, lineno, k, encoding)
-        for window, lineno in _windows(text, end + 1)
-    ))
-    if not codes:
-        raise DocumentError("line 2: document has no vertices")
-    return CycleDocument(h, encoding, VertexPath(k, codes))
+    return k, h, encoding
 
 
-def _windows(text: str, start: int) -> Iterator[tuple[str, int]]:
-    """The body from ``start`` on, in windows of whole lines (the last may
-    lack its line end), each with the number of its first line."""
+def _text_chunks(
+    windows: Iterable[AnyStr],
+    k: int,
+    encoding: str,
+    fault: DocumentError | None,
+    spaced: bool,
+) -> Iterator[tuple[int, ...]]:
+    """The codes of each window of a text body, whose first line is line 2.
+
+    The fault raised is the one a parse of the whole decoded text names:
+    the first byte that is not UTF-8, else the first stray whitespace
+    (``spaced`` once one is found), else ``fault``, a header at fault,
+    else the first row at fault. So once a window holds a fault, the
+    windows after it are only decoded and, until stray whitespace turns
+    up, checked for it; the fault is raised at the end.
+    """
     lineno = 2
-    while start < len(text):
-        stop = text.find("\n", start + _WINDOW_CHARS) + 1 or len(text)
-        window = text[start:stop]
-        yield window, lineno
-        lineno += window.count("\n")
-        start = stop
+    empty = True
+    for window in windows:
+        text = decode_text(window, lineno)
+        if not spaced:
+            try:
+                _check_whitespace(text, lineno)
+            except DocumentError as exc:
+                fault, spaced = exc, True
+        if fault is None:
+            try:
+                codes = _window_codes(text, lineno, k, encoding)
+            except DocumentError as exc:
+                fault = exc
+            else:
+                empty = empty and not codes
+                yield codes
+                del codes  # parse the next window without this one's codes
+        lineno += text.count("\n")
+    if fault is None and empty:
+        fault = DocumentError("line 2: document has no vertices")
+    if fault is not None:
+        raise fault
+
+
+def decode_text(data: AnyStr, lineno: int = 1) -> str:
+    """``data`` as UTF-8 text, lines unchanged; a byte that is not UTF-8 is
+    named by its line, the first line of ``data`` being line ``lineno``.
+    Text passes through as it is."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = lineno + data.count(b"\n", 0, exc.start)
+        raise DocumentError(
+            f"line {line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}"
+        ) from None
 
 
 def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int, ...]:
@@ -296,12 +432,13 @@ def _text_codes(
     return tuple(codes)
 
 
-def _check_whitespace(text: str) -> None:
+def _check_whitespace(text: str, lineno: int = 1) -> None:
     """Refuse whitespace other than space, tab, LF and a CR before an LF.
 
     Python splits lines or tokens at any of it, which would move line
     numbers off the LF count. A few scans at C speed clear an ASCII text;
-    only a text they do not clear pays for the regex search.
+    only a text they do not clear pays for the regex search. The first
+    line of ``text`` is line ``lineno``.
     """
     bare_cr = "\r" in text and text.count("\r") != text.count("\r\n")
     stray_ascii = any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
@@ -309,16 +446,16 @@ def _check_whitespace(text: str) -> None:
         return
     stray = _STRAY_WHITESPACE_RE.search(text)
     if stray:
-        lineno = text.count("\n", 0, stray.start()) + 1
+        line = lineno + text.count("\n", 0, stray.start())
         raise DocumentError(
-            f"line {lineno}: whitespace {stray.group()!r} "
+            f"line {line}: whitespace {stray.group()!r} "
             "is not a space, tab or line end"
         )
 
 
 def _parse_json(text: str) -> CycleDocument:
     """The JSON form."""
-    doc = _fast_json_tuples(text)
+    doc = _fast_json(text)
     if doc is not None:
         return doc
     try:
@@ -350,47 +487,86 @@ def _parse_json(text: str) -> CycleDocument:
     return CycleDocument(h, encoding, VertexPath(k, codes))
 
 
-def _fast_json_tuples(text: str) -> CycleDocument | None:
-    """A ``tuples`` document in exactly the text ``render_json`` writes.
-
-    The header fields are checked first, the ceiling before any work on
-    the rows, and the rows then window by window at C speed. Any other
-    text returns None and goes to ``json.loads``, which names the fault.
-    """
-    head = _JSON_TUPLES_RE.match(text)
-    if head is None or not text.endswith("]" + _JSON_TAIL):
+def _fast_json(text: str) -> CycleDocument | None:
+    """A document in exactly the JSON text ``render_json`` writes: its
+    windows' codes collected into one path. Any other text returns None
+    and goes to ``json.loads``, which names the fault."""
+    prefix = _JSON_HEAD_RE.match(text)
+    cycle = None if prefix is None else _json_cycle(prefix, _slices(text, prefix.end()))
+    if cycle is None:
         return None
-    try:
-        k, h = int(head.group(1)), int(head.group(2))
-        _check_header(k, h, "tuples")
-    except ValueError:  # too many digits, or a refusal: json.loads names the first fault
-        return None
-    # With a "," after the last row, the rows form a grid of "[b,...,b],".
-    width = 2 * k + 2
-    start, stop = head.end(), len(text) - len(_JSON_TAIL)
-    if (stop + 1 - start) % width:
-        return None
-    step = max(1, _WINDOW_CHARS // width) * width
+    k, h, encoding, chunks = cycle
     parts = []
-    for left in range(start, stop, step):
-        right = min(left + step, stop)
-        codes = _grid_codes(text[left:right] + ("," if right == stop else ""), k)
+    for codes in chunks:
         if codes is None:
             return None
         parts.append(codes)
-    return CycleDocument(h, "tuples", VertexPath(k, tuple(chain.from_iterable(parts))))
+    return CycleDocument(h, encoding, VertexPath(k, tuple(chain.from_iterable(parts))))
+
+
+def _json_cycle(
+    prefix: re.Match[str], blocks: Iterable[str]
+) -> tuple[int, int, str, Iterator[tuple[int, ...] | None]] | None:
+    """The header and code chunks of a JSON document that opens with
+    ``prefix``, from the blocks of text that follow it, or None.
+
+    The header fields are checked first, the ceiling before any work on
+    the rows; a refusal returns None, so ``json.loads`` names the fault.
+    """
+    k_digits, h_digits, encoding, nested = prefix.groups()
+    if (encoding == "tuples") != bool(nested):
+        return None
+    try:
+        k, h = int(k_digits), int(h_digits)
+        _check_header(k, h, encoding)
+    except ValueError:  # too many digits, or a refusal
+        return None
+    return k, h, encoding, _json_chunks(blocks, k, encoding)
+
+
+def _json_chunks(
+    blocks: Iterable[str], k: int, encoding: str
+) -> Iterator[tuple[int, ...] | None]:
+    """The codes of each window of a JSON body, up to None where the body
+    or its tail leaves the renderer's shape."""
+    row_end, tail = _JSON_ROWS[encoding]
+    held = [""]  # the last len(tail) characters, held back from the body
+
+    def body() -> Iterator[str]:
+        for block in blocks:
+            data = held[0] + block
+            held[0] = data[-len(tail):]
+            yield data[:-len(tail)]
+        yield row_end  # the last row ends as the others do
+
+    for window in _windows(body(), row_end[-1]):
+        codes = _grid_codes(window, k) if encoding == "tuples" else _int_codes(window)
+        yield codes
+        if codes is None:
+            return
+    if held[0] != tail:
+        yield None
 
 
 def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
-    """The codes of rows ``[b,...,b],`` of ``k`` 0/1 digits, else None."""
-    rows = len(grid) // (2 * k + 2)
-    if grid[::2] != ("[" + "," * (k - 1) + "]") * rows:
+    """The codes of rows ``b,...,b],[`` of ``k`` 0/1 digits, else None."""
+    rows, rest = divmod(len(grid), 2 * k + 2)
+    if rest or grid[1::2] != ("," * (k - 1) + "][") * rows:
         return None
-    digits = grid[1::2]  # each row's k digits, then its ","
+    digits = grid[::2]  # each row's k digits, then its ","
     bits = digits.replace(",", "")
     if digits[k::k + 1] != "," * rows or len(bits) != rows * k or bits.strip("01"):
         return None
     return _codes_from_bits(bits, k)
+
+
+def _int_codes(window: str) -> tuple[int, ...] | None:
+    """The codes of rows ``n,`` of nonnegative JSON integers, else None."""
+    try:
+        rows = json.loads(f"[{window[:-1]}]")
+    except (ValueError, RecursionError):
+        return None
+    return _fast_json_codes(rows, "ints")
 
 
 def _fast_json_codes(cycle: list, encoding: str) -> tuple[int, ...] | None:

@@ -19,6 +19,8 @@ WRONG_STEP = "WrongStep"
 OPEN_ENDPOINTS = "OpenEndpoints"
 DIMENSION_OVERFLOW = "DimensionOverflow"
 
+_KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -36,8 +38,12 @@ class Violation:
 
 @dataclass(frozen=True)
 class VerifyReport:
+    """The verdict: ``total`` violations, of which the first (at most
+    1,000) are kept in ``violations``, in report order."""
+
     valid: bool
     violations: tuple[Violation, ...]
+    total: int
 
 
 def verify_cycle(path: VertexPath, h: int) -> VerifyReport:
@@ -46,8 +52,9 @@ def verify_cycle(path: VertexPath, h: int) -> VerifyReport:
     Valid means: length 2**k, every code inside the dimension, no vertex
     repeated, every consecutive step flips exactly h coordinates, and the
     closing edge from the last vertex back to the first does too.
-    Violations are collected exhaustively rather than stopping at the
-    first, so corrupted inputs can be reported precisely.
+    Every violation is counted rather than stopping at the first, so
+    corrupted inputs can be reported precisely; the report keeps the
+    first 1,000 in order, so its size does not grow with the input.
     """
     checker = CycleChecker(path.k, h)
     checker.feed(path.codes)
@@ -59,7 +66,8 @@ class CycleChecker:
 
     Across chunks it carries the presence table, the first and last codes,
     the count so far and the violations at their indices in the whole
-    path, so however the path is split, :meth:`finish` reports what
+    path, keeping the first 1,000 of each kind of check and counting the
+    rest, so however the path is split, :meth:`finish` reports what
     ``verify_cycle`` reports for the whole: the length, then repeated and
     out-of-range vertices by index, then the steps, then the closing edge.
     """
@@ -76,28 +84,29 @@ class CycleChecker:
         self._first = self._last = 0
         self._presence: list[Violation] = []
         self._steps: list[Violation] = []
+        self._dropped = 0
 
     def feed(self, codes: Sequence[int]) -> None:
         """Check the next ``codes`` of the path."""
         if not codes:
             return
         n, h, seen, base = self._n, self._h, self._seen, self._count
-        presence, steps = self._presence, self._steps
+        keep, presence, steps = self._keep, self._presence, self._steps
         for i, c in enumerate(codes, base):
             if not 0 <= c < n:
-                presence.append(Violation(DIMENSION_OVERFLOW, i))
+                keep(presence, DIMENSION_OVERFLOW, i)
             elif seen[c]:
-                presence.append(Violation(DUPLICATE_VERTEX, i))
+                keep(presence, DUPLICATE_VERTEX, i)
             else:
                 seen[c] = 1
 
         if not base:
             self._first = codes[0]
         elif (self._last ^ codes[0]).bit_count() != h:
-            steps.append(Violation(WRONG_STEP, (base - 1, base)))
+            keep(steps, WRONG_STEP, (base - 1, base))
         for i in range(len(codes) - 1):
             if (codes[i] ^ codes[i + 1]).bit_count() != h:
-                steps.append(Violation(WRONG_STEP, (base + i, base + i + 1)))
+                keep(steps, WRONG_STEP, (base + i, base + i + 1))
         self._last = codes[-1]
         self._count = base + len(codes)
 
@@ -109,4 +118,16 @@ class CycleChecker:
         violations += self._steps
         if count and (self._last ^ self._first).bit_count() != self._h:
             violations.append(Violation(OPEN_ENDPOINTS, (count - 1, 0)))
-        return VerifyReport(valid=not violations, violations=tuple(violations))
+        # Each list kept its first _KEPT_VIOLATIONS, so the first
+        # _KEPT_VIOLATIONS of the joined list are those of the whole report.
+        return VerifyReport(
+            valid=not violations,
+            violations=tuple(violations[:_KEPT_VIOLATIONS]),
+            total=len(violations) + self._dropped,
+        )
+
+    def _keep(self, kept: list[Violation], kind: str, where: int | tuple[int, int]) -> None:
+        if len(kept) < _KEPT_VIOLATIONS:
+            kept.append(Violation(kind, where))
+        else:
+            self._dropped += 1

@@ -1,17 +1,29 @@
+import contextlib
+import io
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from leaper_cycles import cli, constructor
+from leaper_cycles import cli, constructor, document
 from leaper_cycles.cli import main
 from leaper_cycles.constructor import construct
-from leaper_cycles.core import MAX_K_ENV
-from leaper_cycles.document import CycleDocument, parse_document, render_json, render_text
+from leaper_cycles.core import MAX_K_ENV, VertexPath
+from leaper_cycles.document import (
+    ENCODINGS,
+    CycleDocument,
+    parse_document,
+    render_json,
+    render_text,
+)
 from leaper_cycles.verifier import verify_cycle
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -323,6 +335,144 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(target))
         assert code == 0
         assert out.startswith("valid:")
+
+
+def verify_outcome(path, *flags, whole=False):
+    """Exit code, stdout and stderr of ``verify path``, and whether the
+    document was parsed whole; ``whole`` parses it whole in any case."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.ExitStack() as stack:
+        if whole:
+            stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
+        parsed = stack.enter_context(
+            mock.patch.object(cli, "parse_document", wraps=parse_document)
+        )
+        stack.enter_context(contextlib.redirect_stdout(out))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main(["verify", str(path), *flags])
+    return (code, out.getvalue(), err.getvalue()), parsed.called
+
+
+# Bytes the renderers never write, each once the source of a fault the
+# windowed read had to name as the whole-document parse does.
+PIECES = [
+    b"\xff", b"\xe2\x82", b"\xc3\xa9", b"\r", b"\r\n", b"\n", b"\v", b"\t", b" ",
+    "\u3000".encode(), "\u2028".encode(), b"x", b"0", b"1", b"00", b"-", b",", b"[", b"]",
+]
+HEADER = b"# k=2 h=1 encoding=ints closed=true\n"
+
+
+@st.composite
+def document_files(draw):
+    """The bytes of a rendered document in one of the four formats, with
+    perhaps a padded header, CR LF line ends and a few bytes changed."""
+    k, h = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    if k > h and h % 2 and draw(st.booleans()):
+        codes = construct(k, h).path.codes
+    else:
+        codes = tuple(draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=(1 << k) + 2)))
+    doc = CycleDocument(h, draw(st.sampled_from(ENCODINGS)), VertexPath(k, codes))
+    data = draw(st.sampled_from([render_text, render_json]))(doc).encode()
+    data = data.replace(b" closed=true", b" " * draw(st.integers(1, 12)) + b"closed=true")
+    if draw(st.booleans()):
+        data = data.replace(b"\n", b"\r\n")
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "replace", "delete"]))
+        piece = b"" if kind == "delete" else draw(st.sampled_from(PIECES))
+        data = data[:i] + piece + data[i + (kind != "insert"):]
+    return data
+
+
+class TestVerifyWindows:
+    @given(
+        document_files(),
+        st.sampled_from([1, 2, 3, 7, 64]),
+        st.sampled_from([40, 48, 1 << 12]),
+        st.sampled_from([(), ("--h", "1"), ("--h", "3"), ("--h", "0")]),
+    )
+    # Faults on the first line of a window of two bytes, and faults the
+    # whole-document parse names before an earlier one: a bad byte before
+    # stray whitespace, before a header at fault, before a row at fault.
+    @example(HEADER + b"0\n1\n3\xff\n2\n", 2, 48, ())
+    @example(HEADER + b"0\n1\xe2\x82\n3\n2\n", 2, 48, ())
+    @example(HEADER + b"0\nx\n3\v\n2\n", 2, 48, ())
+    @example(HEADER + b"0\v\n1\n3\n2\xff", 2, 48, ())
+    @example(HEADER + b"0\nx\n3\n2\n\xc3", 3, 48, ())
+    @example(HEADER.replace(b"ints", b"hex") + b"0\n1\r3\n2\n", 2, 48, ())
+    @example(HEADER.replace(b"ints", b"hex") + b"0\n1\n3\n\xff", 2, 48, ())
+    @example(HEADER.replace(b"\n", b"\v\n") + b"0\n1\n3\n2\xff", 2, 48, ())
+    @example(HEADER.replace(b"\n", b"\r\n") + b"0\r\n1\r\n3\r\n2\r", 2, 48, ())
+    @example(HEADER + b"0\n1\n3\n2\n", 2, 48, ("--h", "0"))
+    @example(HEADER + b"\n\n", 2, 48, ())
+    @example(b"# k=2 h=1 encoding=ints  closed=true\n0\n1\n3\n2\n", 2, 37, ())
+    @example(b"# k=2 h=1 encoding=ints   closed=true\n0\n1\n3\n2\n", 2, 37, ())
+    @example(b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,02],"closed":true}\n', 2, 48, ())
+    @example(b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2,],"closed":true}\n', 2, 48, ())
+    @example(b'{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}', 3, 48, ())
+    def test_windowed_verdict_is_the_whole_document_verdict(self, data, window, head, flags):
+        # Exit code, total, kept violations and every error text match
+        # verify_cycle(parse_document(text).path, h), however the file is cut.
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.multiple(document, _WINDOW_CHARS=window, _HEAD_BYTES=head):
+            target = Path(tmp) / "doc"
+            target.write_bytes(data)
+            assert verify_outcome(target, *flags)[0] == verify_outcome(target, *flags, whole=True)[0]
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_rendered_documents_are_never_parsed_whole(self, render, encoding, tmp_path, monkeypatch):
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 5)
+        target = tmp_path / "doc"
+        target.write_text(render(CycleDocument(3, encoding, construct(6, 3).path)))
+        outcome, parsed_whole = verify_outcome(target)
+        assert outcome == (0, "valid: change-3 cycle on 64 vertices in dimension 6\n", "")
+        assert not parsed_whole
+
+    @pytest.mark.parametrize("spaces, whole", [(1, False), (2, False), (3, True)])
+    def test_a_header_past_the_limit_is_parsed_whole(self, spaces, whole, tmp_path, monkeypatch):
+        # The header line with its LF is 36 bytes with one space before
+        # "closed"; the limit is set at 37.
+        monkeypatch.setattr(document, "_HEAD_BYTES", 37)
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER.replace(b" closed", b" " * spaces + b"closed") + b"0\n1\n3\n2\n")
+        outcome, parsed_whole = verify_outcome(target)
+        assert outcome == (0, "valid: change-1 cycle on 4 vertices in dimension 2\n", "")
+        assert parsed_whole == whole
+
+    def test_a_long_bad_path_keeps_a_bounded_report(self, capsys, tmp_path):
+        # 10**6 such rows once kept 2,000,000 violations, peaking at 412 MB
+        # and printing 55.7 MB; the first two lines stay as they were.
+        rows = 10 ** 5
+        target = tmp_path / "zeros.txt"
+        target.write_bytes(HEADER + b"0\n" * rows)
+        code, out, _ = run(capsys, "verify", str(target))
+        lines = out.splitlines()
+        assert code == 2
+        assert lines[:2] == ["invalid: 200000 violation(s)", f"WrongLength at {rows}"]
+        assert len(lines) == 1 + 1000 + 1 and lines[-1] == "... and 199000 more"
+        report = verify_cycle(VertexPath(2, (0,) * rows), 1)
+        assert (report.total, len(report.violations)) == (200000, 1000)
+        assert lines[1:-1] == list(map(str, report.violations))
+
+    def test_verify_holds_one_window(self, capsys, tmp_path, monkeypatch):
+        # Reading the whole file and its tuple of codes cost 46 B/vertex;
+        # the tuple alone is over 8. As in test_output_holds_one_chunk,
+        # the second call is measured.
+        k = 14
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 9)
+        monkeypatch.setattr(document, "_HEAD_BYTES", 1 << 6)
+        target = tmp_path / "cycle.txt"
+        target.write_text(render_text(CycleDocument(1, "ints", construct(k, 1).path)))
+        assert main(["verify", str(target)]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["verify", str(target)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and capsys.readouterr().err == ""
+        assert peak < 8 << k
 
 
 class TestOracle:

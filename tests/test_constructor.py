@@ -1,6 +1,9 @@
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from leaper_cycles import constructor
 from leaper_cycles.constructor import (
@@ -11,7 +14,7 @@ from leaper_cycles.constructor import (
     feasibility,
     lift,
 )
-from leaper_cycles.core import CapacityError, MAX_K_ENV
+from leaper_cycles.core import HARD_MAX_K, MAX_K_ENV, CapacityError, VertexPath
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import verify_cycle
 
@@ -177,3 +180,66 @@ def test_even_changes_preserve_parity_on_random_walks():
             for p in flips:
                 v ^= 1 << p
             assert v.bit_count() % 2 == start_parity
+
+
+# The closed form and the proof that it is a cycle. _code(h, .) is linear
+# over GF(2), so it is the matrix L whose column i is _code(h, 2**i), and
+# _code_chunks leans on that to build every chunk from the first.
+
+FEASIBLE = [(k, h) for k in range(2, HARD_MAX_K + 1) for h in range(1, k, 2)]
+
+
+@given(st.sampled_from(range(1, HARD_MAX_K, 2)), st.integers(0, 1 << 70), st.integers(0, 1 << 70))
+def test_code_is_linear(h, x, y):
+    assert constructor._code(h, x ^ y) == constructor._code(h, x) ^ constructor._code(h, y)
+    assert constructor._code(h, 0) == 0
+
+
+@pytest.mark.parametrize("chunk", [1, 1 << 3, 1 << 16])
+def test_chunks_hold_the_code_of_every_index(chunk, monkeypatch):
+    monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
+    for k in [*range(2, 13), 16]:
+        for h in range(1, k, 2) if k <= 12 else (1, 5, 15):
+            codes = tuple(chain.from_iterable(constructor._code_chunks(k, h)))
+            assert codes == tuple(constructor._code(h, j) for j in range(1 << k)), (k, h)
+
+
+def gf2_rank(vectors):
+    pivots = {}
+    for v in vectors:
+        while v and v.bit_length() in pivots:
+            v ^= pivots[v.bit_length()]
+        if v:
+            pivots[v.bit_length()] = v
+    return len(pivots)
+
+
+def proves_a_cycle(k, h):
+    """Whether _code(h, .) on [0, 2**k) is a change-h Hamiltonian cycle.
+
+    L has k columns below 2**k and rank k exactly when j -> L j is a
+    bijection of [0, 2**k): no code repeats and none overflows. The step
+    from j to j+1 flips L (j ^ (j+1)) = L (2**(t+1) - 1), t being the
+    number of trailing ones of j; t = k-1 is also the closing edge, from
+    2**k - 1 back to 0. So every step flips h coordinates exactly when
+    these k values each have h bits set.
+    """
+    columns = [constructor._code(h, 1 << i) for i in range(k)]
+    steps = [constructor._code(h, (1 << (t + 1)) - 1) for t in range(k)]
+    return (
+        max(columns) >> k == 0
+        and gf2_rank(columns) == k
+        and all(step.bit_count() == h for step in steps)
+    )
+
+
+def test_the_closed_form_is_a_cycle_for_every_admitted_pair():
+    assert len(FEASIBLE) == 1024
+    assert [pair for pair in FEASIBLE if not proves_a_cycle(*pair)] == []
+
+
+def test_the_proof_agrees_with_the_verifier():
+    for k in range(2, 11):
+        for h in range(1, k + 2):
+            path = VertexPath(k, tuple(constructor._code(h, j) for j in range(1 << k)))
+            assert proves_a_cycle(k, h) == verify_cycle(path, h).valid, (k, h)

@@ -497,7 +497,7 @@ def mutated_renderings(draw):
 def scalar_parse(text):
     """parse_document through the per-line (or per-row) loop alone."""
     with mock.patch.object(document, "_fast_text_codes", return_value=None), \
-            mock.patch.object(document, "_fast_json_tuples", return_value=None), \
+            mock.patch.object(document, "_fast_json", return_value=None), \
             mock.patch.object(document, "_fast_json_codes", return_value=None):
         return parse_document(text)
 
