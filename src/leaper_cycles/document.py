@@ -23,21 +23,25 @@ cuts the body into windows of whole rows and holds at most one window's
 rows at once: :func:`read_cycle` reads them from a file one block at a
 time and yields each window's codes, and :func:`parse_document` collects
 the same windows of a text into one path. A window shaped as the
-renderers write it is checked whole at C speed; any other text window
-goes through the per-line loop, which accepts the same documents and
-names the line at fault, and any other JSON goes to ``json.loads``.
+renderers write it is read at C speed: text ``ints`` rows by one
+``json.loads``, text and JSON ``tuples`` rows as one base-2 integer of
+8-, 16-, 32- or 64-bit lanes, and JSON ``ints`` rows by ``json.loads``
+and one type and sign scan. Any other text window goes through the
+per-line loop, which accepts the same documents and names the line at
+fault, and any other JSON goes to ``json.loads`` whole.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, islice, repeat
-from typing import AnyStr, BinaryIO
+from itertools import chain
+from typing import AnyStr, BinaryIO, TypeVar
 
 from .core import CapacityError, VertexPath, check_dimension
 
@@ -59,6 +63,9 @@ _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 _BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 _HEAD_BYTES = 1 << 12  # bytes read_cycle reads to find the header
+_Seq = TypeVar("_Seq", str, "tuple[int, ...]")
+# Row 0's lane comes first in an integer's little-endian bytes, last in big.
+_LANE_STEP = 1 if sys.byteorder == "little" else -1
 
 
 class DocumentError(ValueError):
@@ -78,15 +85,15 @@ class CycleDocument:
 
 def render_text(doc: CycleDocument) -> str:
     _check_codes(doc.path)
-    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, _blocks(doc.path.codes)))
+    blocks = _slices(doc.path.codes, 0, _BLOCK_ROWS)
+    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, blocks))
 
 
 def render_json(doc: CycleDocument) -> str:
     """The text ``json.dumps`` would write, compact, with the fields in order."""
     _check_codes(doc.path)
-    return "".join(render_pieces(
-        doc.path.k, doc.h, doc.encoding, _blocks(doc.path.codes), as_json=True
-    ))
+    blocks = _slices(doc.path.codes, 0, _BLOCK_ROWS)
+    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, blocks, as_json=True))
 
 
 def render_pieces(
@@ -121,21 +128,13 @@ def render_pieces(
     yield tail
 
 
-def _blocks(codes: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """``codes`` in slices of ``_BLOCK_ROWS``."""
-    for start in range(0, len(codes), _BLOCK_ROWS):
-        yield codes[start:start + _BLOCK_ROWS]
-
-
 def _check_codes(path: VertexPath) -> None:
     """Refuse an empty path or a code outside [0, 2**k): neither reads back."""
     codes, k = path.codes, path.k
     if not codes:
         raise ValueError("a cycle document needs at least one vertex")
     if min(codes) < 0 or max(codes) >> k:
-        index, code = next(
-            (i, c) for i, c in enumerate(codes) if not 0 <= c < 1 << k
-        )
+        index, code = next((i, c) for i, c in enumerate(codes) if not 0 <= c < 1 << k)
         raise ValueError(f"code at index {index} is {code}, outside [0, 2**{k})")
 
 
@@ -222,13 +221,14 @@ def read_cycle(
 def _parse_text(text: str) -> CycleDocument:
     """The text form: its windows' codes collected into one path."""
     end = text.find("\n") + 1 or len(text)
-    k, h, encoding, chunks = _text_cycle(text[:end], _windows(_slices(text, end), "\n"))
+    windows = _windows(_slices(text, end, _WINDOW_CHARS), "\n")
+    k, h, encoding, chunks = _text_cycle(text[:end], windows)
     return CycleDocument(h, encoding, VertexPath(k, tuple(chain.from_iterable(chunks))))
 
 
-def _slices(text: str, start: int) -> Iterator[str]:
-    """``text`` from ``start`` on, in blocks of ``_WINDOW_CHARS``."""
-    return (text[i:i + _WINDOW_CHARS] for i in range(start, len(text), _WINDOW_CHARS))
+def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
+    """``seq`` from ``start`` on, in slices of ``size``."""
+    return (seq[i:i + size] for i in range(start, len(seq), size))
 
 
 def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
@@ -355,38 +355,39 @@ def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int,
 
 
 def _fast_text_codes(window: str, k: int, encoding: str) -> tuple[int, ...] | None:
-    """The codes of a window, if it is shaped as rendered.
-
-    One check of the whole window at C speed. Any other window, valid or
-    not, returns None and goes to the per-line loop, which accepts the
-    same documents and names the line at fault.
-    """
+    """The codes of a window shaped as rendered, read at C speed; None sends
+    any other window, valid or not, to the per-line loop."""
     if encoding == "tuples":
         rows, rest = divmod(len(window), 2 * k)
         if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
             return None
-        bits = window[::2]
-        return None if bits.strip("01") else _codes_from_bits(bits, k)
-    lines = window.split("\n")
-    last = len(lines) - 1
-    if (
-        not window.isascii()
-        or lines[last]
-        or not all(map(str.isdigit, islice(lines, last)))
-    ):
+        # " 0" pairs before each LF pad a row to its lane; [-2::-2] keeps its bits
+        # and 0s, reversed.
+        return _lane_codes(window.replace("\n", " 0" * (_lane(k) - k) + "\n")[-2::-2], k, rows)
+    # ASCII digits and LFs only, ending with an LF; JSON refuses an empty row.
+    if window.translate(dict.fromkeys(b"0123456789\n")) or window[-1:] != "\n":
         return None
-    try:
-        return tuple(map(int, islice(lines, last)))
-    except ValueError:  # a row over int()'s digit limit
+    try:  # JSON refuses a leading zero and a row over the digit limit
+        return tuple(json.loads("[" + window[:-1].replace("\n", ",") + "]"))
+    except ValueError:
         return None
 
 
-def _codes_from_bits(bits: str, k: int) -> tuple[int, ...]:
-    """Codes of rows of ``k`` 0/1 digits, leftmost coordinate first, run together."""
-    n = len(bits)
-    tail_first = bits[::-1]  # row i, reversed, is tail_first[n-(i+1)k : n-ik]
-    rows = map(tail_first.__getitem__, map(slice, range(n - k, -1, -k), range(n, 0, -k)))
-    return tuple(map(int, rows, repeat(2)))
+def _lane(k: int) -> int:
+    """The lane width, in bits, of a ``k``-bit code: 8, 16, 32 or 64."""
+    return max(8, 1 << (k - 1).bit_length())
+
+
+def _lane_codes(bits: str, k: int, rows: int) -> tuple[int, ...] | None:
+    """The codes of ``rows`` rows of ``k`` 0/1 digits, leftmost coordinate
+    first, each padded with 0s to its lane, run together and reversed, so
+    that they are one base-2 integer whose lane ``i`` is row ``i``; else None."""
+    width = _lane(k)
+    data = bits.encode("latin-1", "replace")  # one byte a character
+    if len(data) != rows * width or data.translate(None, b"01"):
+        return None
+    lanes = int(data, 2).to_bytes(rows * width // 8, sys.byteorder)
+    return tuple(memoryview(lanes).cast("BHIQ"[width.bit_length() - 4])[::_LANE_STEP])
 
 
 def _text_codes(
@@ -492,7 +493,7 @@ def _fast_json(text: str) -> CycleDocument | None:
     windows' codes collected into one path. Any other text returns None
     and goes to ``json.loads``, which names the fault."""
     prefix = _JSON_HEAD_RE.match(text)
-    cycle = None if prefix is None else _json_cycle(prefix, _slices(text, prefix.end()))
+    cycle = prefix and _json_cycle(prefix, _slices(text, prefix.end(), _WINDOW_CHARS))
     if cycle is None:
         return None
     k, h, encoding, chunks = cycle
@@ -553,11 +554,10 @@ def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
     rows, rest = divmod(len(grid), 2 * k + 2)
     if rest or grid[1::2] != ("," * (k - 1) + "][") * rows:
         return None
-    digits = grid[::2]  # each row's k digits, then its ","
-    bits = digits.replace(",", "")
-    if digits[k::k + 1] != "," * rows or len(bits) != rows * k or bits.strip("01"):
+    digits = grid[-2::-2]  # each row's "," then its k digits, reversed
+    if digits[::k + 1] != "," * rows or digits.count(",") != rows:  # no "," among the bits
         return None
-    return _codes_from_bits(bits, k)
+    return _lane_codes(digits.replace(",", "0" * (_lane(k) - k)), k, rows)
 
 
 def _int_codes(window: str) -> tuple[int, ...] | None:

@@ -410,6 +410,12 @@ class TestVerifyWindows:
     @example(b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,02],"closed":true}\n', 2, 48, ())
     @example(b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2,],"closed":true}\n', 2, 48, ())
     @example(b'{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}', 3, 48, ())
+    # A "," or "-0" on the first row of a window, which json.loads of that
+    # window alone would read.
+    @example(HEADER + b"0\n1\n1,3\n2\n", 2, 40, ())
+    @example(HEADER + b"0\n1\n-0\n2\n", 2, 40, ())
+    @example(HEADER + b"1,0\n1\n3\n2\n", 64, 1 << 12, ())
+    @example(HEADER + b"-0\n1\n3\n2\n", 64, 1 << 12, ())
     def test_windowed_verdict_is_the_whole_document_verdict(self, data, window, head, flags):
         # Exit code, total, kept violations and every error text match
         # verify_cycle(parse_document(text).path, h), however the file is cut.
@@ -455,15 +461,17 @@ class TestVerifyWindows:
         assert (report.total, len(report.violations)) == (200000, 1000)
         assert lines[1:-1] == list(map(str, report.violations))
 
-    def test_verify_holds_one_window(self, capsys, tmp_path, monkeypatch):
-        # Reading the whole file and its tuple of codes cost 46 B/vertex;
-        # the tuple alone is over 8. As in test_output_holds_one_chunk,
-        # the second call is measured.
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_verify_holds_one_window(self, render, encoding, capsys, tmp_path, monkeypatch):
+        # Reading the whole file and its tuple of codes cost 46 B/vertex
+        # for text ints; the tuple alone is over 8. As in
+        # test_output_holds_one_chunk, the second call is measured.
         k = 14
         monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 9)
         monkeypatch.setattr(document, "_HEAD_BYTES", 1 << 6)
         target = tmp_path / "cycle.txt"
-        target.write_text(render_text(CycleDocument(1, "ints", construct(k, 1).path)))
+        target.write_text(render(CycleDocument(1, encoding, construct(k, 1).path)))
         assert main(["verify", str(target)]) == 0
         tracemalloc.start()
         try:

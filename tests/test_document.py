@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import json
+import os
 import re
 import tracemalloc
 from unittest import mock
@@ -358,10 +359,16 @@ def test_crlf_line_ends_accepted():
     assert str(exc.value).startswith("line 1: ")
 
 
+# The edges of the 8-, 16-, 32- and 64-bit lanes the fast tuples routes
+# read rows into.
+LANE_EDGE_KS = (*range(1, 10), 15, 16, 17, 31, 32, 33, 63, 64)
+
+
 @st.composite
-def documents(draw):
-    k = draw(st.integers(1, 8))
-    codes = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=1 << k))
+def documents(draw, ks=st.integers(1, 8)):
+    """A document of up to 2**k codes, or of a few once k is over 8."""
+    k = draw(ks)
+    codes = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=1 << k if k <= 8 else 5))
     h = draw(st.integers(1, 64))
     return CycleDocument(h, draw(st.sampled_from(ENCODINGS)), VertexPath(k, tuple(codes)))
 
@@ -466,13 +473,13 @@ def test_renderers_refuse_an_empty_path(render, encoding):
     assert str(exc.value) == "a cycle document needs at least one vertex"
 
 
-MUTATION_CHARS = "01 \t\r\n2x+_-"
+MUTATION_CHARS = "01 \t\r\n2x+_-,.e\u0663"
 
 
 @st.composite
 def mutated_renderings(draw):
     """Renderer output with one mutation: a char, CRLF, a blank line or a long row."""
-    doc = draw(documents())
+    doc = draw(documents(st.sampled_from(LANE_EDGE_KS)))
     text = draw(st.sampled_from([render_text, render_json]))(doc)
     kind = draw(st.sampled_from(["replace", "insert", "delete", "crlf", "blank", "long"]))
     if kind == "crlf":
@@ -526,6 +533,25 @@ def outcome(parse, text):
 @example("# k=2 h=1 encoding=ints closed=true\n0\n1\n3\n2")
 @example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 0\n1 1\n0 1")
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,2],[0,1]],"closed":true}\n')
+# Number forms JSON or int() reads but the renderers never write, each on
+# the first row of a small window: the fast routes must leave them to the
+# loop, which accepts "01" and " 1" and names the line of the rest.
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1,2\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n-0\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n01\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1.0\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n1e3\n3\n2\n")
+@example("# k=2 h=1 encoding=ints closed=true\n0\n 1\n3\n2\n")
+# int(s, 2) reads "0_1" and "+1"; a bit position holds 0 or 1 only.
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 _\n1 1\n0 1\n")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 +\n1 1\n0 1\n")
+@example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 2\n1 1\n0 1\n")
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,_],[1,1],[0,1]],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,+],[1,1],[0,1]],"closed":true}\n')
+# At k=7 a row's "," pads it to its lane with one 0, so a "," in a bit
+# position keeps the padded length.
+@example('{"k":7,"h":1,"encoding":"tuples","cycle":[[,,0,0,0,0,0,0]],"closed":true}\n')
+@example('{"k":7,"h":1,"encoding":"tuples","cycle":[[0,0,0,0,0,0,1],[0,0,0,,,0,0,0]],"closed":true}\n')
 # JSON tuples one change away from the renderer's text, left to json.loads.
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}')
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]], "closed":true}\n')
@@ -534,11 +560,12 @@ def outcome(parse, text):
 @example('{"k":40,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1]],"closed":true}\n')
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,0],[1,1],[0,1],"closed":true}\n')
 def test_fast_path_matches_the_scalar_loop(text):
-    expected = outcome(scalar_parse, text)  # these bodies fit one default window
-    for blocks in BLOCK_SIZES:
-        with blocks():
-            assert outcome(parse_document, text) == expected
-            assert outcome(scalar_parse, text) == expected
+    with mock.patch.dict(os.environ, {MAX_K_ENV: "64"}):  # admit every lane edge
+        expected = outcome(scalar_parse, text)  # these bodies fit one default window
+        for blocks in BLOCK_SIZES:
+            with blocks():
+                assert outcome(parse_document, text) == expected
+                assert outcome(scalar_parse, text) == expected
 
 
 @pytest.mark.parametrize("encoding", ENCODINGS)
@@ -554,6 +581,19 @@ def test_rendered_documents_skip_the_slow_paths(encoding):
     for blocks in BLOCK_SIZES:
         with blocks(), mock.patch.multiple(document, **slow):
             assert [parse_document(text) for text in texts] == [doc, doc]
+
+
+@pytest.mark.parametrize("k", LANE_EDGE_KS)
+@pytest.mark.parametrize("encoding", ENCODINGS)
+def test_every_lane_width_reads_rendered_rows_at_c_speed(k, encoding, monkeypatch):
+    # The extremes of each lane: all zeros, all ones, the top bit alone.
+    monkeypatch.setenv(MAX_K_ENV, "64")
+    codes = (0, (1 << k) - 1, 1 << (k - 1), (1 << k) // 3, 5 % (1 << k))
+    doc = CycleDocument(1, encoding, VertexPath(k, codes))
+    refuse = mock.Mock(side_effect=AssertionError("a slow path ran"))
+    with mock.patch.multiple(document, _text_codes=refuse, _json_codes=refuse):
+        assert parse_document(render_text(doc)) == doc
+        assert parse_document(render_json(doc)) == doc
 
 
 def bytes_beyond_result(call, *args):
