@@ -16,21 +16,18 @@ import sys
 from collections.abc import Iterator
 from typing import IO, BinaryIO
 
-# construct stays bound for the bench tracer: test_every_name_the_bench_traces_stays_bound, ROADMAP item 1
+# construct, render_text and render_json stay bound for the bench tracer:
+# test_every_name_the_bench_traces_stays_bound, ROADMAP item 1
 from .constructor import FeasibilityVerdict, construct, construct_chunks  # noqa: F401
-from .core import VertexPath
-from .document import (
-    CycleDocument,
-    decode_text,
-    parse_document,
-    read_cycle,
-    render_json,
-    render_pieces,
-    render_text,
-)
+from .document import decode_text, parse_document, read_cycle, render_pieces
+from .document import render_json, render_text  # noqa: F401
 from .leapers import LeaperSpec, leaper_by_name, leaper_feasible, leaper_step, min_dimension
 from .oracle import oracle_count, oracle_exists
 from .verifier import CycleChecker, VerifyReport, verify_cycle
+
+
+# --format -> (the document's encoding, whether it is written as JSON)
+_FORMATS = {"tuples": ("tuples", False), "ints": ("ints", False), "json": ("tuples", True)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--h", type=int, help="coordinates flipped per step")
     group.add_argument("--leaper", help="catalog leaper name supplying h")
     p_construct.add_argument(
-        "--format", choices=("tuples", "ints", "json"), default="tuples",
+        "--format", choices=tuple(_FORMATS), default="tuples",
         help="document format (default: tuples)",
     )
     p_construct.add_argument("--output", help="write the document to this file")
@@ -79,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness", action="store_true", help="emit a found cycle as a document"
     )
     p_oracle.add_argument(
-        "--format", choices=("tuples", "ints", "json"), default="tuples",
+        "--format", choices=tuple(_FORMATS), default="tuples",
         help="witness document format (default: tuples)",
     )
     p_oracle.add_argument("--output", help="write the witness to this file")
@@ -110,11 +107,6 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # the library's errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _render(h: int, path: VertexPath, fmt: str) -> str:
-    doc = CycleDocument(h, "ints" if fmt == "ints" else "tuples", path)
-    return render_json(doc) if fmt == "json" else render_text(doc)
 
 
 @contextlib.contextmanager
@@ -160,10 +152,9 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         print(f"status: {chunks.status.value}")
         print(f"detail: {chunks.detail}")
         return 2
-    encoding = "ints" if args.format == "ints" else "tuples"
-    pieces = render_pieces(args.k, h, encoding, chunks, as_json=args.format == "json")
+    encoding, as_json = _FORMATS[args.format]
     with _open_output(args.output) as out:
-        out.writelines(pieces)
+        out.writelines(render_pieces(args.k, h, encoding, chunks, as_json=as_json))
     return 0
 
 
@@ -219,17 +210,18 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         raise ValueError("--output needs --witness")
     search = oracle_count if args.count else oracle_exists
     result = search(args.k, args.h)
-    # Render and open the output first, so a refusal prints nothing.
-    witness = None
-    if args.witness and result.witness is not None:
-        witness = _render(args.h, result.witness, args.format)
-    with _open_output(args.output if witness else None) as out:
+    witness = result.witness if args.witness else None
+    # Open the output first, so a refusal prints nothing.
+    with _open_output(args.output if witness is not None else None) as out:
         print(f"exists: {'true' if result.exists else 'false'}")
         if result.count is not None:
             print(f"count: {result.count}")
         print(f"nodes_explored: {result.nodes_explored}")
-        if witness:
-            out.write(witness)
+        if witness is not None:
+            encoding, as_json = _FORMATS[args.format]
+            out.writelines(
+                render_pieces(args.k, args.h, encoding, [witness.codes], as_json=as_json)
+            )
     return 0 if result.exists else 2
 
 

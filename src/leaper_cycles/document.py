@@ -23,12 +23,12 @@ cuts the body into windows of whole rows and holds at most one window's
 rows at once: :func:`read_cycle` reads them from a file one block at a
 time and yields each window's codes, and :func:`parse_document` collects
 the same windows of a text into one path. A window shaped as the
-renderers write it is read at C speed: text ``ints`` rows by one
-``json.loads``, text and JSON ``tuples`` rows as one base-2 integer of
-8-, 16-, 32- or 64-bit lanes, and JSON ``ints`` rows by ``json.loads``
-and one type and sign scan. Any other text window goes through the
-per-line loop, which accepts the same documents and names the line at
-fault, and any other JSON goes to ``json.loads`` whole.
+renderers write it is read at C speed: ``ints`` rows, text or JSON, of
+ASCII digits and their separators only, by one ``json.loads``, and
+``tuples`` rows, text or JSON, as one base-2 integer of 8-, 16-, 32- or
+64-bit lanes. Any other text window goes through the per-line loop,
+which accepts the same documents and names the line at fault, and any
+other JSON goes to ``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
 _BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
-_HEAD_BYTES = 1 << 12  # bytes read_cycle reads to find the header
+_HEAD_BYTES = 1 << 12  # bytes read_cycle reads first, enough for a JSON header
 _Seq = TypeVar("_Seq", str, "tuple[int, ...]")
 # Row 0's lane comes first in an integer's little-endian bytes, last in big.
 _LANE_STEP = 1 if sys.byteorder == "little" else -1
@@ -188,12 +188,13 @@ def read_cycle(
     """The header and code chunks of the document in ``fh``, read in windows.
 
     ``fh`` is a binary file at its start. Its first 4 KiB are read for
-    the header, and the body then in blocks of about 1 MiB, each cut
-    after its last row, so no more than a window of the file is held.
-    Returns ``(k, h, encoding, chunks)`` for a text document whose first
-    byte is ``#`` and whose header line ends within those 4 KiB, and for
-    a JSON document that opens as the renderer writes it; None for any
-    other document, which :func:`parse_document` reads whole.
+    the header, and the rest of a text header's line if it runs on past
+    them; the body is then read in blocks of about 1 MiB, each cut after
+    its last row, so no more than a window of the file and the header
+    line are held. Returns ``(k, h, encoding, chunks)`` for a text
+    document whose first byte is ``#``, and for a JSON document that
+    opens as the renderer writes it; None for any other document, which
+    :func:`parse_document` reads whole.
 
     A fault in a text document is raised as a DocumentError with the
     text that ``parse_document`` of the whole decoded file raises. In
@@ -204,9 +205,8 @@ def read_cycle(
     blocks = iter(partial(fh.read, _WINDOW_CHARS), b"")
     if head[:1] == b"#":
         end = head.find(b"\n") + 1
-        if not end:
-            if len(head) == _HEAD_BYTES:  # the header runs on past the limit
-                return None
+        if not end:  # the header runs on past the head, perhaps to the end
+            head += fh.readline()
             end = len(head)
         return _text_cycle(head[:end], _windows(chain([head[end:]], blocks), b"\n"))
     if head[:1] == b"{":
@@ -348,27 +348,31 @@ def decode_text(data: AnyStr, lineno: int = 1) -> str:
 
 def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int, ...]:
     """The codes of a window of whole lines whose first is line ``lineno``."""
-    codes = _fast_text_codes(window, k, encoding)
+    codes = _line_codes(window, k) if encoding == "tuples" else _int_rows(window, "\n")
     if codes is None:
         codes = _text_codes(window.split("\n"), lineno, k, encoding)
     return codes
 
 
-def _fast_text_codes(window: str, k: int, encoding: str) -> tuple[int, ...] | None:
-    """The codes of a window shaped as rendered, read at C speed; None sends
-    any other window, valid or not, to the per-line loop."""
-    if encoding == "tuples":
-        rows, rest = divmod(len(window), 2 * k)
-        if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
-            return None
-        # " 0" pairs before each LF pad a row to its lane; [-2::-2] keeps its bits
-        # and 0s, reversed.
-        return _lane_codes(window.replace("\n", " 0" * (_lane(k) - k) + "\n")[-2::-2], k, rows)
-    # ASCII digits and LFs only, ending with an LF; JSON refuses an empty row.
-    if window.translate(dict.fromkeys(b"0123456789\n")) or window[-1:] != "\n":
+def _line_codes(window: str, k: int) -> tuple[int, ...] | None:
+    """The codes of LF-ended rows of ``k`` space-separated 0/1 digits, else None."""
+    rows, rest = divmod(len(window), 2 * k)
+    if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
         return None
-    try:  # JSON refuses a leading zero and a row over the digit limit
-        return tuple(json.loads("[" + window[:-1].replace("\n", ",") + "]"))
+    # " 0" pairs before each LF pad a row to its lane; [-2::-2] keeps its bits
+    # and 0s, reversed.
+    return _lane_codes(window.replace("\n", " 0" * (_lane(k) - k) + "\n")[-2::-2], k, rows)
+
+
+def _int_rows(window: str, sep: str) -> tuple[int, ...] | None:
+    """The codes of rows of ASCII digits, each ended by ``sep``, read by one
+    ``json.loads``; None sends any other window, valid or not, or one of
+    no rows, to a slower route, which accepts the same documents and names
+    the fault."""
+    if window.translate(dict.fromkeys(b"0123456789" + sep.encode())) or window[-1:] != sep:
+        return None
+    try:  # JSON refuses an empty row, a leading zero and a row over the digit limit
+        return tuple(json.loads("[" + window[:-1].replace(sep, ",") + "]")) or None
     except ValueError:
         return None
 
@@ -482,10 +486,7 @@ def _parse_json(text: str) -> CycleDocument:
         raise DocumentError("line 1: closed must be true")
     if not isinstance(cycle, list) or not cycle:
         raise DocumentError("line 1: cycle must be a non-empty array")
-    codes = _fast_json_codes(cycle, encoding)
-    if codes is None:
-        codes = _json_codes(cycle, k, encoding)
-    return CycleDocument(h, encoding, VertexPath(k, codes))
+    return CycleDocument(h, encoding, VertexPath(k, _json_codes(cycle, k, encoding)))
 
 
 def _fast_json(text: str) -> CycleDocument | None:
@@ -541,7 +542,7 @@ def _json_chunks(
         yield row_end  # the last row ends as the others do
 
     for window in _windows(body(), row_end[-1]):
-        codes = _grid_codes(window, k) if encoding == "tuples" else _int_codes(window)
+        codes = _grid_codes(window, k) if encoding == "tuples" else _int_rows(window, ",")
         yield codes
         if codes is None:
             return
@@ -560,28 +561,12 @@ def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
     return _lane_codes(digits.replace(",", "0" * (_lane(k) - k)), k, rows)
 
 
-def _int_codes(window: str) -> tuple[int, ...] | None:
-    """The codes of rows ``n,`` of nonnegative JSON integers, else None."""
-    try:
-        rows = json.loads(f"[{window[:-1]}]")
-    except (ValueError, RecursionError):
-        return None
-    return _fast_json_codes(rows, "ints")
-
-
-def _fast_json_codes(cycle: list, encoding: str) -> tuple[int, ...] | None:
-    """The codes of an ``ints`` cycle if all its rows pass one check, else None.
-
-    Any other cycle goes to the per-row loop, which names the index at
-    fault; JSON ``tuples`` in the renderer's text never reaches here.
-    """
+def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:
+    """The codes of any accepted cycle, or the index at fault: an ``ints``
+    cycle whose rows pass one type and sign scan at once, any other by the
+    per-row loop."""
     if encoding == "ints" and set(map(type, cycle)) == {int} and min(cycle) >= 0:
         return tuple(cycle)
-    return None
-
-
-def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:
-    """The per-row loop: the codes of any accepted cycle, or the index at fault."""
     codes: list[int] = []
     for i, item in enumerate(cycle):
         if encoding == "tuples":

@@ -24,6 +24,7 @@ from leaper_cycles.document import (
     render_json,
     render_text,
 )
+from leaper_cycles.oracle import oracle_exists
 from leaper_cycles.verifier import verify_cycle
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
@@ -360,6 +361,7 @@ PIECES = [
     "\u3000".encode(), "\u2028".encode(), b"x", b"0", b"1", b"00", b"-", b",", b"[", b"]",
 ]
 HEADER = b"# k=2 h=1 encoding=ints closed=true\n"
+JSON_INTS = b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":true}\n'
 
 
 @st.composite
@@ -416,6 +418,13 @@ class TestVerifyWindows:
     @example(HEADER + b"0\n1\n-0\n2\n", 2, 40, ())
     @example(HEADER + b"1,0\n1\n3\n2\n", 64, 1 << 12, ())
     @example(HEADER + b"-0\n1\n3\n2\n", 64, 1 << 12, ())
+    # JSON ints forms that json.loads of the window "<form>," reads, on the
+    # first row of the third window: only ASCII digits and "," pass.
+    @example(JSON_INTS.replace(b"3", b" 1"), 2, 48, ())
+    @example(JSON_INTS.replace(b"3", b"1.0"), 2, 48, ())
+    @example(JSON_INTS.replace(b"3", b"-0"), 2, 48, ())
+    @example(JSON_INTS.replace(b"3", b"true"), 2, 48, ())
+    @example(JSON_INTS.replace(b"3", b"1e0"), 2, 48, ())
     def test_windowed_verdict_is_the_whole_document_verdict(self, data, window, head, flags):
         # Exit code, total, kept violations and every error text match
         # verify_cycle(parse_document(text).path, h), however the file is cut.
@@ -435,16 +444,50 @@ class TestVerifyWindows:
         assert outcome == (0, "valid: change-3 cycle on 64 vertices in dimension 6\n", "")
         assert not parsed_whole
 
-    @pytest.mark.parametrize("spaces, whole", [(1, False), (2, False), (3, True)])
-    def test_a_header_past_the_limit_is_parsed_whole(self, spaces, whole, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("window", [2, 3])
+    @pytest.mark.parametrize("spaces", [1, 2, 3, 5000])
+    def test_a_header_of_any_length_streams(self, spaces, window, tmp_path, monkeypatch):
         # The header line with its LF is 36 bytes with one space before
-        # "closed"; the limit is set at 37.
+        # "closed" and the head read is set at 37, so from 3 spaces on the
+        # header runs past it; such a file was once parsed whole.
         monkeypatch.setattr(document, "_HEAD_BYTES", 37)
+        monkeypatch.setattr(document, "_WINDOW_CHARS", window)
+        header = HEADER.replace(b" closed", b" " * spaces + b"closed")
         target = tmp_path / "doc"
-        target.write_bytes(HEADER.replace(b" closed", b" " * spaces + b"closed") + b"0\n1\n3\n2\n")
+        target.write_bytes(header + b"0\n1\n3\n2\n")
         outcome, parsed_whole = verify_outcome(target)
         assert outcome == (0, "valid: change-1 cycle on 4 vertices in dimension 2\n", "")
-        assert parsed_whole == whole
+        assert not parsed_whole
+        # A header line that runs on to the end of the file, with no LF.
+        target.write_bytes(header.rstrip(b"\n"))
+        outcome, parsed_whole = verify_outcome(target)
+        assert outcome == verify_outcome(target, whole=True)[0]
+        assert outcome == (1, "", "error: line 2: document has no vertices\n")
+        assert not parsed_whole
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            HEADER + b"0\n1\n3\n2\n",
+            JSON_INTS,
+            b'{"k": 2, "h": 1, "encoding": "ints", "cycle": [0, 1, 3, 2], "closed": true}\n',
+        ],
+        ids=["text", "json", "json-spaced"],
+    )
+    @pytest.mark.parametrize("flags", [(), ("--h", "3")])
+    def test_a_pipe_reads_as_a_file(self, data, flags, tmp_path):
+        # A pipe cannot seek, so verify parses it whole; the outcome must be
+        # that of the same bytes in a regular file.
+        target = tmp_path / "doc"
+        target.write_bytes(data)
+        read, write = os.pipe()
+        with os.fdopen(write, "wb") as pipe:
+            pipe.write(data)  # within the pipe's buffer
+        try:
+            piped = verify_outcome(f"/dev/fd/{read}")
+        finally:
+            os.close(read)
+        assert piped == (verify_outcome(target)[0], True)
 
     def test_a_long_bad_path_keeps_a_bounded_report(self, capsys, tmp_path):
         # 10**6 such rows once kept 2,000,000 violations, peaking at 412 MB
@@ -492,6 +535,18 @@ class TestOracle:
         assert lines[1].startswith("nodes_explored: ")
         doc = parse_document("\n".join(lines[2:]) + "\n")
         assert verify_cycle(doc.path, 3).valid
+
+    @pytest.mark.parametrize("fmt", ["tuples", "ints", "json"])
+    def test_witness_is_the_rendered_document(self, fmt, capsys, tmp_path):
+        result = oracle_exists(4, 3)
+        doc = CycleDocument(3, "ints" if fmt == "ints" else "tuples", result.witness)
+        rendered = (render_json if fmt == "json" else render_text)(doc)
+        argv = ["oracle", "--k", "4", "--h", "3", "--witness", "--format", fmt]
+        status = f"exists: true\nnodes_explored: {result.nodes_explored}\n"
+        assert run(capsys, *argv) == (0, status + rendered, "")
+        target = tmp_path / "witness"
+        assert run(capsys, *argv, "--output", str(target)) == (0, status, "")
+        assert target.read_bytes() == rendered.encode()
 
     def test_negative_result_exits_2(self, capsys):
         code, out, _ = run(capsys, "oracle", "--k", "5", "--h", "4")

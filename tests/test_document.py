@@ -503,9 +503,9 @@ def mutated_renderings(draw):
 
 def scalar_parse(text):
     """parse_document through the per-line (or per-row) loop alone."""
-    with mock.patch.object(document, "_fast_text_codes", return_value=None), \
-            mock.patch.object(document, "_fast_json", return_value=None), \
-            mock.patch.object(document, "_fast_json_codes", return_value=None):
+    with mock.patch.object(document, "_lane_codes", return_value=None), \
+            mock.patch.object(document, "_int_rows", return_value=None), \
+            mock.patch.object(document, "_fast_json", return_value=None):
         return parse_document(text)
 
 
@@ -546,6 +546,15 @@ def outcome(parse, text):
 @example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 _\n1 1\n0 1\n")
 @example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 +\n1 1\n0 1\n")
 @example("# k=2 h=1 encoding=tuples closed=true\n0 0\n1 2\n1 1\n0 1\n")
+# JSON ints forms that json.loads of a window reads, on the first row of
+# the second window of small blocks: only ASCII digits and "," pass.
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[0, 1,3,2],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[0,1.0,3,2],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[0,-0,3,2],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[0,true,3,2],"closed":true}\n')
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[0,1e0,3,2],"closed":true}\n')
+# An empty cycle: json.loads of its one window "," reads no rows.
+@example('{"k":2,"h":1,"encoding":"ints","cycle":[],"closed":true}\n')
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,_],[1,1],[0,1]],"closed":true}\n')
 @example('{"k":2,"h":1,"encoding":"tuples","cycle":[[0,0],[1,+],[1,1],[0,1]],"closed":true}\n')
 # At k=7 a row's "," pads it to its lane with one 0, so a "," in a bit
