@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import os
 import stat
 import sys
@@ -160,6 +161,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
+        if not fh.seekable():  # a pipe: hold its bytes once, to read them again
+            fh = io.BytesIO(fh.read())
         verdict = _verify_windows(fh, args.h)
         if verdict is None:
             doc = parse_document(decode_text(fh.read()))
@@ -184,10 +187,10 @@ def _verify_windows(
     into a CycleChecker, or None, with ``fh`` back at its start, for a
     document to be parsed whole.
 
-    A pipe cannot be read twice, and an ``--h`` below 1 is refused only
-    once the whole document has parsed, so both are parsed whole.
+    An ``--h`` below 1 is refused only once the whole document has
+    parsed, so it is parsed whole.
     """
-    if not fh.seekable() or (h_flag is not None and h_flag < 1):
+    if h_flag is not None and h_flag < 1:
         return None
     cycle = read_cycle(fh)
     if cycle is not None:

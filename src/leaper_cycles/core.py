@@ -74,8 +74,3 @@ class VertexPath:
 
     def __len__(self) -> int:
         return len(self.codes)
-
-    def to_tuples(self) -> list[tuple[int, ...]]:
-        """Coordinate rows, leftmost coordinate (bit 0) first."""
-        k = self.k
-        return [tuple((c >> i) & 1 for i in range(k)) for c in self.codes]

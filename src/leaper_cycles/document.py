@@ -192,9 +192,9 @@ def read_cycle(
     them; the body is then read in blocks of about 1 MiB, each cut after
     its last row, so no more than a window of the file and the header
     line are held. Returns ``(k, h, encoding, chunks)`` for a text
-    document whose first byte is ``#``, and for a JSON document that
-    opens as the renderer writes it; None for any other document, which
-    :func:`parse_document` reads whole.
+    document whose first byte is ASCII and neither ``{`` nor whitespace,
+    and for a JSON document that opens as the renderer writes it; None
+    for any other document, which :func:`parse_document` reads whole.
 
     A fault in a text document is raised as a DocumentError with the
     text that ``parse_document`` of the whole decoded file raises. In
@@ -203,13 +203,16 @@ def read_cycle(
     """
     head = fh.read(_HEAD_BYTES)
     blocks = iter(partial(fh.read, _WINDOW_CHARS), b"")
-    if head[:1] == b"#":
+    lead = head[:1].decode("latin-1")
+    # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
+    # so an ASCII byte it keeps opens a text document.
+    if lead != "{" and lead.isascii() and lead.strip():
         end = head.find(b"\n") + 1
         if not end:  # the header runs on past the head, perhaps to the end
             head += fh.readline()
             end = len(head)
         return _text_cycle(head[:end], _windows(chain([head[end:]], blocks), b"\n"))
-    if head[:1] == b"{":
+    if lead == "{":
         # latin-1 keeps byte offsets; a byte outside ASCII fits no row.
         prefix = _JSON_HEAD_RE.match(head.decode("latin-1"))
         if prefix is not None:

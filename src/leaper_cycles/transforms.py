@@ -1,9 +1,12 @@
-"""Path-level rewriting steps used by the cycle construction.
+"""Path-level rewriting steps of the paper's base case and lifting.
 
-All four transforms are total mechanical functions: they never check that
-the input or output is a valid tour (that is the verifier's job), which
-keeps them composable and lets tests exercise the failure cases, e.g.
-complementing odd indices in an odd dimension.
+Production builds cycles from the closed form in ``constructor``; these
+steps serve ``base_cycle`` and ``lift``, the reference the tests compare
+that closed form with. All four transforms are total mechanical
+functions: they never check that the input or output is a valid tour
+(that is the verifier's job), which keeps them composable and lets tests
+exercise the failure cases, e.g. complementing odd indices in an odd
+dimension.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Frozen reference sequences for the golden regression tests.
+"""Frozen reference sequences for the golden regression tests, and the
+helpers that compare paths with them.
 
 Coordinates are written leftmost first. Every sequence below was checked
 by hand against the step rules (unit steps for the change-1 tours, the
@@ -6,13 +7,39 @@ odd-index antipode rule, the append/flip/reverse lift stages) before
 being frozen, so the tests pin the construction bit for bit.
 """
 
-from leaper_cycles.core import VertexPath
+from leaper_cycles.core import VertexPath, check_dimension
+from leaper_cycles.verifier import verify_cycle
 
 
 def path_of(rows):
     """The path whose vertices are these coordinate rows, leftmost at bit 0."""
     codes = tuple(sum(c << i for i, c in enumerate(row)) for row in rows)
     return VertexPath(len(rows[0]), codes)
+
+
+def rows_of(path):
+    """The coordinate rows of ``path``, leftmost (bit 0) first: the inverse of path_of."""
+    k = path.k
+    return [tuple((c >> i) & 1 for i in range(k)) for c in path.codes]
+
+
+def reflect_extend(path):
+    """One reflection round: lift a change-1 tour from dimension k to k+1.
+
+    The input is duplicated with a new rightmost coordinate of 0 and of 1,
+    the 1-copy is reversed, and the two halves are concatenated. Raises
+    ValueError unless the input really is a full change-1 closed tour.
+    """
+    check_dimension(path.k + 1)
+    report = verify_cycle(path, 1)
+    if not report.valid:
+        raise ValueError(
+            f"not a closed change-1 tour of dimension {path.k}: "
+            f"{report.violations[0]}"
+        )
+    top = 1 << path.k
+    mirrored = tuple(c | top for c in reversed(path.codes))
+    return VertexPath(path.k + 1, path.codes + mirrored)
 
 
 DIM2_UNIT_TOUR = [

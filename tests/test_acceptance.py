@@ -12,7 +12,7 @@ from contextlib import contextmanager
 from leaper_cycles.constructor import CycleCertificate, construct, feasibility
 from leaper_cycles.core import VertexPath
 from leaper_cycles.document import CycleDocument, parse_document, render_text
-from leaper_cycles.graycode import gray_tour, reflect_extend
+from leaper_cycles.graycode import gray_tour
 from leaper_cycles.leapers import leaper_by_name, leaper_feasible, leaper_step, min_dimension
 from leaper_cycles.oracle import COUNT_K_MAX, ORACLE_K_MAX, oracle_count, oracle_exists
 from leaper_cycles.transforms import (
@@ -31,6 +31,8 @@ from reference_tours import (
     STAGE_APPEND1,
     STAGE_PREFIX_FLIPPED,
     STAGE_REVERSED,
+    reflect_extend,
+    rows_of,
 )
 
 
@@ -47,21 +49,21 @@ def criterion(number, label):
 def test_criterion_1_golden_reproduction():
     with criterion(1, "golden reproduction of the dimension-5 change-3 build"):
         unit4 = gray_tour(4)
-        assert unit4.to_tuples() == DIM4_UNIT_TOUR
+        assert rows_of(unit4) == DIM4_UNIT_TOUR
 
         step3 = complement_odd_indices(unit4)
-        assert step3.to_tuples() == DIM4_STEP3_TOUR
+        assert rows_of(step3) == DIM4_STEP3_TOUR
 
-        assert append_coordinate(step3, 0).to_tuples() == STAGE_APPEND0
+        assert rows_of(append_coordinate(step3, 0)) == STAGE_APPEND0
         high = append_coordinate(step3, 1)
-        assert high.to_tuples() == STAGE_APPEND1
+        assert rows_of(high) == STAGE_APPEND1
         flipped = flip_prefix_path(high, 2)
-        assert flipped.to_tuples() == STAGE_PREFIX_FLIPPED
-        assert reverse_path(flipped).to_tuples() == STAGE_REVERSED
+        assert rows_of(flipped) == STAGE_PREFIX_FLIPPED
+        assert rows_of(reverse_path(flipped)) == STAGE_REVERSED
 
         cert = construct(5, 3)
         assert isinstance(cert, CycleCertificate)
-        assert cert.path.to_tuples() == DIM5_STEP3_TOUR
+        assert rows_of(cert.path) == DIM5_STEP3_TOUR
         assert (cert.path.codes[-1] ^ cert.path.codes[0]).bit_count() == 3
 
 

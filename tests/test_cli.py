@@ -340,11 +340,15 @@ class TestVerify:
 
 def verify_outcome(path, *flags, whole=False):
     """Exit code, stdout and stderr of ``verify path``, and whether the
-    document was parsed whole; ``whole`` parses it whole in any case."""
+    document was parsed whole; ``whole`` parses it whole in any case, by
+    the per-line loop and ``json.loads`` alone, sharing no row reader
+    with the windowed read."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if whole:
             stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
+            for name in ("_lane_codes", "_int_rows", "_fast_json"):
+                stack.enter_context(mock.patch.object(document, name, return_value=None))
         parsed = stack.enter_context(
             mock.patch.object(cli, "parse_document", wraps=parse_document)
         )
@@ -425,6 +429,10 @@ class TestVerifyWindows:
     @example(JSON_INTS.replace(b"3", b"-0"), 2, 48, ())
     @example(JSON_INTS.replace(b"3", b"true"), 2, 48, ())
     @example(JSON_INTS.replace(b"3", b"1e0"), 2, 48, ())
+    # Text led by an ASCII byte other than "#" streams; a lead that
+    # str.lstrip skips, \x1c among them, does not.
+    @example(b"\x1c" + JSON_INTS, 2, 48, ())
+    @example(b"x" + HEADER + b"0\n1\n3\n2\xff", 2, 48, ())
     def test_windowed_verdict_is_the_whole_document_verdict(self, data, window, head, flags):
         # Exit code, total, kept violations and every error text match
         # verify_cycle(parse_document(text).path, h), however the file is cut.
@@ -465,19 +473,30 @@ class TestVerifyWindows:
         assert outcome == (1, "", "error: line 2: document has no vertices\n")
         assert not parsed_whole
 
+    @pytest.mark.parametrize("lead", [b"x", b"0", b"\x00"])
+    def test_text_led_by_any_ascii_byte_streams(self, lead, tmp_path):
+        # Only "#" once streamed; parse_document reads any text whose first
+        # character is neither "{" nor whitespace as the text form.
+        target = tmp_path / "doc"
+        target.write_bytes(lead + HEADER + b"0\n1\n3\n2\n")
+        outcome, parsed_whole = verify_outcome(target)
+        assert outcome == verify_outcome(target, whole=True)[0]
+        assert outcome[:2] == (1, "") and not parsed_whole
+
     @pytest.mark.parametrize(
-        "data",
+        ("data", "whole"),
         [
-            HEADER + b"0\n1\n3\n2\n",
-            JSON_INTS,
-            b'{"k": 2, "h": 1, "encoding": "ints", "cycle": [0, 1, 3, 2], "closed": true}\n',
+            (HEADER + b"0\n1\n3\n2\n", False),
+            (JSON_INTS, False),
+            (b'{"k": 2, "h": 1, "encoding": "ints", "cycle": [0, 1, 3, 2], "closed": true}\n', True),
         ],
         ids=["text", "json", "json-spaced"],
     )
     @pytest.mark.parametrize("flags", [(), ("--h", "3")])
-    def test_a_pipe_reads_as_a_file(self, data, flags, tmp_path):
-        # A pipe cannot seek, so verify parses it whole; the outcome must be
-        # that of the same bytes in a regular file.
+    def test_a_pipe_reads_as_a_file(self, data, whole, flags, tmp_path):
+        # A pipe cannot seek, so verify holds its bytes once and reads them
+        # as a file: the outcome must be that of the same bytes in a
+        # regular file, and only JSON off the renderer's shape is parsed whole.
         target = tmp_path / "doc"
         target.write_bytes(data)
         read, write = os.pipe()
@@ -487,7 +506,7 @@ class TestVerifyWindows:
             piped = verify_outcome(f"/dev/fd/{read}")
         finally:
             os.close(read)
-        assert piped == (verify_outcome(target)[0], True)
+        assert piped == (verify_outcome(target)[0], whole)
 
     def test_a_long_bad_path_keeps_a_bounded_report(self, capsys, tmp_path):
         # 10**6 such rows once kept 2,000,000 violations, peaking at 412 MB

@@ -18,7 +18,7 @@ from leaper_cycles.core import HARD_MAX_K, MAX_K_ENV, CapacityError, VertexPath
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import verify_cycle
 
-from reference_tours import DIM4_STEP3_TOUR, DIM5_STEP3_TOUR
+from reference_tours import DIM4_STEP3_TOUR, DIM5_STEP3_TOUR, rows_of
 
 
 def cycle_canonical_form(codes):
@@ -70,7 +70,7 @@ class TestBaseCycle:
     def test_change3_base_matches_reference(self):
         cert = base_cycle(3)
         assert cert.path.k == 4
-        assert cert.path.to_tuples() == DIM4_STEP3_TOUR
+        assert rows_of(cert.path) == DIM4_STEP3_TOUR
 
     def test_change5_base_verifies(self):
         cert = base_cycle(5)
@@ -86,11 +86,11 @@ class TestLift:
     def test_lift_of_change3_base_matches_reference(self):
         cert = lift(base_cycle(3))
         assert cert.path.k == 5
-        assert cert.path.to_tuples() == DIM5_STEP3_TOUR
+        assert rows_of(cert.path) == DIM5_STEP3_TOUR
 
     def test_bridge_edge(self):
         cert = lift(base_cycle(3))
-        tuples = cert.path.to_tuples()
+        tuples = rows_of(cert.path)
         assert tuples[15] == (1, 1, 1, 0, 0)
         assert tuples[16] == (0, 0, 1, 0, 1)
         assert (cert.path.codes[15] ^ cert.path.codes[16]).bit_count() == 3
@@ -112,7 +112,7 @@ class TestConstruct:
     def test_golden_change3_dim5(self):
         cert = construct(5, 3)
         assert isinstance(cert, CycleCertificate)
-        assert cert.path.to_tuples() == DIM5_STEP3_TOUR
+        assert rows_of(cert.path) == DIM5_STEP3_TOUR
         assert (cert.path.codes[-1] ^ cert.path.codes[0]).bit_count() == 3
 
     def test_infeasible_returns_verdict(self):
@@ -136,15 +136,32 @@ class TestConstruct:
                 reference = lift(reference)
 
     def test_verifies_once(self, monkeypatch):
-        calls = []
+        # One checker sees every code once and finishes once; the whole
+        # path is not verified again.
+        checkers, fed, finished = [], [], []
 
-        def counting(path, h):
-            calls.append(len(path))
-            return verify_cycle(path, h)
+        class Counting(constructor.CycleChecker):
+            def __init__(self, k, h):
+                checkers.append((k, h))
+                super().__init__(k, h)
 
-        monkeypatch.setattr(constructor, "verify_cycle", counting)
+            def feed(self, codes):
+                fed.append(len(codes))
+                super().feed(codes)
+
+            def finish(self):
+                finished.append(True)
+                return super().finish()
+
+        def never(path, h):
+            raise AssertionError("construct verified the whole path again")
+
+        monkeypatch.setattr(constructor, "CycleChecker", Counting)
+        monkeypatch.setattr(constructor, "verify_cycle", never)
         assert isinstance(construct(10, 3), CycleCertificate)
-        assert calls == [1024]
+        assert checkers == [(10, 3)]
+        assert sum(fed) == 1024
+        assert finished == [True]
 
     def test_deterministic(self):
         assert construct(9, 5).path.codes == construct(9, 5).path.codes

@@ -10,17 +10,17 @@ from leaper_cycles.core import (
     max_k,
 )
 
-from reference_tours import path_of
+from reference_tours import path_of, rows_of
 
 
 class TestVertexPath:
     def test_round_trip_tuples(self):
         rows = [(0, 1, 1), (1, 1, 0)]
         path = path_of(rows)
-        assert path.to_tuples() == rows
+        assert rows_of(path) == rows
 
     def test_leftmost_coordinate_is_bit_zero(self):
-        assert VertexPath(3, (1, 4)).to_tuples() == [(1, 0, 0), (0, 0, 1)]
+        assert rows_of(VertexPath(3, (1, 4))) == [(1, 0, 0), (0, 0, 1)]
 
     def test_rejects_nonpositive_dimension(self):
         with pytest.raises(ValueError):

@@ -23,6 +23,8 @@ from leaper_cycles.document import (
 )
 from leaper_cycles.verifier import verify_cycle
 
+from reference_tours import rows_of
+
 # Inputs that once escaped as a bare ValueError, a RecursionError, or an
 # error that named no line.
 H_ZERO = "# k=2 h=0 encoding=ints closed=true\n0\n1\n3\n2\n"
@@ -430,7 +432,7 @@ def test_rendered_bytes_are_pinned(key):
 @pytest.mark.parametrize("k", range(1, 11))
 def test_table_rows_match_joined_coordinates_for_every_code(k):
     path = VertexPath(k, tuple(range(1 << k)))
-    rows = path.to_tuples()
+    rows = rows_of(path)
     obj = {"k": k, "h": 1, "encoding": "tuples", "cycle": [list(row) for row in rows], "closed": True}
     for blocks in BLOCK_SIZES:
         with blocks():
@@ -446,7 +448,7 @@ def test_wide_rows_match_joined_coordinates(k):
     # dimension must not build a table of 2**(k/2) rows.
     path = VertexPath(k, (0, (1 << k) - 1, (1 << k) // 3, 5))
     text = render_text(CycleDocument(1, "tuples", path))
-    assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in path.to_tuples()]
+    assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows_of(path)]
 
 
 @pytest.mark.parametrize("render", [render_text, render_json])

@@ -1,26 +1,32 @@
 import pytest
 
 from leaper_cycles.core import CapacityError, MAX_K_ENV, VertexPath
-from leaper_cycles.graycode import gray_tour, reflect_extend
+from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import verify_cycle
 
-from reference_tours import DIM2_UNIT_TOUR, DIM3_UNIT_TOUR, DIM4_UNIT_TOUR
+from reference_tours import (
+    DIM2_UNIT_TOUR,
+    DIM3_UNIT_TOUR,
+    DIM4_UNIT_TOUR,
+    reflect_extend,
+    rows_of,
+)
 
 
 def test_dim1_tour():
-    assert gray_tour(1).to_tuples() == [(0,), (1,)]
+    assert rows_of(gray_tour(1)) == [(0,), (1,)]
 
 
 def test_dim2_tour_matches_reference():
-    assert gray_tour(2).to_tuples() == DIM2_UNIT_TOUR
+    assert rows_of(gray_tour(2)) == DIM2_UNIT_TOUR
 
 
 def test_dim3_tour_matches_reference():
-    assert gray_tour(3).to_tuples() == DIM3_UNIT_TOUR
+    assert rows_of(gray_tour(3)) == DIM3_UNIT_TOUR
 
 
 def test_dim4_tour_matches_reference():
-    assert gray_tour(4).to_tuples() == DIM4_UNIT_TOUR
+    assert rows_of(gray_tour(4)) == DIM4_UNIT_TOUR
 
 
 def test_index_formula():
@@ -51,7 +57,7 @@ def test_reflection_matches_index_formula():
 
 
 def test_reflect_extend_base_case():
-    assert reflect_extend(gray_tour(1)).to_tuples() == DIM2_UNIT_TOUR
+    assert rows_of(reflect_extend(gray_tour(1))) == DIM2_UNIT_TOUR
 
 
 def test_reflect_extend_rejects_wrong_length():

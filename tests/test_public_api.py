@@ -9,12 +9,20 @@ REMOVED = {
     "DimensionMismatch",
     "LeaperVerdict",
     "Vertex",
+    "append_coordinate",
+    "base_cycle",
     "complement",
+    "complement_odd_indices",
     "flip_prefix",
+    "flip_prefix_path",
     "gray_code",
+    "gray_tour",
     "hamming",
     "leaper_verdict",
+    "lift",
     "parity",
+    "reflect_extend",
+    "reverse_path",
 }
 
 

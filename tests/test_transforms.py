@@ -19,6 +19,7 @@ from reference_tours import (
     STAGE_PREFIX_FLIPPED,
     STAGE_REVERSED,
     path_of,
+    rows_of,
 )
 
 
@@ -35,11 +36,11 @@ def dim4_step3():
 
 class TestComplementOddIndices:
     def test_golden_dim4(self):
-        assert complement_odd_indices(gray_tour(4)).to_tuples() == DIM4_STEP3_TOUR
+        assert rows_of(complement_odd_indices(gray_tour(4))) == DIM4_STEP3_TOUR
 
     def test_golden_dim2(self):
         out = complement_odd_indices(gray_tour(2))
-        assert out.to_tuples() == [(0, 0), (0, 1), (1, 1), (1, 0)]
+        assert rows_of(out) == [(0, 0), (0, 1), (1, 1), (1, 0)]
         assert verify_cycle(out, 1).valid  # k - 1 = 1
 
     @given(paths())
@@ -66,14 +67,14 @@ class TestComplementOddIndices:
 
 class TestAppendCoordinate:
     def test_golden_stage_append0(self):
-        assert append_coordinate(dim4_step3(), 0).to_tuples() == STAGE_APPEND0
+        assert rows_of(append_coordinate(dim4_step3(), 0)) == STAGE_APPEND0
 
     def test_golden_stage_append1(self):
-        assert append_coordinate(dim4_step3(), 1).to_tuples() == STAGE_APPEND1
+        assert rows_of(append_coordinate(dim4_step3(), 1)) == STAGE_APPEND1
 
     def test_trivial(self):
         path = path_of([(0,), (1,)])
-        assert append_coordinate(path, 0).to_tuples() == [(0, 0), (1, 0)]
+        assert rows_of(append_coordinate(path, 0)) == [(0, 0), (1, 0)]
 
     def test_rejects_non_bit(self):
         with pytest.raises(ValueError):
@@ -103,7 +104,7 @@ class TestAppendCoordinate:
 class TestFlipPrefixPath:
     def test_golden_stage_flip(self):
         stage2 = path_of(STAGE_APPEND1)
-        assert flip_prefix_path(stage2, 2).to_tuples() == STAGE_PREFIX_FLIPPED
+        assert rows_of(flip_prefix_path(stage2, 2)) == STAGE_PREFIX_FLIPPED
 
     def test_zero_is_identity(self):
         path = gray_tour(3)
@@ -132,7 +133,7 @@ class TestFlipPrefixPath:
 class TestReversePath:
     def test_golden_stage_reverse(self):
         stage3 = path_of(STAGE_PREFIX_FLIPPED)
-        assert reverse_path(stage3).to_tuples() == STAGE_REVERSED
+        assert rows_of(reverse_path(stage3)) == STAGE_REVERSED
 
     def test_singleton(self):
         path = VertexPath(3, (5,))
