@@ -160,6 +160,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.h is not None and args.h < 1:
+        raise ValueError(f"step size must be a positive integer, got {args.h}")
     with open(args.input, "rb") as fh:
         if not fh.seekable():  # a pipe: hold its bytes once, to read them again
             fh = io.BytesIO(fh.read())
@@ -185,13 +187,7 @@ def _verify_windows(
 ) -> tuple[int, int, VerifyReport] | None:
     """``(k, h, report)`` for the document in ``fh``, read window by window
     into a CycleChecker, or None, with ``fh`` back at its start, for a
-    document to be parsed whole.
-
-    An ``--h`` below 1 is refused only once the whole document has
-    parsed, so it is parsed whole.
-    """
-    if h_flag is not None and h_flag < 1:
-        return None
+    document to be parsed whole."""
     cycle = read_cycle(fh)
     if cycle is not None:
         k, h, _, chunks = cycle

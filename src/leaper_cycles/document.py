@@ -19,16 +19,18 @@ of codes at a time, and the tail, so it never holds a string per row.
 ``construct`` in the CLI writes the pieces as they come and holds one
 chunk's rows at a time; ``render_text`` and ``render_json`` join them,
 holding the pieces and the joined text together at the end. Parsing
-cuts the body into windows of whole rows and holds at most one window's
-rows at once: :func:`read_cycle` reads them from a file one block at a
-time and yields each window's codes, and :func:`parse_document` collects
-the same windows of a text into one path. A window shaped as the
-renderers write it is read at C speed: ``ints`` rows, text or JSON, of
-ASCII digits and their separators only, by one ``json.loads``, and
-``tuples`` rows, text or JSON, as one base-2 integer of 8-, 16-, 32- or
-64-bit lanes. Any other text window goes through the per-line loop,
-which accepts the same documents and names the line at fault, and any
-other JSON goes to ``json.loads`` whole.
+takes a head of 4 KiB, enough for a JSON header, then blocks of about
+1 MiB, and runs them together into windows of whole lines, a text
+header's line opening the first; :func:`read_cycle` reads the blocks
+from a file and :func:`parse_document` slices them from a text. At most
+one window's rows are held at once: ``read_cycle`` yields each window's
+codes, and ``parse_document`` collects them into one path. A window
+shaped as the renderers write it is read at C speed: ``ints`` rows, text
+or JSON, of ASCII digits and their separators only, by one
+``json.loads``, and ``tuples`` rows, text or JSON, as one base-2 integer
+of 8-, 16-, 32- or 64-bit lanes. Any other text window goes through the
+per-line loop, which accepts the same documents and names the line at
+fault, and any other JSON goes to ``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
@@ -62,8 +63,10 @@ _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
 _BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
-_HEAD_BYTES = 1 << 12  # bytes read_cycle reads first, enough for a JSON header
+_HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
 _Seq = TypeVar("_Seq", str, "tuple[int, ...]")
+# A document's k, h, encoding and code chunks; a chunk of None leaves the fast route.
+_Cycle = tuple[int, int, str, Iterator["tuple[int, ...] | None"]]
 # Row 0's lane comes first in an integer's little-endian bytes, last in big.
 _LANE_STEP = 1 if sys.byteorder == "little" else -1
 
@@ -177,24 +180,24 @@ def parse_document(text: str) -> CycleDocument:
     stripped = text.lstrip()
     if not stripped:
         raise DocumentError("line 1: empty document")
+    blocks = chain([text[:_HEAD_BYTES]], _slices(text, _HEAD_BYTES, _WINDOW_CHARS))
     if stripped[0] == "{":
-        return _parse_json(text)
-    return _parse_text(text)
+        return _collect(_json_cycle(blocks)) or _parse_json(text)
+    return _collect(_text_cycle(_windows(blocks, "\n")))
 
 
-def read_cycle(
-    fh: BinaryIO,
-) -> tuple[int, int, str, Iterator[tuple[int, ...] | None]] | None:
+def read_cycle(fh: BinaryIO) -> _Cycle | None:
     """The header and code chunks of the document in ``fh``, read in windows.
 
-    ``fh`` is a binary file at its start. Its first 4 KiB are read for
-    the header, and the rest of a text header's line if it runs on past
-    them; the body is then read in blocks of about 1 MiB, each cut after
-    its last row, so no more than a window of the file and the header
-    line are held. Returns ``(k, h, encoding, chunks)`` for a text
-    document whose first byte is ASCII and neither ``{`` nor whitespace,
-    and for a JSON document that opens as the renderer writes it; None
-    for any other document, which :func:`parse_document` reads whole.
+    ``fh`` is a binary file at its start. Its first 4 KiB are read, enough
+    for a JSON header, then blocks of about 1 MiB; the blocks run together
+    into windows cut after their last line, so no more than a window of
+    the file is held. A text header's line opens the first window, which
+    reaches at least to that line's end. Returns ``(k, h, encoding,
+    chunks)`` for a text document whose first byte is ASCII and neither
+    ``{`` nor whitespace, and for a JSON document that opens as the
+    renderer writes it; None for any other document, which
+    :func:`parse_document` reads whole.
 
     A fault in a text document is raised as a DocumentError with the
     text that ``parse_document`` of the whole decoded file raises. In
@@ -202,31 +205,36 @@ def read_cycle(
     renderer's shape, and the file is to be parsed whole instead.
     """
     head = fh.read(_HEAD_BYTES)
-    blocks = iter(partial(fh.read, _WINDOW_CHARS), b"")
+    blocks = chain([head], iter(partial(fh.read, _WINDOW_CHARS), b""))
     lead = head[:1].decode("latin-1")
     # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
     # so an ASCII byte it keeps opens a text document.
     if lead != "{" and lead.isascii() and lead.strip():
-        end = head.find(b"\n") + 1
-        if not end:  # the header runs on past the head, perhaps to the end
-            head += fh.readline()
-            end = len(head)
-        return _text_cycle(head[:end], _windows(chain([head[end:]], blocks), b"\n"))
+        return _text_cycle(_windows(blocks, b"\n"))
     if lead == "{":
         # latin-1 keeps byte offsets; a byte outside ASCII fits no row.
-        prefix = _JSON_HEAD_RE.match(head.decode("latin-1"))
-        if prefix is not None:
-            body = chain([head[prefix.end():]], blocks)
-            return _json_cycle(prefix, (block.decode("latin-1") for block in body))
+        return _json_cycle(block.decode("latin-1") for block in blocks)
     return None
 
 
-def _parse_text(text: str) -> CycleDocument:
-    """The text form: its windows' codes collected into one path."""
-    end = text.find("\n") + 1 or len(text)
-    windows = _windows(_slices(text, end, _WINDOW_CHARS), "\n")
-    k, h, encoding, chunks = _text_cycle(text[:end], windows)
-    return CycleDocument(h, encoding, VertexPath(k, tuple(chain.from_iterable(chunks))))
+def _collect(cycle: _Cycle | None) -> CycleDocument | None:
+    """The document of a header and its code chunks, joined one by one into
+    a path, or None if ``cycle`` or one of its chunks is None."""
+    if cycle is None:
+        return None
+    k, h, encoding, chunks = cycle
+    cut = False
+
+    def parts() -> Iterator[tuple[int, ...]]:
+        nonlocal cut
+        for codes in chunks:
+            if codes is None:
+                cut = True
+                return
+            yield codes
+
+    codes = tuple(chain.from_iterable(parts()))
+    return None if cut else CycleDocument(h, encoding, VertexPath(k, codes))
 
 
 def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
@@ -237,51 +245,33 @@ def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
 def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
     """The blocks run together and cut after the last ``sep`` of each, so
     every window but the last ends with ``sep``; a block without one is
-    carried into the next window."""
+    carried into the next window. A window is not held beside its pieces."""
     carried: list[AnyStr] = []
     for block in blocks:
         cut = block.rfind(sep) + 1
         if cut:
             carried.append(block[:cut])
-            yield sep[:0].join(carried)
-            carried = [block[cut:]]
+            window, carried = sep[:0].join(carried), [block[cut:]]
+            yield window
         else:
             carried.append(block)
-    last = sep[:0].join(carried)
-    if last:
-        yield last
+    window, carried = sep[:0].join(carried), []
+    if window:
+        yield window
 
 
-def _text_cycle(
-    first: AnyStr, windows: Iterable[AnyStr]
-) -> tuple[int, int, str, Iterator[tuple[int, ...]]]:
-    """The header and code chunks of a text document, from its first line
-    and the windows of whole lines that follow it.
-
-    A header at fault is raised only after :func:`_text_chunks` has
-    scanned the body for a fault named before it.
-    """
-    header = decode_text(first)
-    k, h, encoding = 0, 0, ""
-    try:
-        _check_whitespace(header)
-    except DocumentError as exc:
-        fault, spaced = exc, True
-    else:
-        fault, spaced = None, False
-        try:
-            k, h, encoding = _text_header(header)
-        except DocumentError as exc:
-            fault = exc
-    chunks = _text_chunks(windows, k, encoding, fault, spaced)
-    if fault is not None:
-        deque(chunks, maxlen=0)  # raises the fault, or one the body names first
+def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[tuple[int, ...]]]:
+    """The header and code chunks of a text document from its windows of
+    whole lines. A header at fault is raised only once :func:`_text_chunks`
+    has scanned the body for a fault named before it."""
+    chunks = _text_chunks(windows)
+    k, h, encoding = next(chunks)  # raises the fault, or one the body names first
     return k, h, encoding, chunks
 
 
-def _text_header(line: str) -> tuple[int, int, str]:
-    """The dimension, step size and encoding named by a header line."""
-    header = _HEADER_RE.match(line)
+def _text_header(text: str, end: int) -> tuple[int, int, str]:
+    """The dimension, step size and encoding named by the header line ``text[:end]``."""
+    header = _HEADER_RE.match(text, 0, end)  # no copy of a long line
     if header is None:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
@@ -293,23 +283,19 @@ def _text_header(line: str) -> tuple[int, int, str]:
     return k, h, encoding
 
 
-def _text_chunks(
-    windows: Iterable[AnyStr],
-    k: int,
-    encoding: str,
-    fault: DocumentError | None,
-    spaced: bool,
-) -> Iterator[tuple[int, ...]]:
-    """The codes of each window of a text body, whose first line is line 2.
+def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[tuple]:
+    """The header's ``(k, h, encoding)``, then the codes of each window of
+    a text document, the first window's after its first line.
 
     The fault raised is the one a parse of the whole decoded text names:
-    the first byte that is not UTF-8, else the first stray whitespace
-    (``spaced`` once one is found), else ``fault``, a header at fault,
-    else the first row at fault. So once a window holds a fault, the
-    windows after it are only decoded and, until stray whitespace turns
-    up, checked for it; the fault is raised at the end.
+    the first byte that is not UTF-8, else the first stray whitespace,
+    else a header at fault, else the first row at fault. So once a window
+    holds a fault, the windows after it are only decoded and, until stray
+    whitespace turns up, checked for it; the fault is raised at the end.
     """
-    lineno = 2
+    fault: DocumentError | None = None
+    spaced = False
+    lineno = 1
     empty = True
     for window in windows:
         text = decode_text(window, lineno)
@@ -318,7 +304,17 @@ def _text_chunks(
                 _check_whitespace(text, lineno)
             except DocumentError as exc:
                 fault, spaced = exc, True
-        if fault is None:
+        if lineno == 1:  # the header's line opens the first window
+            end = text.find("\n") + 1 or len(text)
+            if fault is None:
+                try:
+                    k, h, encoding = _text_header(text, end)
+                except DocumentError as exc:
+                    fault = exc
+                else:
+                    yield k, h, encoding
+            text, lineno = text[end:], 2
+        if fault is None and text:
             try:
                 codes = _window_codes(text, lineno, k, encoding)
             except DocumentError as exc:
@@ -462,10 +458,7 @@ def _check_whitespace(text: str, lineno: int = 1) -> None:
 
 
 def _parse_json(text: str) -> CycleDocument:
-    """The JSON form."""
-    doc = _fast_json(text)
-    if doc is not None:
-        return doc
+    """The JSON form, read by ``json.loads``, which names the fault."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -492,32 +485,19 @@ def _parse_json(text: str) -> CycleDocument:
     return CycleDocument(h, encoding, VertexPath(k, _json_codes(cycle, k, encoding)))
 
 
-def _fast_json(text: str) -> CycleDocument | None:
-    """A document in exactly the JSON text ``render_json`` writes: its
-    windows' codes collected into one path. Any other text returns None
-    and goes to ``json.loads``, which names the fault."""
-    prefix = _JSON_HEAD_RE.match(text)
-    cycle = prefix and _json_cycle(prefix, _slices(text, prefix.end(), _WINDOW_CHARS))
-    if cycle is None:
-        return None
-    k, h, encoding, chunks = cycle
-    parts = []
-    for codes in chunks:
-        if codes is None:
-            return None
-        parts.append(codes)
-    return CycleDocument(h, encoding, VertexPath(k, tuple(chain.from_iterable(parts))))
-
-
-def _json_cycle(
-    prefix: re.Match[str], blocks: Iterable[str]
-) -> tuple[int, int, str, Iterator[tuple[int, ...] | None]] | None:
-    """The header and code chunks of a JSON document that opens with
-    ``prefix``, from the blocks of text that follow it, or None.
+def _json_cycle(blocks: Iterable[str]) -> _Cycle | None:
+    """The header and code chunks of a JSON document from its blocks of
+    text, or None if the first block does not open as ``render_json``
+    writes the text up to the first row.
 
     The header fields are checked first, the ceiling before any work on
     the rows; a refusal returns None, so ``json.loads`` names the fault.
     """
+    blocks = iter(blocks)
+    first = next(blocks, "")
+    prefix = _JSON_HEAD_RE.match(first)
+    if prefix is None:
+        return None
     k_digits, h_digits, encoding, nested = prefix.groups()
     if (encoding == "tuples") != bool(nested):
         return None
@@ -526,7 +506,7 @@ def _json_cycle(
         _check_header(k, h, encoding)
     except ValueError:  # too many digits, or a refusal
         return None
-    return k, h, encoding, _json_chunks(blocks, k, encoding)
+    return k, h, encoding, _json_chunks(chain([first[prefix.end():]], blocks), k, encoding)
 
 
 def _json_chunks(
@@ -565,11 +545,7 @@ def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
 
 
 def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:
-    """The codes of any accepted cycle, or the index at fault: an ``ints``
-    cycle whose rows pass one type and sign scan at once, any other by the
-    per-row loop."""
-    if encoding == "ints" and set(map(type, cycle)) == {int} and min(cycle) >= 0:
-        return tuple(cycle)
+    """The codes of any accepted cycle, or the index at fault."""
     codes: list[int] = []
     for i, item in enumerate(cycle):
         if encoding == "tuples":

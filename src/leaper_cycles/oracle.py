@@ -50,11 +50,7 @@ def oracle_exists(k: int, h: int) -> OracleResult:
     ``witness`` is the cycle found, present whenever ``exists`` is true.
     """
     _check_args(k, h, ORACLE_K_MAX, "existence search")
-    masks = _flip_masks(k, h)
-    if len(masks) < 2 or not _connected(k, masks):
-        return OracleResult(False, None, 0, None)
-    found, nodes, wit = _dfs(k, h, masks, count_mode=False, prefix=(0, masks[0]))
-    witness = VertexPath(k, tuple(wit)) if wit is not None else None
+    found, nodes, witness = _search(k, h, count_mode=False)
     return OracleResult(bool(found), None, nodes, witness)
 
 
@@ -68,13 +64,19 @@ def oracle_count(k: int, h: int) -> OracleResult:
     witness, present whenever ``exists`` is true, is the first cycle found.
     """
     _check_args(k, h, COUNT_K_MAX, "cycle counting")
+    count, nodes, witness = _search(k, h, count_mode=True)
+    return OracleResult(count > 0, count, nodes, witness)
+
+
+def _search(k: int, h: int, *, count_mode: bool) -> tuple[int, int, VertexPath | None]:
+    """The prechecks, then the search of the smallest flip mask's branch:
+    (1 if a cycle exists or the undirected count, nodes, first cycle)."""
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
-        return OracleResult(False, 0, 0, None)
-    directed, nodes, wit = _dfs(k, h, masks, count_mode=True, prefix=(0, masks[0]))
-    count = len(masks) * directed // 2
-    witness = VertexPath(k, tuple(wit)) if wit is not None else None
-    return OracleResult(count > 0, count, nodes, witness)
+        return 0, 0, None
+    found, nodes, wit = _dfs(k, h, masks, count_mode=count_mode, prefix=(0, masks[0]))
+    count = len(masks) * found // 2 if count_mode else found
+    return count, nodes, VertexPath(k, tuple(wit)) if wit is not None else None
 
 
 def _check_args(k: int, h: int, cap: int, what: str) -> None:
@@ -87,11 +89,7 @@ def _check_args(k: int, h: int, cap: int, what: str) -> None:
 
 def _flip_masks(k: int, h: int) -> list[int]:
     """All h-bit flip masks of width k, in ascending numeric order."""
-    if h > k:
-        return []
-    masks = [sum(1 << p for p in pos) for pos in combinations(range(k), h)]
-    masks.sort()
-    return masks
+    return sorted(sum(1 << p for p in pos) for pos in combinations(range(k), h))
 
 
 def _connected(k: int, masks: list[int]) -> bool:

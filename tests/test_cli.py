@@ -20,6 +20,7 @@ from leaper_cycles.core import MAX_K_ENV, VertexPath
 from leaper_cycles.document import (
     ENCODINGS,
     CycleDocument,
+    DocumentError,
     parse_document,
     render_json,
     render_text,
@@ -347,7 +348,7 @@ def verify_outcome(path, *flags, whole=False):
     with contextlib.ExitStack() as stack:
         if whole:
             stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
-            for name in ("_lane_codes", "_int_rows", "_fast_json"):
+            for name in ("_lane_codes", "_int_rows", "_json_cycle"):
                 stack.enter_context(mock.patch.object(document, name, return_value=None))
         parsed = stack.enter_context(
             mock.patch.object(cli, "parse_document", wraps=parse_document)
@@ -466,12 +467,31 @@ class TestVerifyWindows:
         outcome, parsed_whole = verify_outcome(target)
         assert outcome == (0, "valid: change-1 cycle on 4 vertices in dimension 2\n", "")
         assert not parsed_whole
+        # parse_document reads the same stream of head and blocks from a text.
+        doc = parse_document(target.read_text())
+        assert (doc.path.codes, verify_cycle(doc.path, doc.h).valid) == ((0, 1, 3, 2), True)
         # A header line that runs on to the end of the file, with no LF.
         target.write_bytes(header.rstrip(b"\n"))
         outcome, parsed_whole = verify_outcome(target)
         assert outcome == verify_outcome(target, whole=True)[0]
         assert outcome == (1, "", "error: line 2: document has no vertices\n")
         assert not parsed_whole
+        with pytest.raises(DocumentError, match="^line 2: document has no vertices$"):
+            parse_document(target.read_text())
+
+    @pytest.mark.parametrize("h", ["0", "-3"])
+    @pytest.mark.parametrize("rows", [b"0\n1\n3\n2\n", b"0\nx\n3\n2\n"], ids=["valid", "bad-row"])
+    def test_a_step_size_below_1_is_refused_before_reading(self, h, rows, capsys, tmp_path, monkeypatch):
+        # Such a flag once sent the whole file to be parsed, only to be
+        # refused after it, and a document at fault was refused for its fault.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 2)
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + rows)
+        refuse = mock.Mock(side_effect=AssertionError("the document was read"))
+        with mock.patch.multiple(cli, read_cycle=refuse, parse_document=refuse):
+            outcome = run(capsys, "verify", str(target), "--h", h)
+        assert outcome == (1, "", f"error: step size must be a positive integer, got {h}\n")
+        assert not refuse.called
 
     @pytest.mark.parametrize("lead", [b"x", b"0", b"\x00"])
     def test_text_led_by_any_ascii_byte_streams(self, lead, tmp_path):

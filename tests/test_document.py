@@ -507,7 +507,7 @@ def scalar_parse(text):
     """parse_document through the per-line (or per-row) loop alone."""
     with mock.patch.object(document, "_lane_codes", return_value=None), \
             mock.patch.object(document, "_int_rows", return_value=None), \
-            mock.patch.object(document, "_fast_json", return_value=None):
+            mock.patch.object(document, "_json_cycle", return_value=None):
         return parse_document(text)
 
 
