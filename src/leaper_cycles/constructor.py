@@ -2,9 +2,10 @@
 
 A closed tour whose every step flips exactly h of the k coordinates exists
 iff h is odd and 1 <= h <= k-1 (and k >= 2). :func:`construct_chunks`
-builds it from a closed form a chunk of codes at a time and checks each
-chunk as it passes, so a caller that writes the chunks out never holds the
-whole path; :func:`construct` joins the checked chunks into one path. The
+builds it from a closed form a chunk of codes at a time, each an ``array``
+of unsigned lanes, and checks each chunk as it passes, so a caller that
+writes the chunks out never holds the whole path; :func:`construct` joins
+the checked chunks into one path of Python ints. The
 paper's base case (the change-1 tour of {0,1}^(h+1) with every odd-index
 vertex complemented) plus lifting (one dimension per lift) is no production
 route: it is the reference the tests compare with, and it stays here, with
@@ -13,12 +14,14 @@ the transforms it calls, while the bench's tracer wraps these names.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .core import VertexPath, check_dimension
+from .core import VertexPath, check_dimension, lane_typecode
 from .graycode import gray_tour
 from .transforms import (
     append_coordinate,
@@ -138,16 +141,15 @@ def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
     return CycleCertificate(h=h, path=VertexPath(k, tuple(chain.from_iterable(chunks))))
 
 
-def construct_chunks(
-    k: int, h: int
-) -> Iterator[tuple[int, ...]] | FeasibilityVerdict:
+def construct_chunks(k: int, h: int) -> Iterator[array] | FeasibilityVerdict:
     """The codes of the change-h cycle of {0,1}^k in chunks, or the verdict.
 
-    The ceiling and feasibility are checked before this returns. Each
-    chunk is fed to a :class:`CycleChecker` before it is yielded, and the
-    iterator raises RuntimeError after the last chunk if the whole path
-    fails the check, so a caller writing the chunks out commits nothing
-    until the iterator is exhausted.
+    A chunk is an ``array`` of the lanes :func:`~.core.lane_typecode`
+    names for ``k``. The ceiling and feasibility are checked before this
+    returns. Each chunk is fed to a :class:`CycleChecker` before it is
+    yielded, and the iterator raises RuntimeError after the last chunk if
+    the whole path fails the check, so a caller writing the chunks out
+    commits nothing until the iterator is exhausted.
     """
     check_dimension(k)
     verdict = feasibility(k, h)
@@ -156,7 +158,7 @@ def construct_chunks(
     return _checked_chunks(k, h)
 
 
-def _checked_chunks(k: int, h: int) -> Iterator[tuple[int, ...]]:
+def _checked_chunks(k: int, h: int) -> Iterator[array]:
     checker = CycleChecker(k, h)
     for chunk in _code_chunks(k, h):
         checker.feed(chunk)
@@ -166,21 +168,32 @@ def _checked_chunks(k: int, h: int) -> Iterator[tuple[int, ...]]:
         raise _bug(k, h, report)
 
 
-def _code_chunks(k: int, h: int) -> Iterator[tuple[int, ...]]:
+def _code_chunks(k: int, h: int) -> Iterator[array]:
     """The codes of the change-h cycle of {0,1}^k, at most _CHUNK_CODES at a time.
 
     :func:`_code` is GF(2)-linear in the index, so the first chunk is
     built by doubling, codes ``[2**i, 2**(i+1))`` being ``_code(h, 2**i)``
     xor'ed onto codes ``[0, 2**i)``, and the chunk starting at index j is
-    the first chunk with ``_code(h, j)`` xor'ed onto every code.
+    the first chunk with ``_code(h, j)`` xor'ed onto every code. The first
+    chunk is packed once into one integer, ``first``, of one lane per code;
+    ``one`` has 1 in every lane, so ``_code(h, j) * one`` repeats the code
+    in every lane without a carry, and one xor makes the chunk's lanes.
     """
     size = min(1 << k, _CHUNK_CODES)
-    first = [0]
-    while len(first) < size:
+    codes = [0]
+    while len(codes) < size:
         # islice reads only the codes already there as the list grows.
-        first.extend(map(_code(h, len(first)).__xor__, islice(first, len(first))))
+        codes.extend(map(_code(h, len(codes)).__xor__, islice(codes, len(codes))))
+    typecode = lane_typecode(k)
+    lanes = array(typecode, codes)
+    del codes
+    width = lanes.itemsize
+    # xor works lane by lane, so the bytes need only come back in the order
+    # they were read in.
+    first = int.from_bytes(lanes, sys.byteorder)
+    one = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
     for start in range(0, 1 << k, size):
-        yield tuple(map(_code(h, start).__xor__, first))
+        yield array(typecode, (first ^ _code(h, start) * one).to_bytes(size * width, sys.byteorder))
 
 
 def _code(h: int, j: int) -> int:

@@ -6,11 +6,14 @@ reads left to right from the low end of the word, and the change-1 tour of
 {0,1}^k produced by :func:`leaper_cycles.graycode.gray_tour` is exactly the
 sequence ``j ^ (j >> 1)``. All distances are squared-Euclidean, i.e. plain
 coordinate-flip counts; nothing in the library touches floating point.
+The constructor hands its chunks of codes to the verifier as ``array``s
+of the unsigned lanes :func:`lane_typecode` names.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass
 
 DEFAULT_MAX_K = 28
@@ -53,6 +56,12 @@ def check_dimension(k: int) -> None:
             f"dimension {k} exceeds the ceiling {ceiling}; raise {MAX_K_ENV} "
             f"(hard limit {HARD_MAX_K}) to go higher"
         )
+
+
+def lane_typecode(k: int) -> str:
+    """The ``array`` typecode, ``'I'`` or else ``'Q'``, of the narrowest of
+    the two unsigned lanes that holds a k-bit code, chosen by itemsize."""
+    return "I" if array("I").itemsize * 8 >= k else "Q"
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
 
 Rendering yields the text in pieces: the header, the rows of one chunk
-of codes at a time, and the tail, so it never holds a string per row.
+of codes at a time, and the tail, so it never holds a string per row;
+a chunk's ``ints`` rows are one ``%`` format of a ``%d`` per code.
 ``construct`` in the CLI writes the pieces as they come and holds one
 chunk's rows at a time; ``render_text`` and ``render_json`` join them,
 holding the pieces and the joined text together at the end. Parsing
@@ -121,13 +122,15 @@ def render_pieces(
         yield f"# k={k} h={h} encoding={encoding} closed=true\n"
         sep = tail = "\n"
     if encoding == "ints":
-        rows: Callable[[Sequence[int]], Iterable[str]] = partial(map, str)
+        rows = _int_rows_joined(sep)
+    elif as_json:
+        rows = _tuple_rows_joined(k, sep, ",", "[", "]")
     else:
-        rows = _tuple_rows(k, ",", "[", "]") if as_json else _tuple_rows(k, " ")
+        rows = _tuple_rows_joined(k, sep, " ")
     for i, chunk in enumerate(chunks):
         if i:
             yield sep
-        yield sep.join(rows(chunk))
+        yield rows(chunk)
     yield tail
 
 
@@ -141,10 +144,28 @@ def _check_codes(path: VertexPath) -> None:
         raise ValueError(f"code at index {index} is {code}, outside [0, 2**{k})")
 
 
-def _tuple_rows(
-    k: int, sep: str, left: str = "", right: str = ""
-) -> Callable[[Sequence[int]], Iterator[str]]:
-    """The rows of codes: each code's coordinates, leftmost first, joined by ``sep``.
+def _int_rows_joined(row_sep: str) -> Callable[[Sequence[int]], str]:
+    """The rows of codes, each its decimal digits, joined by ``row_sep``.
+
+    A chunk of L codes is one ``%`` format of L ``%d`` fields, the format
+    built once per chunk length.
+    """
+    formats: dict[int, str] = {}
+
+    def rows(codes: Sequence[int]) -> str:
+        fmt = formats.get(len(codes))
+        if fmt is None:
+            fmt = formats[len(codes)] = row_sep.join(["%d"] * len(codes))
+        return fmt % tuple(codes)
+
+    return rows
+
+
+def _tuple_rows_joined(
+    k: int, row_sep: str, sep: str, left: str = "", right: str = ""
+) -> Callable[[Sequence[int]], str]:
+    """The rows of codes, joined by ``row_sep``: each code's coordinates,
+    leftmost first, joined by ``sep``.
 
     The coordinates split into pieces of at most 11 (two halves up to
     k = 22), and a row joins one entry per piece from a table of that
@@ -159,10 +180,10 @@ def _tuple_rows(
         table = [prefix + row + suffix for row in _coordinate_rows(hi - lo, sep)]
         columns.append((table.__getitem__, ((1 << (hi - lo)) - 1).__and__, lo.__rrshift__))
 
-    def rows(codes: Sequence[int]) -> Iterator[str]:
-        return map("".join, zip(*(
+    def rows(codes: Sequence[int]) -> str:
+        return row_sep.join(map("".join, zip(*(
             map(entry, map(mask, map(shift, codes))) for entry, mask, shift in columns
-        )))
+        ))))
 
     return rows
 

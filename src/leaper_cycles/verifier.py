@@ -8,10 +8,14 @@ certify its own output.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import islice
 
-from .core import VertexPath
+from .core import VertexPath, lane_typecode
 
 WRONG_LENGTH = "WrongLength"
 DUPLICATE_VERTEX = "DuplicateVertex"
@@ -20,6 +24,7 @@ OPEN_ENDPOINTS = "OpenEndpoints"
 DIMENSION_OVERFLOW = "DimensionOverflow"
 
 _KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
+_PACKED_LANES = 1 << 12  # codes the packed test takes at once
 
 
 @dataclass(frozen=True)
@@ -70,13 +75,23 @@ class CycleChecker:
     rest, so however the path is split, :meth:`finish` reports what
     ``verify_cycle`` reports for the whole: the length, then repeated and
     out-of-range vertices by index, then the steps, then the closing edge.
+
+    A chunk that is an ``array`` of the lanes :func:`~.core.lane_typecode`
+    names for ``k``, or a tuple or list, has its range and steps tested
+    by :func:`_packed_chunk_passes` on the integer of each piece of up to
+    _PACKED_LANES lanes, so the test's integers stay small whatever the
+    chunk's size. A chunk that passes only has its vertices marked
+    present. Any other chunk, one holding a code that does not fit a lane
+    included, is checked code by code, naming each fault.
     """
 
     def __init__(self, k: int, h: int) -> None:
         if h < 1:
             raise ValueError(f"step size must be a positive integer, got {h}")
+        self._k = k
         self._h = h
         self._n = 1 << k
+        self._typecode = lane_typecode(k)
         # Presence table of one byte per vertex bounds duplicate detection
         # at O(2**k) time and 2**k bytes.
         self._seen = bytearray(self._n)
@@ -90,23 +105,14 @@ class CycleChecker:
         """Check the next ``codes`` of the path."""
         if not codes:
             return
-        n, h, seen, base = self._n, self._h, self._seen, self._count
-        keep, presence, steps = self._keep, self._presence, self._steps
-        for i, c in enumerate(codes, base):
-            if not 0 <= c < n:
-                keep(presence, DIMENSION_OVERFLOW, i)
-            elif seen[c]:
-                keep(presence, DUPLICATE_VERTEX, i)
-            else:
-                seen[c] = 1
-
+        base = self._count
+        if self._packed_passes(codes):
+            self._mark(codes)
+        else:
+            self._scan(codes, 0)
+            self._scan_steps(codes)
         if not base:
             self._first = codes[0]
-        elif (self._last ^ codes[0]).bit_count() != h:
-            keep(steps, WRONG_STEP, (base - 1, base))
-        for i in range(len(codes) - 1):
-            if (codes[i] ^ codes[i + 1]).bit_count() != h:
-                keep(steps, WRONG_STEP, (base + i, base + i + 1))
         self._last = codes[-1]
         self._count = base + len(codes)
 
@@ -126,8 +132,116 @@ class CycleChecker:
             total=len(violations) + self._dropped,
         )
 
+    def _packed_passes(self, codes: Sequence[int]) -> bool:
+        """Whether ``codes``, an array of this checker's lanes or a tuple
+        or list, pass :func:`_packed_chunk_passes`, taken _PACKED_LANES
+        codes at a time as arrays of little-endian lanes. Any other
+        sequence, or a code that does not fit a lane, fails."""
+        typecode = self._typecode
+        if not (
+            isinstance(codes, (tuple, list))
+            or isinstance(codes, array) and codes.typecode == typecode
+        ):
+            return False
+        lead = self._last if self._count else None
+        for start in range(0, len(codes), _PACKED_LANES):
+            lanes = codes[start:start + _PACKED_LANES]  # a copy, free to byteswap
+            if not isinstance(lanes, array):
+                try:
+                    lanes = array(typecode, lanes)
+                except (OverflowError, TypeError):  # negative, too wide, or no int
+                    return False
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            if not _packed_chunk_passes(
+                int.from_bytes(lanes, "little"), lead, lanes.itemsize, len(lanes), self._k, self._h
+            ):
+                return False
+            lead = codes[start + len(lanes) - 1]
+        return True
+
+    def _mark(self, codes: Sequence[int]) -> None:
+        """Mark ``codes``, each inside the dimension, present, and hand the
+        codes from the first one already present on to :meth:`_scan`."""
+        seen = self._seen
+        rest = iter(codes)
+        for c in rest:
+            if seen[c]:
+                self._scan(codes, len(codes) - 1 - sum(1 for _ in rest))
+                return
+            seen[c] = 1
+
+    def _scan(self, codes: Sequence[int], start: int) -> None:
+        """Mark ``codes[start:]`` present, naming each one repeated or
+        outside the dimension."""
+        n, seen, keep, presence = self._n, self._seen, self._keep, self._presence
+        for i, c in enumerate(islice(codes, start, None), self._count + start):
+            if not 0 <= c < n:
+                keep(presence, DIMENSION_OVERFLOW, i)
+            elif seen[c]:
+                keep(presence, DUPLICATE_VERTEX, i)
+            else:
+                seen[c] = 1
+
+    def _scan_steps(self, codes: Sequence[int]) -> None:
+        """Name each step into ``codes`` that does not flip h coordinates."""
+        h, base, keep, steps = self._h, self._count, self._keep, self._steps
+        if base and (self._last ^ codes[0]).bit_count() != h:
+            keep(steps, WRONG_STEP, (base - 1, base))
+        for i in range(len(codes) - 1):
+            if (codes[i] ^ codes[i + 1]).bit_count() != h:
+                keep(steps, WRONG_STEP, (base + i, base + i + 1))
+
     def _keep(self, kept: list[Violation], kind: str, where: int | tuple[int, int]) -> None:
         if len(kept) < _KEPT_VIOLATIONS:
             kept.append(Violation(kind, where))
         else:
             self._dropped += 1
+
+
+def _packed_chunk_passes(
+    packed: int, lead: int | None, itemsize: int, lanes: int, k: int, h: int
+) -> bool:
+    """Whether every one of the ``lanes`` codes in ``packed`` lies in
+    [0, 2**k) and flips exactly h coordinates from the code before it.
+
+    Lane ``i`` of ``packed``, its ``8 * itemsize`` bits from bit ``8 *
+    itemsize * i`` on, holds code ``i``, and ``8 * itemsize >= k``.
+    ``lead`` is the code before code 0, or None if code 0 opens the path
+    and no step leads into it. An h above the lane width fails every
+    chunk, a lone first code included, and leaves it to the caller's
+    code-by-code check. Both tests are branch-free on the whole integer:
+    the range test is one mask, and the step test xors each lane with the
+    lane before it, then counts the bits of every lane at once, adding bit
+    pairs, then nibbles, then bytes, and folding the bytes of a lane into
+    its lowest one.
+    """
+    bits = 8 * itemsize
+    if not 0 < h <= bits:  # no step between lanes flips h coordinates
+        return False
+    if lead is None:
+        lead = packed & ((1 << bits) - 1) ^ ((1 << h) - 1)
+    elif not 0 <= lead < 1 << bits:
+        return False
+    one, pairs, nibbles, octets = _lane_masks(itemsize, lanes)
+    if packed & ((1 << bits) - (1 << k)) * one:
+        return False
+    # Lane i of the xor holds code i ^ code i-1; the masks drop the lane
+    # above the last.
+    x = packed ^ (packed << bits | lead)
+    x = (x & pairs) + (x >> 1 & pairs)
+    x = (x & nibbles) + (x >> 2 & nibbles)
+    x = (x & octets) + (x >> 4 & octets)
+    for shift in (8, 16, 32)[:itemsize.bit_length() - 1]:
+        x += x >> shift
+    return x & 0xFF * one == h * one
+
+
+@lru_cache(maxsize=2)
+def _lane_masks(itemsize: int, lanes: int) -> tuple[int, int, int, int]:
+    """1 in each of ``lanes`` lanes of ``itemsize`` bytes, and 0x55, 0x33
+    and 0x0f in each of their bytes; cached for _PACKED_LANES lanes and
+    the last piece of a chunk."""
+    every_byte = int.from_bytes(b"\1" * (itemsize * lanes), "little")
+    one = int.from_bytes((b"\1" + bytes(itemsize - 1)) * lanes, "little")
+    return one, 0x55 * every_byte, 0x33 * every_byte, 0x0F * every_byte

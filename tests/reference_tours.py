@@ -8,7 +8,18 @@ being frozen, so the tests pin the construction bit for bit.
 """
 
 from leaper_cycles.core import VertexPath, check_dimension
-from leaper_cycles.verifier import verify_cycle
+from leaper_cycles.verifier import (
+    DIMENSION_OVERFLOW,
+    DUPLICATE_VERTEX,
+    OPEN_ENDPOINTS,
+    WRONG_LENGTH,
+    WRONG_STEP,
+    Violation,
+    VerifyReport,
+    verify_cycle,
+)
+
+KEPT_VIOLATIONS = 1000  # violations a report keeps of each kind of check
 
 
 def path_of(rows):
@@ -40,6 +51,39 @@ def reflect_extend(path):
     top = 1 << path.k
     mirrored = tuple(c | top for c in reversed(path.codes))
     return VertexPath(path.k + 1, path.codes + mirrored)
+
+
+def scalar_report(k, h, codes):
+    """The report on ``codes`` as a change-h cycle of {0,1}^k, one index at a time.
+
+    A second path beside the verifier's chunked, packed checker, sharing
+    only its report types: the length, then repeated and out-of-range
+    vertices by index, then the steps, then the closing edge, keeping the
+    first KEPT_VIOLATIONS of the presence and of the step checks and
+    counting the rest.
+    """
+    seen = set()
+    presence, steps = [], []
+    for i, c in enumerate(codes):
+        if not 0 <= c < 1 << k:
+            presence.append(Violation(DIMENSION_OVERFLOW, i))
+        elif c in seen:
+            presence.append(Violation(DUPLICATE_VERTEX, i))
+        else:
+            seen.add(c)
+    for i in range(len(codes) - 1):
+        if (codes[i] ^ codes[i + 1]).bit_count() != h:
+            steps.append(Violation(WRONG_STEP, (i, i + 1)))
+    length = [] if len(codes) == 1 << k else [Violation(WRONG_LENGTH, len(codes))]
+    closing = [Violation(OPEN_ENDPOINTS, (len(codes) - 1, 0))] if (
+        codes and (codes[-1] ^ codes[0]).bit_count() != h
+    ) else []
+    kept = length + presence[:KEPT_VIOLATIONS] + steps[:KEPT_VIOLATIONS] + closing
+    return VerifyReport(
+        valid=not kept,
+        violations=tuple(kept[:KEPT_VIOLATIONS]),
+        total=len(length) + len(presence) + len(steps) + len(closing),
+    )
 
 
 DIM2_UNIT_TOUR = [

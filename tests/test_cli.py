@@ -26,7 +26,7 @@ from leaper_cycles.document import (
     render_text,
 )
 from leaper_cycles.oracle import oracle_exists
-from leaper_cycles.verifier import verify_cycle
+from leaper_cycles.verifier import CycleChecker, verify_cycle
 
 REPO_SRC = Path(__file__).resolve().parents[1] / "src"
 GOLDEN_DIM5_STEP3 = Path(__file__).resolve().parent / "data" / "dim5_step3.txt"
@@ -286,6 +286,32 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(target))
         assert code == 1
         assert "line 3" in err
+
+    def test_code_wider_than_a_lane_is_a_violation(self, capsys, tmp_path):
+        # 2**40 fits no 32-bit lane; the checker names it as it names any
+        # code outside the dimension, not as an input error.
+        codes = [*construct(4, 1).path.codes[:-1], 1 << 40]
+        target = tmp_path / "wide.txt"
+        target.write_text("# k=4 h=1 encoding=ints closed=true\n" + "".join(f"{c}\n" for c in codes))
+        code, out, err = run(capsys, "verify", str(target))
+        assert (code, err) == (2, "")
+        assert out == (
+            "invalid: 2 violation(s)\nDimensionOverflow at 15\nWrongStep at (14, 15)\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["tuples", "ints", "json"])
+    def test_valid_document_passes_the_packed_check(self, fmt, capsys, tmp_path, monkeypatch):
+        # The parser's chunks of a valid document never reach the
+        # checker's code-by-code loops.
+        def never(*args):
+            raise AssertionError("a valid chunk was checked code by code")
+
+        target = tmp_path / "cycle"
+        assert main(construct_argv(12, 5, fmt, target)) == 0
+        monkeypatch.setattr(CycleChecker, "_scan", never)
+        monkeypatch.setattr(CycleChecker, "_scan_steps", never)
+        code, out, _ = run(capsys, "verify", str(target))
+        assert (code, out) == (0, "valid: change-5 cycle on 4096 vertices in dimension 12\n")
 
     def test_max_k_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", str(GOLDEN_DIM5_STEP3), "--max-k", "4")

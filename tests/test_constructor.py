@@ -1,11 +1,11 @@
 import random
-from itertools import chain
+from itertools import chain, islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leaper_cycles import constructor
+from leaper_cycles import constructor, verifier
 from leaper_cycles.constructor import (
     CycleCertificate,
     Feasibility,
@@ -14,7 +14,7 @@ from leaper_cycles.constructor import (
     feasibility,
     lift,
 )
-from leaper_cycles.core import HARD_MAX_K, MAX_K_ENV, CapacityError, VertexPath
+from leaper_cycles.core import HARD_MAX_K, MAX_K_ENV, CapacityError, VertexPath, lane_typecode
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import verify_cycle
 
@@ -163,6 +163,21 @@ class TestConstruct:
         assert sum(fed) == 1024
         assert finished == [True]
 
+    def test_every_chunk_passes_the_packed_check(self, monkeypatch):
+        # A valid chunk never reaches the code-by-code loops, which are
+        # kept for chunks at fault.
+        def never(*args):
+            raise AssertionError("a constructed chunk was checked code by code")
+
+        monkeypatch.setattr(constructor.CycleChecker, "_scan", never)
+        monkeypatch.setattr(constructor.CycleChecker, "_scan_steps", never)
+        for chunk, piece in ((1 << 3, 3), (1 << 16, 1 << 12)):
+            monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
+            monkeypatch.setattr(verifier, "_PACKED_LANES", piece)
+            for k in range(2, 13):
+                for h in range(1, k, 2):
+                    assert isinstance(construct(k, h), CycleCertificate), (k, h)
+
     def test_deterministic(self):
         assert construct(9, 5).path.codes == construct(9, 5).path.codes
 
@@ -217,8 +232,21 @@ def test_chunks_hold_the_code_of_every_index(chunk, monkeypatch):
     monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
     for k in [*range(2, 13), 16]:
         for h in range(1, k, 2) if k <= 12 else (1, 5, 15):
-            codes = tuple(chain.from_iterable(constructor._code_chunks(k, h)))
+            chunks = list(constructor._code_chunks(k, h))
+            assert {chunk.typecode for chunk in chunks} == {lane_typecode(k)}
+            codes = tuple(chain.from_iterable(chunks))
             assert codes == tuple(constructor._code(h, j) for j in range(1 << k)), (k, h)
+
+
+@pytest.mark.parametrize("k", [32, 33, 63, 64])
+def test_first_chunks_fill_lanes_of_any_width(k, monkeypatch):
+    # Codes past 32 bits need 64-bit lanes; the first chunks stand for all.
+    monkeypatch.setattr(constructor, "_CHUNK_CODES", 1 << 4)
+    for h in (1, 5, k - 1 - k % 2):
+        chunks = list(islice(constructor._code_chunks(k, h), 3))
+        assert all(c.typecode == lane_typecode(k) and 8 * c.itemsize >= k for c in chunks)
+        codes = tuple(chain.from_iterable(chunks))
+        assert codes == tuple(constructor._code(h, j) for j in range(48)), (k, h)
 
 
 def gf2_rank(vectors):

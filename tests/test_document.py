@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tracemalloc
+from array import array
 from unittest import mock
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from leaper_cycles import document
 from leaper_cycles.constructor import construct
-from leaper_cycles.core import MAX_K_ENV, VertexPath
+from leaper_cycles.core import MAX_K_ENV, VertexPath, lane_typecode
 from leaper_cycles.document import (
     ENCODINGS,
     CycleDocument,
@@ -21,6 +22,7 @@ from leaper_cycles.document import (
     render_json,
     render_text,
 )
+from leaper_cycles.oracle import oracle_exists
 from leaper_cycles.verifier import verify_cycle
 
 from reference_tours import rows_of
@@ -449,6 +451,43 @@ def test_wide_rows_match_joined_coordinates(k):
     path = VertexPath(k, (0, (1 << k) - 1, (1 << k) // 3, 5))
     text = render_text(CycleDocument(1, "tuples", path))
     assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows_of(path)]
+
+
+def joined_ints(k, h, codes, as_json):
+    """An ``ints`` document written one ``str`` per row: the reference for
+    rows rendered by one ``%`` format per chunk."""
+    if as_json:
+        head, sep, tail = f'{{"k":{k},"h":{h},"encoding":"ints","cycle":[', ",", '],"closed":true}\n'
+    else:
+        head, sep, tail = f"# k={k} h={h} encoding=ints closed=true\n", "\n", "\n"
+    return head + sep.join(map(str, codes)) + tail
+
+
+def spread_codes(k, count):
+    """``count`` codes of [0, 2**k) of every digit count, 0 and 2**k - 1 included."""
+    return tuple((j * 40503) % (1 << k) for j in range(count - 1)) + ((1 << k) - 1,)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 3, 1 << 16])
+def test_int_rows_match_one_str_per_row(length, as_json):
+    codes = spread_codes(17, length)
+    for chunk in (codes, array(lane_typecode(17), codes)):
+        text = "".join(document.render_pieces(17, 3, "ints", [chunk], as_json=as_json))
+        assert text == joined_ints(17, 3, codes, as_json)
+
+
+@pytest.mark.parametrize("render, as_json", [(render_text, False), (render_json, True)])
+def test_int_rows_match_one_str_per_row_over_an_uneven_last_block(render, as_json):
+    codes = spread_codes(17, (1 << 16) + 3)  # blocks of 2**16 rows, then 3
+    assert render(CycleDocument(3, "ints", VertexPath(17, codes))) == joined_ints(17, 3, codes, as_json)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_int_rows_of_an_oracle_witness_match_one_str_per_row(as_json):
+    codes = oracle_exists(4, 3).witness.codes  # the one chunk `oracle --witness` renders
+    text = "".join(document.render_pieces(4, 3, "ints", [codes], as_json=as_json))
+    assert text == joined_ints(4, 3, codes, as_json)
 
 
 @pytest.mark.parametrize("render", [render_text, render_json])

@@ -1,14 +1,16 @@
 import ast
 import inspect
 import random
+from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import leaper_cycles.verifier
-from leaper_cycles.constructor import construct
-from leaper_cycles.core import VertexPath
+from leaper_cycles.constructor import _code, construct
+from leaper_cycles.core import VertexPath, lane_typecode
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import (
     DIMENSION_OVERFLOW,
@@ -17,10 +19,11 @@ from leaper_cycles.verifier import (
     WRONG_LENGTH,
     WRONG_STEP,
     CycleChecker,
+    _packed_chunk_passes,
     verify_cycle,
 )
 
-from reference_tours import DIM5_STEP3_TOUR, path_of
+from reference_tours import DIM5_STEP3_TOUR, path_of, scalar_report
 
 
 def kinds(report):
@@ -127,9 +130,9 @@ def test_even_step_candidates_always_rejected():
 
 
 @st.composite
-def corrupted_cycles(draw):
+def corrupted_cycles(draw, max_k=7):
     """(k, h, codes): a constructed cycle, perhaps broken one way, perhaps read with a wrong h."""
-    k = draw(st.integers(2, 7))
+    k = draw(st.integers(2, max_k))
     h = draw(st.sampled_from(range(1, k, 2)))
     codes = list(construct(k, h).path.codes)
     n = len(codes)
@@ -168,3 +171,142 @@ def test_checker_fed_in_chunks_reports_what_verify_cycle_reports(cycle, cuts):
     # closing edge crosses from the last chunk to the first.
     k, h, codes = cycle
     assert fed_in_chunks(k, h, codes, cuts) == verify_cycle(VertexPath(k, codes), h)
+
+
+@st.composite
+def cut_cycles(draw):
+    """(k, h, codes, bounds): a corrupted cycle of k <= 12 and the bounds
+    of the chunks it is fed in, perhaps with one step broken at a chunk's
+    edge: out of its lane 0, into its last lane, or across its boundary."""
+    k, h, codes = draw(corrupted_cycles(max_k=12))
+    codes = list(codes)
+    cuts = draw(st.lists(st.integers(0, len(codes)), max_size=8))
+    bounds = [0, *sorted(cuts), len(codes)]
+    chunks = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
+    edge = draw(st.sampled_from(["none", "lane 0", "last lane", "boundary"]))
+    if edge != "none" and chunks:
+        lo, hi = draw(st.sampled_from(chunks))
+        # One mask xor'ed onto every code from `start` on changes only the
+        # step into `start` (and the closing edge).
+        start = {"lane 0": lo + 1, "last lane": hi - 1, "boundary": lo}[edge]
+        mask = draw(st.integers(1, (1 << k) - 1))
+        codes[start:] = [c ^ mask for c in codes[start:]]
+    return k, h, tuple(codes), bounds
+
+
+def as_lanes(k, chunk):
+    """``chunk`` as the array construct_chunks yields, or as it is if a code does not fit."""
+    try:
+        return array(lane_typecode(k), chunk)
+    except OverflowError:
+        return chunk
+
+
+@given(cut_cycles(), st.booleans(), st.sampled_from([1, 3, 64, leaper_cycles.verifier._PACKED_LANES]))
+@example((12, 3, tuple(construct(12, 1).path.codes), [0, 100, 4096]), False, 64)
+@example((4, 1, (*construct(4, 1).path.codes[:-1], 1 << 40), [0, 7, 16]), True, 3)
+def test_checker_fed_at_any_cuts_reports_what_the_scalar_reference_reports(cycle, arrays, piece):
+    # The reference shares nothing with the checker but the report types;
+    # the first example breaks every step, past the 1,000 a report keeps.
+    # Small pieces of the packed test put its own cuts inside the chunks.
+    k, h, codes, bounds = cycle
+    checker = CycleChecker(k, h)
+    with mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", piece):
+        for lo, hi in zip(bounds, bounds[1:]):
+            checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
+    assert checker.finish() == scalar_report(k, h, codes)
+
+
+@pytest.mark.parametrize("wide", [-1, 1 << 32, 1 << 40, (1 << 64) - 1, 1 << 64, 1 << 70])
+def test_codes_that_fit_no_lane_are_named(wide):
+    # array() refuses such a code, and its chunk is checked code by code;
+    # cut after it, it leads the next chunk's steps.
+    codes = list(construct(4, 1).path.codes)
+    codes[5] = wide
+    for cuts in ([0, 16], [0, 5, 16], [0, 6, 16], list(range(17))):
+        checker = CycleChecker(4, 1)
+        for lo, hi in zip(cuts, cuts[1:]):
+            checker.feed(tuple(codes[lo:hi]))
+        report = checker.finish()
+        assert report == scalar_report(4, 1, codes)
+        assert (DIMENSION_OVERFLOW, 5) in [(v.kind, v.where) for v in report.violations]
+
+
+# Widths at and either side of the lane edges; a CycleChecker beyond
+# k = 32 would need a presence table of 8 GB, so the packed test is
+# called on its own.
+LANE_EDGE_KS = [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
+
+
+def steps_hold(codes, lead, k, h):
+    """The per-pair reference of the packed test."""
+    path = codes if lead is None else [lead, *codes]
+    return all(0 <= c < 1 << k for c in codes) and all(
+        (a ^ b).bit_count() == h for a, b in zip(path, path[1:])
+    )
+
+
+def packed(codes, itemsize):
+    return int.from_bytes(b"".join(c.to_bytes(itemsize, "little") for c in codes), "little")
+
+
+@pytest.mark.parametrize("k", LANE_EDGE_KS)
+def test_packed_test_matches_per_pair_bit_counts_at_lane_edges(k):
+    # Windows of the closed form, one crossing the closing edge, then with
+    # each lane's bits flipped one at a time, below and above bit k.
+    for itemsize in (s for s in (1, 2, 4, 8) if 8 * s >= k):
+        bits = 8 * itemsize
+        for h in sorted({1, k // 2 | 1, (k - 2) | 1}):
+            for start in (0, (1 << k) - 4, 0x5A5A5A5A5A5A5A5A % (1 << k)):
+                codes = [_code(h, (start + j) % (1 << k)) for j in range(9)]
+                previous = _code(h, (start - 1) % (1 << k))
+                for lead in (None, previous, previous ^ 1, (1 << bits) - 1):
+                    for step in (h, h + 1, h + 2, bits):
+                        want = steps_hold(codes, lead, k, step)
+                        got = _packed_chunk_passes(packed(codes, itemsize), lead, itemsize, 9, k, step)
+                        assert got == want, (itemsize, h, start, lead, step)
+                for lane in range(9):
+                    for bit in sorted({0, 1, k - 2, k - 1, k, bits - 1} & set(range(bits))):
+                        flipped = codes.copy()
+                        flipped[lane] ^= 1 << bit
+                        assert not steps_hold(flipped, previous, k, h)
+                        assert not _packed_chunk_passes(
+                            packed(flipped, itemsize), previous, itemsize, 9, k, h
+                        ), (itemsize, h, lane, bit)
+
+
+@given(
+    st.sampled_from(LANE_EDGE_KS).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.sampled_from([s for s in (1, 2, 4, 8) if 8 * s >= k]),
+        st.sampled_from(range(1, k, 2)),
+        st.integers(0, (1 << k) - 1),
+        st.lists(st.tuples(st.integers(0, 39), st.integers(0, 63)), max_size=3),
+    )),
+    st.integers(1, 40),
+    st.sampled_from(["none", "previous", "any"]),
+)
+def test_packed_test_matches_per_pair_bit_counts_on_any_window(case, lanes, lead_kind):
+    k, itemsize, h, start, flips = case
+    bits = 8 * itemsize
+    codes = [_code(h, (start + j) % (1 << k)) for j in range(lanes)]
+    for lane, bit in flips:
+        if lane < lanes and bit < bits:
+            codes[lane] ^= 1 << bit
+    lead = {
+        "none": None,
+        "previous": _code(h, (start - 1) % (1 << k)),
+        "any": start * 0x9E3779B97F4A7C15 % (1 << bits),
+    }[lead_kind]
+    got = _packed_chunk_passes(packed(codes, itemsize), lead, itemsize, lanes, k, h)
+    assert got == steps_hold(codes, lead, k, h)
+
+
+def test_packed_test_leaves_a_step_wider_than_a_lane_to_the_scalar_loops():
+    # No two lanes of 8 bits are 9 coordinates apart, and a lone first
+    # code fails too: the checker's code-by-code loops judge it.
+    assert not _packed_chunk_passes(5, None, 1, 1, 8, 9)
+    report = scalar_report(2, 9, (1,))
+    checker = CycleChecker(2, 9)
+    checker.feed((1,))
+    assert checker.finish() == report
