@@ -6,8 +6,9 @@ reads left to right from the low end of the word, and the change-1 tour of
 {0,1}^k produced by :func:`leaper_cycles.graycode.gray_tour` is exactly the
 sequence ``j ^ (j >> 1)``. All distances are squared-Euclidean, i.e. plain
 coordinate-flip counts; nothing in the library touches floating point.
-The constructor hands its chunks of codes to the verifier as ``array``s
-of the unsigned lanes :func:`lane_typecode` names.
+A chunk of codes is an ``array`` of the unsigned lanes :func:`lane_typecode`
+names, the one lane width the generator, the checker, the parser and the
+renderer share.
 """
 
 from __future__ import annotations
@@ -59,9 +60,10 @@ def check_dimension(k: int) -> None:
 
 
 def lane_typecode(k: int) -> str:
-    """The ``array`` typecode, ``'I'`` or else ``'Q'``, of the narrowest of
-    the two unsigned lanes that holds a k-bit code, chosen by itemsize."""
-    return "I" if array("I").itemsize * 8 >= k else "Q"
+    """The ``array`` typecode of the narrowest of the unsigned lanes
+    ``'B'``, ``'H'``, ``'I'`` and ``'Q'`` that holds a k-bit code, chosen
+    by itemsize; ``'Q'``, the widest, above 64 bits."""
+    return next((code for code in "BHIQ" if array(code).itemsize * 8 >= k), "Q")
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ cycles only. Output is deterministic: no timestamps, fixed field order.
 
 Rendering yields the text in pieces: the header, the rows of one chunk
 of codes at a time, and the tail, so it never holds a string per row;
-a chunk's ``ints`` rows are one ``%`` format of a ``%d`` per code.
+a chunk's rows are one ``%`` format of a ``%d`` per code (``ints``) or
+strided copies of the base-2 digits of its lanes (``tuples``).
 ``construct`` in the CLI writes the pieces as they come and holds one
 chunk's rows at a time; ``render_text`` and ``render_json`` join them,
 holding the pieces and the joined text together at the end. Parsing
@@ -28,10 +29,10 @@ one window's rows are held at once: ``read_cycle`` yields each window's
 codes, and ``parse_document`` collects them into one path. A window
 shaped as the renderers write it is read at C speed: ``ints`` rows, text
 or JSON, of ASCII digits and their separators only, by one
-``json.loads``, and ``tuples`` rows, text or JSON, as one base-2 integer
-of 8-, 16-, 32- or 64-bit lanes. Any other text window goes through the
-per-line loop, which accepts the same documents and names the line at
-fault, and any other JSON goes to ``json.loads`` whole.
+``json.loads``, and ``tuples`` rows as one base-2 integer whose bytes
+are an ``array`` of :func:`~.core.lane_typecode`'s lanes. Any other text
+window goes through the per-line loop, which accepts the same documents
+and names the line at fault, and any other JSON to ``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -39,13 +40,14 @@ from __future__ import annotations
 import json
 import re
 import sys
+from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
 from typing import AnyStr, BinaryIO, TypeVar
 
-from .core import CapacityError, VertexPath, check_dimension
+from .core import CapacityError, VertexPath, check_dimension, lane_typecode
 
 ENCODINGS = ("tuples", "ints")
 
@@ -63,13 +65,12 @@ _JSON_TAIL = '],"closed":true}\n'
 _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
 _BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
+_PIECE_ROWS = 1 << 12  # tuples rows a renderer reads as one integer
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
 _Seq = TypeVar("_Seq", str, "tuple[int, ...]")
 # A document's k, h, encoding and code chunks; a chunk of None leaves the fast route.
-_Cycle = tuple[int, int, str, Iterator["tuple[int, ...] | None"]]
-# Row 0's lane comes first in an integer's little-endian bytes, last in big.
-_LANE_STEP = 1 if sys.byteorder == "little" else -1
+_Cycle = tuple[int, int, str, Iterator["Sequence[int] | None"]]
 
 
 class DocumentError(ValueError):
@@ -165,35 +166,31 @@ def _tuple_rows_joined(
     k: int, row_sep: str, sep: str, left: str = "", right: str = ""
 ) -> Callable[[Sequence[int]], str]:
     """The rows of codes, joined by ``row_sep``: each code's coordinates,
-    leftmost first, joined by ``sep``.
+    leftmost first, joined by ``sep`` between ``left`` and ``right``.
 
-    The coordinates split into pieces of at most 11 (two halves up to
-    k = 22), and a row joins one entry per piece from a table of that
-    piece's rows, built once per call, so no table outgrows 2**11 rows.
+    The inverse of :func:`_lane_codes`: each piece of _PIECE_ROWS lanes
+    is one base-2 integer whose reversed digits hold bit ``p`` of code
+    ``i`` at ``i * lane + p``, and coordinate ``p`` of the piece's rows,
+    one template row per code, is one strided copy of digits ``p::lane``.
     """
-    pieces = -(-k // 11)
-    bounds = [k * i // pieces for i in range(pieces + 1)]
-    columns = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        prefix = left if lo == 0 else sep
-        suffix = right if hi == k else ""
-        table = [prefix + row + suffix for row in _coordinate_rows(hi - lo, sep)]
-        columns.append((table.__getitem__, ((1 << (hi - lo)) - 1).__and__, lo.__rrshift__))
+    typecode, lane = lane_typecode(k), _lane(k)
+    template = (left + sep.join("0" * k) + right + row_sep).encode()
+    width, step = len(template), len(sep) + 1
 
     def rows(codes: Sequence[int]) -> str:
-        return row_sep.join(map("".join, zip(*(
-            map(entry, map(mask, map(shift, codes))) for entry, mask, shift in columns
-        ))))
+        out = bytearray(template) * len(codes)
+        for start in range(0, len(codes), _PIECE_ROWS):
+            piece = array(typecode, codes[start:start + _PIECE_ROWS])
+            if sys.byteorder == "big":
+                piece.byteswap()
+            end = (start + len(piece)) * width
+            bits = f"{int.from_bytes(piece, 'little'):0{len(piece) * lane}b}"[::-1].encode()
+            for p in range(k):
+                out[start * width + len(left) + p * step:end:width] = bits[p::lane]
+        del out[-len(row_sep):]
+        return out.decode("ascii")
 
     return rows
-
-
-def _coordinate_rows(width: int, sep: str) -> list[str]:
-    """Row ``v`` lists the ``width`` low bits of ``v``, bit 0 first."""
-    return [
-        sep.join("1" if v >> i & 1 else "0" for i in range(width))
-        for v in range(1 << width)
-    ]
 
 
 def parse_document(text: str) -> CycleDocument:
@@ -246,7 +243,7 @@ def _collect(cycle: _Cycle | None) -> CycleDocument | None:
     k, h, encoding, chunks = cycle
     cut = False
 
-    def parts() -> Iterator[tuple[int, ...]]:
+    def parts() -> Iterator[Sequence[int]]:
         nonlocal cut
         for codes in chunks:
             if codes is None:
@@ -281,7 +278,7 @@ def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
         yield window
 
 
-def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[tuple[int, ...]]]:
+def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
     """The header and code chunks of a text document from its windows of
     whole lines. A header at fault is raised only once :func:`_text_chunks`
     has scanned the body for a fault named before it."""
@@ -304,7 +301,7 @@ def _text_header(text: str, end: int) -> tuple[int, int, str]:
     return k, h, encoding
 
 
-def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[tuple]:
+def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
     """The header's ``(k, h, encoding)``, then the codes of each window of
     a text document, the first window's after its first line.
 
@@ -366,7 +363,7 @@ def decode_text(data: AnyStr, lineno: int = 1) -> str:
         ) from None
 
 
-def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int, ...]:
+def _window_codes(window: str, lineno: int, k: int, encoding: str) -> Sequence[int]:
     """The codes of a window of whole lines whose first is line ``lineno``."""
     codes = _line_codes(window, k) if encoding == "tuples" else _int_rows(window, "\n")
     if codes is None:
@@ -374,7 +371,7 @@ def _window_codes(window: str, lineno: int, k: int, encoding: str) -> tuple[int,
     return codes
 
 
-def _line_codes(window: str, k: int) -> tuple[int, ...] | None:
+def _line_codes(window: str, k: int) -> array | None:
     """The codes of LF-ended rows of ``k`` space-separated 0/1 digits, else None."""
     rows, rest = divmod(len(window), 2 * k)
     if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
@@ -384,7 +381,7 @@ def _line_codes(window: str, k: int) -> tuple[int, ...] | None:
     return _lane_codes(window.replace("\n", " 0" * (_lane(k) - k) + "\n")[-2::-2], k, rows)
 
 
-def _int_rows(window: str, sep: str) -> tuple[int, ...] | None:
+def _int_rows(window: str, sep: str) -> list[int] | None:
     """The codes of rows of ASCII digits, each ended by ``sep``, read by one
     ``json.loads``; None sends any other window, valid or not, or one of
     no rows, to a slower route, which accepts the same documents and names
@@ -392,26 +389,27 @@ def _int_rows(window: str, sep: str) -> tuple[int, ...] | None:
     if window.translate(dict.fromkeys(b"0123456789" + sep.encode())) or window[-1:] != sep:
         return None
     try:  # JSON refuses an empty row, a leading zero and a row over the digit limit
-        return tuple(json.loads("[" + window[:-1].replace(sep, ",") + "]")) or None
+        return json.loads("[" + window[:-1].replace(sep, ",") + "]") or None
     except ValueError:
         return None
 
 
 def _lane(k: int) -> int:
-    """The lane width, in bits, of a ``k``-bit code: 8, 16, 32 or 64."""
-    return max(8, 1 << (k - 1).bit_length())
+    """The width, in bits, of the lane :func:`~.core.lane_typecode` names."""
+    return 8 * array(lane_typecode(k)).itemsize
 
 
-def _lane_codes(bits: str, k: int, rows: int) -> tuple[int, ...] | None:
+def _lane_codes(bits: str, k: int, rows: int) -> array | None:
     """The codes of ``rows`` rows of ``k`` 0/1 digits, leftmost coordinate
-    first, each padded with 0s to its lane, run together and reversed, so
-    that they are one base-2 integer whose lane ``i`` is row ``i``; else None."""
-    width = _lane(k)
+    first, each padded with 0s to its lane, run together and reversed: one
+    base-2 integer whose lane ``i`` is row ``i``, as an ``array``; else None."""
     data = bits.encode("latin-1", "replace")  # one byte a character
-    if len(data) != rows * width or data.translate(None, b"01"):
+    if len(data) != rows * _lane(k) or data.translate(None, b"01"):
         return None
-    lanes = int(data, 2).to_bytes(rows * width // 8, sys.byteorder)
-    return tuple(memoryview(lanes).cast("BHIQ"[width.bit_length() - 4])[::_LANE_STEP])
+    lanes = array(lane_typecode(k), int(data, 2).to_bytes(rows * _lane(k) // 8, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
 
 
 def _text_codes(
@@ -532,7 +530,7 @@ def _json_cycle(blocks: Iterable[str]) -> _Cycle | None:
 
 def _json_chunks(
     blocks: Iterable[str], k: int, encoding: str
-) -> Iterator[tuple[int, ...] | None]:
+) -> Iterator[Sequence[int] | None]:
     """The codes of each window of a JSON body, up to None where the body
     or its tail leaves the renderer's shape."""
     row_end, tail = _JSON_ROWS[encoding]
@@ -554,7 +552,7 @@ def _json_chunks(
         yield None
 
 
-def _grid_codes(grid: str, k: int) -> tuple[int, ...] | None:
+def _grid_codes(grid: str, k: int) -> array | None:
     """The codes of rows ``b,...,b],[`` of ``k`` 0/1 digits, else None."""
     rows, rest = divmod(len(grid), 2 * k + 2)
     if rest or grid[1::2] != ("," * (k - 1) + "][") * rows:

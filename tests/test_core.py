@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from leaper_cycles.core import (
@@ -7,6 +9,7 @@ from leaper_cycles.core import (
     CapacityError,
     VertexPath,
     check_dimension,
+    lane_typecode,
     max_k,
 )
 
@@ -59,3 +62,9 @@ class TestDimensionCeiling:
     def test_check_dimension_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             check_dimension(0)
+
+
+def test_lane_is_the_narrowest_of_four_that_holds_k_bits():
+    for k in range(1, HARD_MAX_K + 1):
+        holds = [code for code in "BHIQ" if 8 * array(code).itemsize >= k]
+        assert lane_typecode(k) == holds[0], k

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -19,6 +20,7 @@ from leaper_cycles.document import (
     CycleDocument,
     DocumentError,
     parse_document,
+    read_cycle,
     render_json,
     render_text,
 )
@@ -404,7 +406,7 @@ BLOCK_SIZES = (contextlib.nullcontext, small_blocks)
 
 
 # SHA-256 of the renderers' output before their rows came from lookup
-# tables; the tables must write the same bytes.
+# tables; every later way of writing the rows must write the same bytes.
 RENDERED_SHA256 = {
     (12, 5, "tuples", "text"): "c3aa7190af5ba3fb859bb74ea49533b135d0f77fe2f212c5260b6c715848e36d",
     (12, 5, "tuples", "json"): "9ce3385f63301e27589ae5eafeff9c3d8bdc6eb001e33723401bbc5775029b87",
@@ -446,11 +448,57 @@ def test_table_rows_match_joined_coordinates_for_every_code(k):
 
 @pytest.mark.parametrize("k", [23, 34, 64])
 def test_wide_rows_match_joined_coordinates(k):
-    # Row tables stay small however wide a row is: a short path in a high
-    # dimension must not build a table of 2**(k/2) rows.
+    # A short path in a high dimension: one piece of a few wide lanes.
     path = VertexPath(k, (0, (1 << k) - 1, (1 << k) // 3, 5))
     text = render_text(CycleDocument(1, "tuples", path))
     assert text.split("\n")[1:-1] == [" ".join(map(str, row)) for row in rows_of(path)]
+
+
+def joined_tuples(k, codes, as_json):
+    """The rows of a ``tuples`` chunk written one ``join`` per row: the
+    reference for rows copied from the digits of the chunk's lanes."""
+    rows = (format(code, f"0{k}b")[::-1] for code in codes)
+    if as_json:
+        return ",".join("[" + ",".join(row) + "]" for row in rows)
+    return "\n".join(" ".join(row) for row in rows)
+
+
+def lane_filling_codes(k, count):
+    """``count`` codes of [0, 2**k) whose bits run up to bit k - 1, the last
+    being 2**k - 1."""
+    return tuple((j * 0x9E3779B97F4A7C15) % (1 << k) for j in range(count - 1)) + ((1 << k) - 1,)
+
+
+@pytest.mark.parametrize("k", LANE_EDGE_KS)
+@pytest.mark.parametrize("length", [1, 2, 3, 4095, 4096, 4097, 1 << 16])
+def test_tuple_rows_match_one_join_per_row(k, length):
+    codes = lane_filling_codes(k, length)
+    wide_enough = [code for code in "BHIQ" if 8 * array(code).itemsize >= k]
+    chunks = [codes] + [array(code, codes) for code in wide_enough]
+    for as_json in (False, True):
+        expected = joined_tuples(k, codes, as_json)
+        for chunk in chunks:
+            pieces = list(document.render_pieces(k, 1, "tuples", [chunk], as_json=as_json))
+            assert pieces[1] == expected
+
+
+@pytest.mark.parametrize("k, as_json", [(17, False), (22, False), (16, True)])
+def test_tuple_rows_of_a_chunk_peak_near_their_length(k, as_json):
+    # The rows are written once into a bytearray and decoded once; each
+    # piece of lanes adds its digits, a fraction of the rows. Rows joined
+    # from a string per code peaked at 3.4x their length or more, and rows
+    # from one integer of the whole chunk at 2.5x or more.
+    chunk = array(lane_typecode(k), lane_filling_codes(k, 1 << 16))
+    pieces = document.render_pieces(k, 1, "tuples", [chunk], as_json=as_json)
+    next(pieces)  # the header
+    tracemalloc.start()
+    try:
+        rows = next(pieces)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == joined_tuples(k, chunk, as_json)
+    assert peak <= 2.5 * len(rows)
 
 
 def joined_ints(k, h, codes, as_json):
@@ -644,6 +692,21 @@ def test_every_lane_width_reads_rendered_rows_at_c_speed(k, encoding, monkeypatc
     with mock.patch.multiple(document, _text_codes=refuse, _json_codes=refuse):
         assert parse_document(render_text(doc)) == doc
         assert parse_document(render_json(doc)) == doc
+
+
+@pytest.mark.parametrize("k", [8, 9, 16, 17, 32, 33])
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_streamed_tuples_chunks_are_arrays_of_the_lane(k, render, monkeypatch):
+    # The checker takes an array of its lane as it is, without a copy.
+    monkeypatch.setenv(MAX_K_ENV, "64")
+    codes = lane_filling_codes(k, 300)
+    text = render(CycleDocument(1, "tuples", VertexPath(k, codes)))
+    with small_blocks(rows=64, chars=1024):
+        _, _, _, chunks = read_cycle(io.BytesIO(text.encode()))
+        chunks = list(chunks)
+    assert len(chunks) > 1
+    assert all(isinstance(chunk, array) and chunk.typecode == lane_typecode(k) for chunk in chunks)
+    assert [code for chunk in chunks for code in chunk] == list(codes)
 
 
 def bytes_beyond_result(call, *args):
