@@ -211,7 +211,8 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     for a JSON header, then blocks of about 1 MiB; the blocks run together
     into windows cut after their last line, so no more than a window of
     the file is held. A text header's line opens the first window, which
-    reaches at least to that line's end. Returns ``(k, h, encoding,
+    reaches at least to that line's end; each run of spaces and tabs in
+    it is carried as one space. Returns ``(k, h, encoding,
     chunks)`` for a text document whose first byte is ASCII and neither
     ``{`` nor whitespace, and for a JSON document that opens as the
     renderer writes it; None for any other document, which
@@ -228,7 +229,7 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
     # so an ASCII byte it keeps opens a text document.
     if lead != "{" and lead.isascii() and lead.strip():
-        return _text_cycle(_windows(blocks, b"\n"))
+        return _text_cycle(_windows(_header_collapsed(blocks), b"\n"))
     if lead == "{":
         # latin-1 keeps byte offsets; a byte outside ASCII fits no row.
         return _json_cycle(block.decode("latin-1") for block in blocks)
@@ -276,6 +277,27 @@ def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
     window, carried = sep[:0].join(carried), []
     if window:
         yield window
+
+
+def _header_collapsed(blocks: Iterable[bytes]) -> Iterator[bytes]:
+    """``blocks`` with each run of spaces and tabs in the first line made
+    one space, which the header check reads as it read the run; a header
+    line of any length is then carried at about the length of its tokens.
+    A pass cuts a run of n spaces to about n/32, and ``replace`` hands
+    back a block without runs as it is."""
+    blocks = iter(blocks)
+    for block in blocks:
+        line_end = block.find(b"\n") + 1
+        cut = line_end or len(block)
+        line, rest = block[:cut], block[cut:]
+        del block  # a copy of the line is not held beside the block
+        line = line.replace(b"\t", b" ")
+        while b"  " in line:
+            line = line.replace(b" " * 16, b" ").replace(b"  ", b" ")
+        yield line + rest
+        if line_end:
+            break
+    yield from blocks
 
 
 def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[Sequence[int]]]:

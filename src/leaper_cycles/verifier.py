@@ -69,20 +69,40 @@ def verify_cycle(path: VertexPath, h: int) -> VerifyReport:
 class CycleChecker:
     """:func:`verify_cycle` over a path fed one chunk of codes at a time.
 
-    Across chunks it carries the presence table, the first and last codes,
-    the count so far and the violations at their indices in the whole
-    path, keeping the first 1,000 of each kind of check and counting the
-    rest, so however the path is split, :meth:`finish` reports what
-    ``verify_cycle`` reports for the whole: the length, then repeated and
-    out-of-range vertices by index, then the steps, then the closing edge.
+    Across chunks it carries the first and last codes, the count so far
+    and the violations at their indices in the whole path, keeping the
+    first 1,000 of each kind of check and counting the rest, so however
+    the path is split, :meth:`finish` reports what ``verify_cycle``
+    reports for the whole: the length, then repeated and out-of-range
+    vertices by index, then the steps, then the closing edge.
 
-    A chunk that is an ``array`` of the lanes :func:`~.core.lane_typecode`
-    names for ``k``, or a tuple or list, has its range and steps tested
-    by :func:`_packed_chunk_passes` on the integer of each piece of up to
-    _PACKED_LANES lanes, so the test's integers stay small whatever the
-    chunk's size. A chunk that passes only has its vertices marked
-    present. Any other chunk, one holding a code that does not fit a lane
-    included, is checked code by code, naming each fault.
+    Presence is proven by cosets while the path allows it. The path is
+    taken in blocks of _PACKED_LANES codes (of all of them, if fewer),
+    aligned to its index, each an ``array`` of the lanes
+    :func:`~.core.lane_typecode` names for ``k``; a partial block is held
+    until the next chunk fills it. Block 0 must pass
+    :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
+    subspace V of as many codes, which :func:`_subspace_basis` proves. A
+    later block whose first code is ``c`` must equal block 0 xor ``c ^
+    first`` lane for lane, with ``c ^ first < 2**k`` and a step of h into
+    it: then it is the coset ``c ^ V``, its codes lie in the dimension and
+    its steps are block 0's. Its coset is named by ``c`` reduced by V's
+    basis and must not have been named before. Two cosets of V are equal
+    or disjoint, so such blocks repeat no code and none is marked present.
+
+    The first block, or code, that leaves this route makes the presence
+    table of one byte per vertex, marks the blocks taken so far present
+    in it, and is checked with every code after it chunk by chunk: a chunk
+    that is an array of the lanes, or a tuple or list, has its range and
+    steps tested by :func:`_packed_chunk_passes` on the integer of each
+    piece of up to _PACKED_LANES lanes. A chunk that passes only has its
+    vertices marked present. Any other chunk, one holding a code that does
+    not fit a lane included, is checked code by code, naming each fault.
+
+    Blocks are read as integers in the host's byte order, so on a
+    big-endian host their lanes run in reverse: neither the lane-for-lane
+    comparison nor a test of block 0, whose first step has no code before
+    it, depends on the order.
     """
 
     def __init__(self, k: int, h: int) -> None:
@@ -92,9 +112,14 @@ class CycleChecker:
         self._h = h
         self._n = 1 << k
         self._typecode = lane_typecode(k)
-        # Presence table of one byte per vertex bounds duplicate detection
-        # at O(2**k) time and 2**k bytes.
-        self._seen = bytearray(self._n)
+        self._size = min(_PACKED_LANES, self._n)  # codes in a block
+        self._held = array(self._typecode)  # a partial block
+        # Presence table of one byte per vertex, made only when the coset
+        # route is left: O(2**k) time and 2**k bytes.
+        self._seen: bytearray | None = None
+        self._block0 = 0  # block 0, packed
+        self._basis: list[tuple[int, int]] = []  # V's (pivot bit, vector) pairs
+        self._cosets: dict[int, int] = {}  # each taken block's coset name: its first code
         self._count = 0
         self._first = self._last = 0
         self._presence: list[Violation] = []
@@ -105,19 +130,14 @@ class CycleChecker:
         """Check the next ``codes`` of the path."""
         if not codes:
             return
-        base = self._count
-        if self._packed_passes(codes):
-            self._mark(codes)
-        else:
-            self._scan(codes, 0)
-            self._scan_steps(codes)
-        if not base:
-            self._first = codes[0]
-        self._last = codes[-1]
-        self._count = base + len(codes)
+        start = self._take(codes) if self._seen is None else 0
+        if start < len(codes):
+            self._check(codes[start:] if start else codes)
 
     def finish(self) -> VerifyReport:
         """The report on the codes fed so far, taken as the whole path."""
+        if self._held:
+            self._leave()
         count = self._count
         violations = [] if count == self._n else [Violation(WRONG_LENGTH, count)]
         violations += self._presence
@@ -132,25 +152,107 @@ class CycleChecker:
             total=len(violations) + self._dropped,
         )
 
+    def _take(self, codes: Sequence[int]) -> int:
+        """Take ``codes`` by the coset route a block at a time, holding a
+        partial block. Returns ``len(codes)``, or, if the route is left on
+        the way and the codes held are checked, the index of the first
+        code still to be checked."""
+        held, size = self._held, self._size
+        start = 0
+        while start < len(codes):
+            end = start + size - len(held)
+            lanes = _lanes(codes[start:end], self._typecode)
+            if lanes is None:
+                self._leave()
+                return start
+            held.extend(lanes)
+            start = end
+            if len(held) == size:
+                if not self._take_block(held):
+                    self._leave()
+                    return start
+                del held[:]
+        return len(codes)
+
+    def _take_block(self, block: array) -> bool:
+        """Take ``block``, the next whole block, if the class docstring's
+        tests hold: for block 0, that it is a translate of a subspace V;
+        for a later block, that it is a coset of V not taken before.
+        Returns whether it was taken."""
+        k, h, head = self._k, self._h, block[0]
+        packed = int.from_bytes(block, sys.byteorder)
+        one = _lane_masks(block.itemsize, len(block))[0]
+        if self._count:
+            shift = head ^ self._first
+            if (
+                shift >> k
+                or (self._last ^ head).bit_count() != h
+                or packed != self._block0 ^ shift * one
+            ):
+                return False
+        else:
+            if not _packed_chunk_passes(packed, None, block.itemsize, len(block), k, h):
+                return False
+            basis = _subspace_basis(packed ^ head * one, self._typecode, len(block))
+            if basis is None:
+                return False
+            self._block0, self._basis, self._first = packed, basis, head
+        coset = self._coset(head)
+        if coset in self._cosets:
+            return False
+        self._cosets[coset] = head
+        self._last = block[-1]
+        self._count += len(block)
+        return True
+
+    def _coset(self, code: int) -> int:
+        """The name of the coset ``code ^ V``: ``code`` with each pivot bit
+        of V cleared by its basis vector, in the order they were found."""
+        for pivot, vector in self._basis:
+            if code >> pivot & 1:
+                code ^= vector
+        return code
+
+    def _leave(self) -> None:
+        """Leave the coset route: make the presence table, mark the blocks
+        taken present in it, and check the codes held chunk by chunk."""
+        seen = self._seen = bytearray(self._n)
+        typecode, size = self._typecode, self._size
+        width = array(typecode).itemsize
+        one = _lane_masks(width, size)[0]
+        for head in self._cosets.values():
+            block = self._block0 ^ (head ^ self._first) * one
+            for c in array(typecode, block.to_bytes(size * width, sys.byteorder)):
+                seen[c] = 1
+        self._cosets = {}
+        held, self._held = self._held, array(typecode)
+        if held:
+            self._check(held)
+
+    def _check(self, codes: Sequence[int]) -> None:
+        """Check ``codes`` against the presence table, as one chunk."""
+        base = self._count
+        if self._packed_passes(codes):
+            self._mark(codes)
+        else:
+            self._scan(codes, 0)
+            self._scan_steps(codes)
+        if not base:
+            self._first = codes[0]
+        self._last = codes[-1]
+        self._count = base + len(codes)
+
     def _packed_passes(self, codes: Sequence[int]) -> bool:
         """Whether ``codes``, an array of this checker's lanes or a tuple
         or list, pass :func:`_packed_chunk_passes`, taken _PACKED_LANES
         codes at a time as arrays of little-endian lanes. Any other
         sequence, or a code that does not fit a lane, fails."""
-        typecode = self._typecode
-        if not (
-            isinstance(codes, (tuple, list))
-            or isinstance(codes, array) and codes.typecode == typecode
-        ):
-            return False
         lead = self._last if self._count else None
         for start in range(0, len(codes), _PACKED_LANES):
-            lanes = codes[start:start + _PACKED_LANES]  # a copy, free to byteswap
-            if not isinstance(lanes, array):
-                try:
-                    lanes = array(typecode, lanes)
-                except (OverflowError, TypeError):  # negative, too wide, or no int
-                    return False
+            # A slice is a copy, free to byteswap.
+            lanes = _lanes(codes[start:start + _PACKED_LANES], self._typecode)
+            if lanes is None:
+                return False
             if sys.byteorder == "big":
                 lanes.byteswap()
             if not _packed_chunk_passes(
@@ -197,6 +299,57 @@ class CycleChecker:
             kept.append(Violation(kind, where))
         else:
             self._dropped += 1
+
+
+def _lanes(codes: Sequence[int], typecode: str) -> array | None:
+    """``codes``, a slice, as an ``array`` of ``typecode``: itself if it is
+    one, else a copy of a tuple or list; None for any other sequence, or
+    for a code that does not fit a lane."""
+    if isinstance(codes, array):
+        return codes if codes.typecode == typecode else None
+    if isinstance(codes, (tuple, list)):
+        try:
+            return array(typecode, codes)
+        except (OverflowError, TypeError):  # negative, too wide, or no int
+            pass
+    return None
+
+
+def _subspace_basis(packed: int, typecode: str, lanes: int) -> list[tuple[int, int]] | None:
+    """An echelon basis of V, as (pivot bit, vector) pairs, if the
+    ``lanes`` codes in the lanes of ``packed`` are all the codes of a
+    linear subspace V, else None.
+
+    Gaussian elimination runs on all lanes at once: each round takes the
+    top nonzero lane ``v``, whose top bit is the pivot ``p``, and xors it
+    onto every lane holding bit ``p``, so no lane keeps that bit. The
+    rounds end with every lane 0, one round per dimension of the span.
+    The codes are V if they are distinct and V has rank log2(``lanes``).
+    Each vector holds its own pivot bit and none found before it, so a
+    code of V is fixed by its pivot coordinates: the codes are distinct
+    iff each of the ``lanes`` values of those coordinates, marked in a
+    table of ``lanes`` bytes, turns up, which a rank below log2(``lanes``)
+    leaves no room for.
+    """
+    width = array(typecode).itemsize
+    one = _lane_masks(width, lanes)[0]
+    bits, rank = 8 * width, lanes.bit_length() - 1
+    basis: list[tuple[int, int]] = []
+    rest = packed
+    while rest:
+        if len(basis) == rank:
+            return None
+        vector = rest >> (rest.bit_length() - 1) // bits * bits
+        pivot = vector.bit_length() - 1
+        rest ^= (rest >> pivot & one) * vector
+        basis.append((pivot, vector))
+    coordinates = 0
+    for i, (pivot, _) in enumerate(basis):
+        coordinates |= (packed >> pivot & one) << i
+    table = bytearray(lanes)
+    for c in array(typecode, coordinates.to_bytes(lanes * width, sys.byteorder)):
+        table[c] = 1
+    return basis if all(table) else None
 
 
 def _packed_chunk_passes(

@@ -505,6 +505,27 @@ class TestVerifyWindows:
         with pytest.raises(DocumentError, match="^line 2: document has no vertices$"):
             parse_document(target.read_text())
 
+    @pytest.mark.parametrize("rows", [b"\n0\n1\n3\n2\n", b""], ids=["rows", "no-LF"])
+    def test_a_long_header_line_is_held_at_the_length_of_its_tokens(self, rows, tmp_path, monkeypatch):
+        # Runs of spaces and tabs in the header line are carried as one
+        # space; the whole line once was, so this file peaked at 2.0 B a
+        # byte and a 40 MiB line at a VmHWM of 97 MB.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 4 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER.replace(b" closed", b" \t" * (size // 2) + b"closed")[:-1] + rows)
+        assert verify_outcome(target) == ((
+            (0, "valid: change-1 cycle on 4 vertices in dimension 2\n", "") if rows
+            else (1, "", "error: line 2: document has no vertices\n")
+        ), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
     @pytest.mark.parametrize("h", ["0", "-3"])
     @pytest.mark.parametrize("rows", [b"0\n1\n3\n2\n", b"0\nx\n3\n2\n"], ids=["valid", "bad-row"])
     def test_a_step_size_below_1_is_refused_before_reading(self, h, rows, capsys, tmp_path, monkeypatch):

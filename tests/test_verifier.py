@@ -9,7 +9,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import leaper_cycles.verifier
-from leaper_cycles.constructor import _code, construct
+from leaper_cycles import cli, constructor
+from leaper_cycles.constructor import _code, construct, construct_chunks
 from leaper_cycles.core import VertexPath, lane_typecode
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import (
@@ -310,3 +311,103 @@ def test_packed_test_leaves_a_step_wider_than_a_lane_to_the_scalar_loops():
     checker = CycleChecker(2, 9)
     checker.feed((1,))
     assert checker.finish() == report
+
+
+@st.composite
+def coset_paths(draw):
+    """(k, h, size, codes, bounds, corruption): a constructed cycle in
+    blocks of ``size`` codes, rotated by whole blocks, perhaps broken one
+    way the coset route has to notice, and the bounds of the chunks it is
+    fed in."""
+    size = draw(st.sampled_from([4, 16, 64]))
+    k = draw(st.integers(max(2, size.bit_length() - 1), 10))
+    h = draw(st.sampled_from(range(1, k, 2)))
+    codes = list(construct(k, h).path.codes)
+    blocks = len(codes) // size
+    turn = draw(st.integers(0, blocks - 1)) * size
+    codes = codes[turn:] + codes[:turn]
+    block0, first = codes[:size], codes[0]
+    lane = 8 * array(lane_typecode(k)).itemsize
+    span = {c ^ first for c in block0}
+    outside = [s for s in range(1 << k) if s.bit_count() == h and s not in span]
+    corruptions = ["none", "short", "repeat in block 0"] + ["not a subspace"] * bool(outside)
+    if blocks > 1:
+        corruptions += ["used coset", "boundary step", "changed code"]
+        corruptions += ["shift past k"] if lane > k else []
+    corruption = draw(st.sampled_from(corruptions))
+    later = draw(st.integers(1, blocks - 1)) if blocks > 1 else 0
+    start = later * size
+    if corruption == "short":
+        del codes[draw(st.integers(1, len(codes) - 1)):]
+    elif corruption == "not a subspace":
+        # Block 0's tail moved off its span, with a step of h into it.
+        j = draw(st.integers(1, size - 1))
+        mask = codes[j - 1] ^ codes[j] ^ draw(st.sampled_from(outside))
+        codes[j:] = [c ^ mask for c in codes[j:]]
+    elif corruption == "repeat in block 0":
+        # The steps into and out of the repeated code are those of block 0.
+        codes[size - 1] = codes[size - 3]
+    elif corruption == "used coset":
+        # Block ``later`` translated onto a block before it, block 0 included.
+        used = draw(st.integers(0, later - 1)) * size
+        shift = codes[used] ^ block0[draw(st.integers(0, size - 1))]
+        codes[start:start + size] = [c ^ shift for c in block0]
+    elif corruption == "boundary step":
+        mask = draw(st.integers(1, (1 << k) - 1))
+        codes[start:] = [c ^ mask for c in codes[start:]]
+    elif corruption == "changed code":
+        codes[start + draw(st.integers(0, size - 1))] ^= 1 << draw(st.integers(0, lane - 1))
+    elif corruption == "shift past k":
+        # A bit past k swapped for one the step into ``start`` flips.
+        step = codes[start - 1] ^ codes[start]
+        mask = 1 << draw(st.integers(k, lane - 1)) | step & -step
+        codes[start:] = [c ^ mask for c in codes[start:]]
+    cuts = draw(st.lists(st.integers(0, len(codes)), max_size=8))
+    return k, h, size, tuple(codes), [0, *sorted(cuts), len(codes)], corruption
+
+
+def xor_from(codes, start, mask):
+    return (*codes[:start], *(c ^ mask for c in codes[start:]))
+
+
+@given(coset_paths(), st.booleans())
+@example((6, 3, 16, xor_from(construct(6, 3).path.codes, 16, 1), [0, 64], "boundary step"), False)
+@example((6, 3, 16, xor_from(construct(6, 3).path.codes, 16, 1 << 7 | 1), [0, 64], "shift past k"), True)
+def test_coset_route_reports_what_the_scalar_reference_reports(path, arrays):
+    k, h, size, codes, bounds, corruption = path
+    with mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", size):
+        checker = CycleChecker(k, h)
+        for lo, hi in zip(bounds, bounds[1:]):
+            checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
+        report = checker.finish()
+    assert report == scalar_report(k, h, codes)
+    if corruption == "none":
+        assert report.valid and checker._seen is None
+
+
+def test_a_translate_into_block_0s_coset_repeats_all_its_codes():
+    # Block 1 is block 0 xor 2049, a code of block 0: every step holds,
+    # and every code of block 1 is a code of block 0.
+    codes = list(construct(13, 1).path.codes)
+    codes[4096:] = [c ^ 2049 for c in codes[:4096]]
+    report = verify_cycle(VertexPath(13, tuple(codes)), 1)
+    assert report == scalar_report(13, 1, codes)
+    assert report.total == 4096 and kinds(report) == {DUPLICATE_VERTEX}
+
+
+def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
+    # A change that turns the coset route off sends valid blocks to these.
+    size = leaper_cycles.verifier._PACKED_LANES
+    assert size & size - 1 == 0 and constructor._CHUNK_CODES % size == 0
+
+    def never(*args):
+        raise AssertionError("a valid block left the coset route")
+
+    monkeypatch.setattr(CycleChecker, "_mark", never)
+    monkeypatch.setattr(CycleChecker, "_scan", never)
+    assert sum(map(len, construct_chunks(18, 5))) == 1 << 18  # raises if the path fails
+    target = tmp_path / "cycle.txt"
+    argv = ["construct", "--k", "18", "--h", "5", "--format", "ints", "--output", str(target)]
+    assert cli.main(argv) == 0
+    assert cli.main(["verify", str(target)]) == 0
+    assert capsys.readouterr().out == "valid: change-5 cycle on 262144 vertices in dimension 18\n"
