@@ -14,14 +14,13 @@ the transforms it calls, while the bench's tracer wraps these names.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .core import VertexPath, check_dimension, lane_typecode
+from .core import VertexPath, check_dimension, lane_typecode, pack, unpack
 from .graycode import gray_tour
 from .transforms import (
     append_coordinate,
@@ -175,7 +174,7 @@ def _code_chunks(k: int, h: int) -> Iterator[array]:
     built by doubling, codes ``[2**i, 2**(i+1))`` being ``_code(h, 2**i)``
     xor'ed onto codes ``[0, 2**i)``, and the chunk starting at index j is
     the first chunk with ``_code(h, j)`` xor'ed onto every code. The first
-    chunk is packed once into one integer, ``first``, of one lane per code;
+    chunk is packed once, by :func:`~.core.pack`, into one integer, ``first``;
     ``one`` has 1 in every lane, so ``_code(h, j) * one`` repeats the code
     in every lane without a carry, and one xor makes the chunk's lanes.
     """
@@ -187,13 +186,10 @@ def _code_chunks(k: int, h: int) -> Iterator[array]:
     typecode = lane_typecode(k)
     lanes = array(typecode, codes)
     del codes
-    width = lanes.itemsize
-    # xor works lane by lane, so the bytes need only come back in the order
-    # they were read in.
-    first = int.from_bytes(lanes, sys.byteorder)
-    one = int.from_bytes((b"\1" + bytes(width - 1)) * size, "little")
+    first = pack(lanes)
+    one = pack(array(typecode, [1]) * size)
     for start in range(0, 1 << k, size):
-        yield array(typecode, (first ^ _code(h, start) * one).to_bytes(size * width, sys.byteorder))
+        yield unpack(first ^ _code(h, start) * one, typecode, size)
 
 
 def _code(h: int, j: int) -> int:

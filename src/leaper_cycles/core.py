@@ -8,12 +8,14 @@ sequence ``j ^ (j >> 1)``. All distances are squared-Euclidean, i.e. plain
 coordinate-flip counts; nothing in the library touches floating point.
 A chunk of codes is an ``array`` of the unsigned lanes :func:`lane_typecode`
 names, the one lane width the generator, the checker, the parser and the
-renderer share.
+renderer share; :func:`pack` and :func:`unpack` are the one way lanes
+become an integer and back.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from array import array
 from dataclasses import dataclass
 
@@ -64,6 +66,24 @@ def lane_typecode(k: int) -> str:
     ``'B'``, ``'H'``, ``'I'`` and ``'Q'`` that holds a k-bit code, chosen
     by itemsize; ``'Q'``, the widest, above 64 bits."""
     return next((code for code in "BHIQ" if array(code).itemsize * 8 >= k), "Q")
+
+
+def pack(lanes: array) -> int:
+    """The integer whose bits ``i * w`` to ``(i + 1) * w`` hold ``lanes[i]``,
+    for lanes ``w`` bits wide, whatever the host's byte order."""
+    if sys.byteorder == "big":
+        lanes = array(lanes.typecode, lanes)
+        lanes.byteswap()
+    return int.from_bytes(lanes, "little")
+
+
+def unpack(packed: int, typecode: str, count: int) -> array:
+    """The inverse of :func:`pack`: the ``count`` lanes of ``packed`` as an
+    ``array`` of ``typecode``."""
+    lanes = array(typecode, packed.to_bytes(count * array(typecode).itemsize, "little"))
+    if sys.byteorder == "big":
+        lanes.byteswap()
+    return lanes
 
 
 @dataclass(frozen=True)

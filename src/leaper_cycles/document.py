@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -47,7 +46,7 @@ from functools import partial
 from itertools import chain
 from typing import AnyStr, BinaryIO, TypeVar
 
-from .core import CapacityError, VertexPath, check_dimension, lane_typecode
+from .core import CapacityError, VertexPath, check_dimension, lane_typecode, pack, unpack
 
 ENCODINGS = ("tuples", "ints")
 
@@ -181,10 +180,8 @@ def _tuple_rows_joined(
         out = bytearray(template) * len(codes)
         for start in range(0, len(codes), _PIECE_ROWS):
             piece = array(typecode, codes[start:start + _PIECE_ROWS])
-            if sys.byteorder == "big":
-                piece.byteswap()
             end = (start + len(piece)) * width
-            bits = f"{int.from_bytes(piece, 'little'):0{len(piece) * lane}b}"[::-1].encode()
+            bits = f"{pack(piece):0{len(piece) * lane}b}"[::-1].encode()
             for p in range(k):
                 out[start * width + len(left) + p * step:end:width] = bits[p::lane]
         del out[-len(row_sep):]
@@ -428,10 +425,7 @@ def _lane_codes(bits: str, k: int, rows: int) -> array | None:
     data = bits.encode("latin-1", "replace")  # one byte a character
     if len(data) != rows * _lane(k) or data.translate(None, b"01"):
         return None
-    lanes = array(lane_typecode(k), int(data, 2).to_bytes(rows * _lane(k) // 8, "little"))
-    if sys.byteorder == "big":
-        lanes.byteswap()
-    return lanes
+    return unpack(int(data, 2), lane_typecode(k), rows)
 
 
 def _text_codes(

@@ -8,14 +8,13 @@ certify its own output.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
 
-from .core import VertexPath, lane_typecode
+from .core import VertexPath, lane_typecode, pack, unpack
 
 WRONG_LENGTH = "WrongLength"
 DUPLICATE_VERTEX = "DuplicateVertex"
@@ -76,12 +75,15 @@ class CycleChecker:
     reports for the whole: the length, then repeated and out-of-range
     vertices by index, then the steps, then the closing edge.
 
-    Presence is proven by cosets while the path allows it. The path is
-    taken in blocks of _PACKED_LANES codes (of all of them, if fewer),
-    aligned to its index, each an ``array`` of the lanes
-    :func:`~.core.lane_typecode` names for ``k``; a partial block is held
-    until the next chunk fills it. Block 0 must pass
-    :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
+    The path is checked in blocks of _PACKED_LANES codes (of all of them,
+    if fewer), aligned to its index and sliced out of the chunks; a
+    partial block is held until the next chunk fills it, or until
+    :meth:`finish`. A block is an ``array`` of the lanes
+    :func:`~.core.lane_typecode` names for ``k``, packed by
+    :func:`~.core.pack`, or, if a code fits no lane, the codes as fed.
+
+    Presence is proven by cosets while the path allows it. Block 0 must
+    pass :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
     subspace V of as many codes, which :func:`_subspace_basis` proves. A
     later block whose first code is ``c`` must equal block 0 xor ``c ^
     first`` lane for lane, with ``c ^ first < 2**k`` and a step of h into
@@ -90,19 +92,11 @@ class CycleChecker:
     basis and must not have been named before. Two cosets of V are equal
     or disjoint, so such blocks repeat no code and none is marked present.
 
-    The first block, or code, that leaves this route makes the presence
-    table of one byte per vertex, marks the blocks taken so far present
-    in it, and is checked with every code after it chunk by chunk: a chunk
-    that is an array of the lanes, or a tuple or list, has its range and
-    steps tested by :func:`_packed_chunk_passes` on the integer of each
-    piece of up to _PACKED_LANES lanes. A chunk that passes only has its
-    vertices marked present. Any other chunk, one holding a code that does
-    not fit a lane included, is checked code by code, naming each fault.
-
-    Blocks are read as integers in the host's byte order, so on a
-    big-endian host their lanes run in reverse: neither the lane-for-lane
-    comparison nor a test of block 0, whose first step has no code before
-    it, depends on the order.
+    The first block that leaves this route, a partial one included, makes
+    the presence table of one byte per vertex and marks the blocks taken
+    so far present in it. From then on, a block of lanes whose range and
+    steps pass :func:`_packed_chunk_passes` only has its vertices marked
+    present; any other block is checked code by code, naming each fault.
     """
 
     def __init__(self, k: int, h: int) -> None:
@@ -113,7 +107,8 @@ class CycleChecker:
         self._n = 1 << k
         self._typecode = lane_typecode(k)
         self._size = min(_PACKED_LANES, self._n)  # codes in a block
-        self._held = array(self._typecode)  # a partial block
+        # A partial block: lanes, or a list once a slice is not lanes.
+        self._held: array | list[int] = array(self._typecode)
         # Presence table of one byte per vertex, made only when the coset
         # route is left: O(2**k) time and 2**k bytes.
         self._seen: bytearray | None = None
@@ -128,16 +123,25 @@ class CycleChecker:
 
     def feed(self, codes: Sequence[int]) -> None:
         """Check the next ``codes`` of the path."""
-        if not codes:
-            return
-        start = self._take(codes) if self._seen is None else 0
-        if start < len(codes):
-            self._check(codes[start:] if start else codes)
+        size, start = self._size, 0
+        if self._held:
+            start = size - len(self._held)
+            self._hold(codes[:start])
+            if len(self._held) < size:
+                return
+            self._block(self._held)
+            self._held = array(self._typecode)
+        end = start + (len(codes) - start) // size * size
+        for lo in range(start, end, size):
+            self._block(codes[lo:lo + size])
+        if end < len(codes):
+            self._hold(codes[end:])
 
     def finish(self) -> VerifyReport:
         """The report on the codes fed so far, taken as the whole path."""
         if self._held:
-            self._leave()
+            self._block(self._held)
+            self._held = array(self._typecode)
         count = self._count
         violations = [] if count == self._n else [Violation(WRONG_LENGTH, count)]
         violations += self._presence
@@ -152,36 +156,46 @@ class CycleChecker:
             total=len(violations) + self._dropped,
         )
 
-    def _take(self, codes: Sequence[int]) -> int:
-        """Take ``codes`` by the coset route a block at a time, holding a
-        partial block. Returns ``len(codes)``, or, if the route is left on
-        the way and the codes held are checked, the index of the first
-        code still to be checked."""
-        held, size = self._held, self._size
-        start = 0
-        while start < len(codes):
-            end = start + size - len(held)
-            lanes = _lanes(codes[start:end], self._typecode)
-            if lanes is None:
-                self._leave()
-                return start
+    def _hold(self, codes: Sequence[int]) -> None:
+        """Add ``codes``, a slice, to the partial block."""
+        held = self._held
+        lanes = _lanes(codes, self._typecode) if isinstance(held, array) else None
+        if lanes is None:
+            self._held = [*held, *codes]
+        else:
             held.extend(lanes)
-            start = end
-            if len(held) == size:
-                if not self._take_block(held):
-                    self._leave()
-                    return start
-                del held[:]
-        return len(codes)
 
-    def _take_block(self, block: array) -> bool:
-        """Take ``block``, the next whole block, if the class docstring's
-        tests hold: for block 0, that it is a translate of a subspace V;
-        for a later block, that it is a coset of V not taken before.
-        Returns whether it was taken."""
-        k, h, head = self._k, self._h, block[0]
-        packed = int.from_bytes(block, sys.byteorder)
-        one = _lane_masks(block.itemsize, len(block))[0]
+    def _block(self, block: Sequence[int]) -> None:
+        """Check ``block``, the next block: by the coset route while that
+        holds, else against the presence table."""
+        lanes = _lanes(block, self._typecode)
+        packed = 0 if lanes is None else pack(lanes)
+        if self._seen is not None or not self._take_block(lanes, packed):
+            if self._seen is None:
+                self._leave()
+            lead = self._last if self._count else None
+            if lanes is not None and _packed_chunk_passes(
+                packed, lead, lanes.itemsize, len(lanes), self._k, self._h
+            ):
+                self._mark(block)
+            else:
+                self._scan(block, 0)
+                self._scan_steps(block)
+        if not self._count:
+            self._first = block[0]
+        self._last = block[-1]
+        self._count += len(block)
+
+    def _take_block(self, lanes: array | None, packed: int) -> bool:
+        """Whether the coset route takes the next block: ``lanes``, None if
+        a code fits no lane, and ``packed``, their integer. It takes a
+        whole block if the class docstring's tests hold: for block 0, that
+        it is a translate of a subspace V; for a later block, that it is a
+        coset of V not taken before."""
+        if lanes is None or len(lanes) < self._size:
+            return False
+        k, h, head = self._k, self._h, lanes[0]
+        one = _lane_masks(lanes.itemsize, len(lanes))[0]
         if self._count:
             shift = head ^ self._first
             if (
@@ -191,18 +205,16 @@ class CycleChecker:
             ):
                 return False
         else:
-            if not _packed_chunk_passes(packed, None, block.itemsize, len(block), k, h):
+            if not _packed_chunk_passes(packed, None, lanes.itemsize, len(lanes), k, h):
                 return False
-            basis = _subspace_basis(packed ^ head * one, self._typecode, len(block))
+            basis = _subspace_basis(packed ^ head * one, self._typecode, len(lanes))
             if basis is None:
                 return False
-            self._block0, self._basis, self._first = packed, basis, head
+            self._block0, self._basis = packed, basis
         coset = self._coset(head)
         if coset in self._cosets:
             return False
         self._cosets[coset] = head
-        self._last = block[-1]
-        self._count += len(block)
         return True
 
     def _coset(self, code: int) -> int:
@@ -214,53 +226,15 @@ class CycleChecker:
         return code
 
     def _leave(self) -> None:
-        """Leave the coset route: make the presence table, mark the blocks
-        taken present in it, and check the codes held chunk by chunk."""
+        """Leave the coset route: make the presence table and mark the
+        codes of the blocks taken present in it."""
         seen = self._seen = bytearray(self._n)
-        typecode, size = self._typecode, self._size
-        width = array(typecode).itemsize
-        one = _lane_masks(width, size)[0]
+        size = self._size
+        one = _lane_masks(array(self._typecode).itemsize, size)[0]
         for head in self._cosets.values():
-            block = self._block0 ^ (head ^ self._first) * one
-            for c in array(typecode, block.to_bytes(size * width, sys.byteorder)):
+            for c in unpack(self._block0 ^ (head ^ self._first) * one, self._typecode, size):
                 seen[c] = 1
         self._cosets = {}
-        held, self._held = self._held, array(typecode)
-        if held:
-            self._check(held)
-
-    def _check(self, codes: Sequence[int]) -> None:
-        """Check ``codes`` against the presence table, as one chunk."""
-        base = self._count
-        if self._packed_passes(codes):
-            self._mark(codes)
-        else:
-            self._scan(codes, 0)
-            self._scan_steps(codes)
-        if not base:
-            self._first = codes[0]
-        self._last = codes[-1]
-        self._count = base + len(codes)
-
-    def _packed_passes(self, codes: Sequence[int]) -> bool:
-        """Whether ``codes``, an array of this checker's lanes or a tuple
-        or list, pass :func:`_packed_chunk_passes`, taken _PACKED_LANES
-        codes at a time as arrays of little-endian lanes. Any other
-        sequence, or a code that does not fit a lane, fails."""
-        lead = self._last if self._count else None
-        for start in range(0, len(codes), _PACKED_LANES):
-            # A slice is a copy, free to byteswap.
-            lanes = _lanes(codes[start:start + _PACKED_LANES], self._typecode)
-            if lanes is None:
-                return False
-            if sys.byteorder == "big":
-                lanes.byteswap()
-            if not _packed_chunk_passes(
-                int.from_bytes(lanes, "little"), lead, lanes.itemsize, len(lanes), self._k, self._h
-            ):
-                return False
-            lead = codes[start + len(lanes) - 1]
-        return True
 
     def _mark(self, codes: Sequence[int]) -> None:
         """Mark ``codes``, each inside the dimension, present, and hand the
@@ -347,7 +321,7 @@ def _subspace_basis(packed: int, typecode: str, lanes: int) -> list[tuple[int, i
     for i, (pivot, _) in enumerate(basis):
         coordinates |= (packed >> pivot & one) << i
     table = bytearray(lanes)
-    for c in array(typecode, coordinates.to_bytes(lanes * width, sys.byteorder)):
+    for c in unpack(coordinates, typecode, lanes):
         table[c] = 1
     return basis if all(table) else None
 
@@ -393,8 +367,8 @@ def _packed_chunk_passes(
 @lru_cache(maxsize=2)
 def _lane_masks(itemsize: int, lanes: int) -> tuple[int, int, int, int]:
     """1 in each of ``lanes`` lanes of ``itemsize`` bytes, and 0x55, 0x33
-    and 0x0f in each of their bytes; cached for _PACKED_LANES lanes and
-    the last piece of a chunk."""
+    and 0x0f in each of their bytes; cached for a whole block and the
+    last, partial one."""
     every_byte = int.from_bytes(b"\1" * (itemsize * lanes), "little")
     one = int.from_bytes((b"\1" + bytes(itemsize - 1)) * lanes, "little")
     return one, 0x55 * every_byte, 0x33 * every_byte, 0x0F * every_byte

@@ -34,6 +34,12 @@ def rows_of(path):
     return [tuple((c >> i) & 1 for i in range(k)) for c in path.codes]
 
 
+def packed(codes, itemsize):
+    """``codes`` in lanes of ``itemsize`` bytes, lane i at bit ``8 * itemsize * i``,
+    joined one code at a time."""
+    return int.from_bytes(b"".join(c.to_bytes(itemsize, "little") for c in codes), "little")
+
+
 def reflect_extend(path):
     """One reflection round: lift a change-1 tour from dimension k to k+1.
 

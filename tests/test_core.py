@@ -1,7 +1,10 @@
+import random
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
+import leaper_cycles.core
 from leaper_cycles.core import (
     DEFAULT_MAX_K,
     HARD_MAX_K,
@@ -11,9 +14,11 @@ from leaper_cycles.core import (
     check_dimension,
     lane_typecode,
     max_k,
+    pack,
+    unpack,
 )
 
-from reference_tours import path_of, rows_of
+from reference_tours import packed, path_of, rows_of
 
 
 class TestVertexPath:
@@ -68,3 +73,23 @@ def test_lane_is_the_narrowest_of_four_that_holds_k_bits():
     for k in range(1, HARD_MAX_K + 1):
         holds = [code for code in "BHIQ" if 8 * array(code).itemsize >= k]
         assert lane_typecode(k) == holds[0], k
+
+
+@pytest.mark.parametrize("k", [1, 8, 9, 16, 17, 32, 33, 64])
+def test_pack_puts_lane_i_at_bits_i_times_its_width(k, monkeypatch):
+    typecode = lane_typecode(k)
+    itemsize = array(typecode).itemsize
+    rng = random.Random(k)
+    codes = [0, 1, (1 << k) - 1, *(rng.getrandbits(k) for _ in range(29))]
+    lanes = array(typecode, codes)
+    want = packed(codes, itemsize)
+    assert pack(lanes) == want
+    assert unpack(want, typecode, len(codes)) == lanes
+    # On a big-endian host each lane's bytes run the other way round.
+    swapped = array(typecode, codes)
+    swapped.byteswap()
+    monkeypatch.setattr(leaper_cycles.core, "sys", SimpleNamespace(byteorder="big"))
+    before = swapped.tobytes()
+    assert pack(swapped) == want
+    assert swapped.tobytes() == before  # pack swaps a copy
+    assert unpack(want, typecode, len(codes)) == swapped

@@ -1,9 +1,12 @@
 """The suite's own settings, run on sample tests in a subprocess."""
 
+import ast
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import leaper_cycles
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -34,3 +37,17 @@ def test_a_failing_hypothesis_test_does_not_stop_the_suite(tmp_path):
     )
     assert run.returncode == 1, run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout
+
+
+def test_only_core_knows_the_host_byte_order():
+    # core.pack and core.unpack are the one lane layout; a module that
+    # reads sys.byteorder or byteswaps lanes itself has a second one.
+    found = {}
+    for path in sorted(Path(leaper_cycles.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("byteorder", "byteswap"):
+                found.setdefault(node.attr, set()).add(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+                if any(alias.name == "byteorder" for alias in node.names):
+                    found.setdefault("byteorder", set()).add(path.name)
+    assert found == {"byteorder": {"core.py"}, "byteswap": {"core.py"}}

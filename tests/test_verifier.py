@@ -24,7 +24,7 @@ from leaper_cycles.verifier import (
     verify_cycle,
 )
 
-from reference_tours import DIM5_STEP3_TOUR, path_of, scalar_report
+from reference_tours import DIM5_STEP3_TOUR, packed, path_of, scalar_report
 
 
 def kinds(report):
@@ -209,10 +209,11 @@ def as_lanes(k, chunk):
 def test_checker_fed_at_any_cuts_reports_what_the_scalar_reference_reports(cycle, arrays, piece):
     # The reference shares nothing with the checker but the report types;
     # the first example breaks every step, past the 1,000 a report keeps.
-    # Small pieces of the packed test put its own cuts inside the chunks.
+    # Small blocks put the checker's own cuts inside the chunks; a
+    # checker fixes its block size when it is made.
     k, h, codes, bounds = cycle
-    checker = CycleChecker(k, h)
     with mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", piece):
+        checker = CycleChecker(k, h)
         for lo, hi in zip(bounds, bounds[1:]):
             checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
     assert checker.finish() == scalar_report(k, h, codes)
@@ -220,17 +221,20 @@ def test_checker_fed_at_any_cuts_reports_what_the_scalar_reference_reports(cycle
 
 @pytest.mark.parametrize("wide", [-1, 1 << 32, 1 << 40, (1 << 64) - 1, 1 << 64, 1 << 70])
 def test_codes_that_fit_no_lane_are_named(wide):
-    # array() refuses such a code, and its chunk is checked code by code;
-    # cut after it, it leads the next chunk's steps.
-    codes = list(construct(4, 1).path.codes)
-    codes[5] = wide
-    for cuts in ([0, 16], [0, 5, 16], [0, 6, 16], list(range(17))):
-        checker = CycleChecker(4, 1)
+    # array() refuses such a code, and its block is checked code by code;
+    # cut after it, it leads the next chunk's steps. At k = 13 it arrives
+    # while a partial block is held, after the coset route took block 0.
+    cases = [(4, 5, cuts) for cuts in ([0, 16], [0, 5, 16], [0, 6, 16], list(range(17)))]
+    cases.append((13, 5000, [0, 4100, 5001, 8192]))
+    for k, at, cuts in cases:
+        codes = list(construct(k, 1).path.codes)
+        codes[at] = wide
+        checker = CycleChecker(k, 1)
         for lo, hi in zip(cuts, cuts[1:]):
             checker.feed(tuple(codes[lo:hi]))
         report = checker.finish()
-        assert report == scalar_report(4, 1, codes)
-        assert (DIMENSION_OVERFLOW, 5) in [(v.kind, v.where) for v in report.violations]
+        assert report == scalar_report(k, 1, codes)
+        assert (DIMENSION_OVERFLOW, at) in [(v.kind, v.where) for v in report.violations]
 
 
 # Widths at and either side of the lane edges; a CycleChecker beyond
@@ -245,10 +249,6 @@ def steps_hold(codes, lead, k, h):
     return all(0 <= c < 1 << k for c in codes) and all(
         (a ^ b).bit_count() == h for a, b in zip(path, path[1:])
     )
-
-
-def packed(codes, itemsize):
-    return int.from_bytes(b"".join(c.to_bytes(itemsize, "little") for c in codes), "little")
 
 
 @pytest.mark.parametrize("k", LANE_EDGE_KS)
