@@ -14,12 +14,16 @@ coordinate = least significant bit). The JSON alternative carries the same
 fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
 
-Rendering yields the text in pieces: the header, the rows of one chunk
-of codes at a time, and the tail, so it never holds a string per row;
-a chunk's rows are one ``%`` format of a ``%d`` per code (``ints``) or
-strided copies of the base-2 digits of its lanes (``tuples``).
-``construct`` in the CLI writes the pieces as they come and holds one
-chunk's rows at a time; ``render_text`` and ``render_json`` join them,
+Rendering yields the text in pieces: the header, the rows of 4,096
+codes at a time, and the tail, so it never holds a string per row. A
+piece's ``tuples`` rows are strided copies of the base-2 digits of its
+lanes. Its ``ints`` rows, if it is the first piece with one code xor'ed
+onto every lane, as each piece of a closed-form cycle of ``k >= 16`` is,
+are strided copies of the decimal digits of one sum of big decimals,
+written by :mod:`.decimal_rows`; else they are one ``%`` format of a
+``%d`` per code. A path that does not start on a 4,096-row boundary of
+the closed form has fewer such pieces. ``construct`` in the CLI writes the pieces as they come and holds one
+piece's rows at a time; ``render_text`` and ``render_json`` join them,
 holding the pieces and the joined text together at the end. Parsing
 takes a head of 4 KiB, enough for a JSON header, then blocks of about
 1 MiB, and runs them together into windows of whole lines, a text
@@ -63,8 +67,8 @@ _JSON_TAIL = '],"closed":true}\n'
 # encoding -> (what ends each row of the body but the last, the tail after it)
 _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
-_BLOCK_ROWS = 1 << 16  # rows a renderer joins at once
-_PIECE_ROWS = 1 << 12  # tuples rows a renderer reads as one integer
+_PIECE_ROWS = 1 << 12  # rows a renderer writes at once
+_FIELD_PIECES = 16  # pieces of a cycle that pay for the fields of ints rows
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
 _Seq = TypeVar("_Seq", str, "tuple[int, ...]")
@@ -89,15 +93,14 @@ class CycleDocument:
 
 def render_text(doc: CycleDocument) -> str:
     _check_codes(doc.path)
-    blocks = _slices(doc.path.codes, 0, _BLOCK_ROWS)
-    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, blocks))
+    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, [doc.path.codes]))
 
 
 def render_json(doc: CycleDocument) -> str:
     """The text ``json.dumps`` would write, compact, with the fields in order."""
     _check_codes(doc.path)
-    blocks = _slices(doc.path.codes, 0, _BLOCK_ROWS)
-    return "".join(render_pieces(doc.path.k, doc.h, doc.encoding, blocks, as_json=True))
+    pieces = render_pieces(doc.path.k, doc.h, doc.encoding, [doc.path.codes], as_json=True)
+    return "".join(pieces)
 
 
 def render_pieces(
@@ -108,11 +111,12 @@ def render_pieces(
     *,
     as_json: bool = False,
 ) -> Iterator[str]:
-    """A document's text in pieces: its header, the rows of each chunk, its tail.
+    """A document's text in pieces: its header, the rows of each piece of
+    _PIECE_ROWS codes cut from the chunks, and its tail.
 
     The chunks are non-empty and hold codes in [0, 2**k), which are not
     checked here. ``render_text`` and ``render_json`` join the pieces; a
-    caller that writes them out as they come holds one chunk's rows at a
+    caller that writes them out as they come holds one piece's rows at a
     time.
     """
     if as_json:
@@ -122,15 +126,16 @@ def render_pieces(
         yield f"# k={k} h={h} encoding={encoding} closed=true\n"
         sep = tail = "\n"
     if encoding == "ints":
-        rows = _int_rows_joined(sep)
+        rows = _int_rows_joined(k, sep)
     elif as_json:
         rows = _tuple_rows_joined(k, sep, ",", "[", "]")
     else:
         rows = _tuple_rows_joined(k, sep, " ")
-    for i, chunk in enumerate(chunks):
+    pieces = chain.from_iterable(_slices(chunk, 0, _PIECE_ROWS) for chunk in chunks)
+    for i, piece in enumerate(pieces):
         if i:
             yield sep
-        yield rows(chunk)
+        yield rows(piece)
     yield tail
 
 
@@ -144,15 +149,31 @@ def _check_codes(path: VertexPath) -> None:
         raise ValueError(f"code at index {index} is {code}, outside [0, 2**{k})")
 
 
-def _int_rows_joined(row_sep: str) -> Callable[[Sequence[int]], str]:
+def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
     """The rows of codes, each its decimal digits, joined by ``row_sep``.
 
-    A chunk of L codes is one ``%`` format of L ``%d`` fields, the format
-    built once per chunk length.
+    Where a cycle of 2**k codes has _FIELD_PIECES pieces or more, a piece
+    that is a translate of the first is written by
+    :class:`~.decimal_rows.Translates`; any other piece is one ``%``
+    format of a ``%d`` per code, the format built once per piece length.
     """
     formats: dict[int, str] = {}
+    first: Sequence[int] | None = None
+    translates = None
+    fields_pay = 1 << k >= _FIELD_PIECES * _PIECE_ROWS
 
     def rows(codes: Sequence[int]) -> str:
+        nonlocal first, translates
+        if first is None:
+            first = codes
+        elif fields_pay:
+            if translates is None:
+                from .decimal_rows import Translates
+
+                translates = Translates(first, k, row_sep)
+            text = translates.rows(codes)
+            if text is not None:
+                return text
         fmt = formats.get(len(codes))
         if fmt is None:
             fmt = formats[len(codes)] = row_sep.join(["%d"] * len(codes))
@@ -167,24 +188,22 @@ def _tuple_rows_joined(
     """The rows of codes, joined by ``row_sep``: each code's coordinates,
     leftmost first, joined by ``sep`` between ``left`` and ``right``.
 
-    The inverse of :func:`_lane_codes`: each piece of _PIECE_ROWS lanes
-    is one base-2 integer whose reversed digits hold bit ``p`` of code
-    ``i`` at ``i * lane + p``, and coordinate ``p`` of the piece's rows,
-    one template row per code, is one strided copy of digits ``p::lane``.
+    The inverse of :func:`_lane_codes`: a piece of lanes is one base-2
+    integer whose reversed digits hold bit ``p`` of code ``i`` at
+    ``i * lane + p``, and coordinate ``p`` of the rows, one template row
+    per code, is one strided copy of digits ``p::lane``.
     """
     typecode, lane = lane_typecode(k), _lane(k)
     template = (left + sep.join("0" * k) + right + row_sep).encode()
     width, step = len(template), len(sep) + 1
 
     def rows(codes: Sequence[int]) -> str:
-        out = bytearray(template) * len(codes)
-        for start in range(0, len(codes), _PIECE_ROWS):
-            piece = array(typecode, codes[start:start + _PIECE_ROWS])
-            end = (start + len(piece)) * width
-            bits = f"{pack(piece):0{len(piece) * lane}b}"[::-1].encode()
-            for p in range(k):
-                out[start * width + len(left) + p * step:end:width] = bits[p::lane]
-        del out[-len(row_sep):]
+        piece = array(typecode, codes)
+        bits = f"{pack(piece):0{len(piece) * lane}b}"[::-1].encode()
+        out = bytearray(template) * len(piece)
+        for p in range(k):
+            out[len(left) + p * step::width] = bits[p::lane]
+        del bits, out[-len(row_sep):]  # bits is not held beside the decoded rows
         return out.decode("ascii")
 
     return rows
@@ -405,7 +424,9 @@ def _int_rows(window: str, sep: str) -> list[int] | None:
     ``json.loads``; None sends any other window, valid or not, or one of
     no rows, to a slower route, which accepts the same documents and names
     the fault."""
-    if window.translate(dict.fromkeys(b"0123456789" + sep.encode())) or window[-1:] != sep:
+    digits = b"0123456789" + sep.encode()
+    digits_only = window.isascii() and not window.encode().translate(None, digits)
+    if not digits_only or window[-1:] != sep:
         return None
     try:  # JSON refuses an empty row, a leading zero and a row over the digit limit
         return json.loads("[" + window[:-1].replace(sep, ",") + "]") or None

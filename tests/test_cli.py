@@ -813,3 +813,29 @@ def test_cli_imports_only_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_only_a_construct_with_translates_loads_decimal(tmp_path):
+    # decimal adds 0.4 MB to the peak memory of a call, and compiling the
+    # module that uses it more; an oracle witness is one piece, and verify
+    # renders nothing.
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    doc, witness = str(tmp_path / "c.txt"), str(tmp_path / "w.txt")
+    script = f"""
+import contextlib, io, sys
+from leaper_cycles.cli import main
+loaded = []
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (
+        ["oracle", "--k", "4", "--h", "3", "--witness", "--format", "ints", "--output", {witness!r}],
+        ["verify", {doc!r}],
+        ["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", {doc!r}],
+    ):
+        main(argv)
+        loaded.append(sorted({"decimal", "leaper_cycles.decimal_rows"} & sys.modules.keys()))
+print(loaded)
+"""
+    assert main(["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", doc]) == 0
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[[], [], ['decimal', 'leaper_cycles.decimal_rows']]\n"

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import document
+from leaper_cycles import decimal_rows, document
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath, lane_typecode
 from leaper_cycles.document import (
@@ -399,7 +399,7 @@ def test_header_always_matches_the_row_width(doc):
 def small_blocks(rows=2, chars=3):
     """Render blocks of ``rows`` rows and parse windows of about ``chars``
     characters; the defaults make a small document cross many cuts."""
-    return mock.patch.multiple(document, _BLOCK_ROWS=rows, _WINDOW_CHARS=chars)
+    return mock.patch.multiple(document, _PIECE_ROWS=rows, _WINDOW_CHARS=chars)
 
 
 BLOCK_SIZES = (contextlib.nullcontext, small_blocks)
@@ -479,15 +479,16 @@ def test_tuple_rows_match_one_join_per_row(k, length):
         expected = joined_tuples(k, codes, as_json)
         for chunk in chunks:
             pieces = list(document.render_pieces(k, 1, "tuples", [chunk], as_json=as_json))
-            assert pieces[1] == expected
+            assert "".join(pieces[1:-1]) == expected  # the rows between header and tail
 
 
 @pytest.mark.parametrize("k, as_json", [(17, False), (22, False), (16, True)])
 def test_tuple_rows_of_a_chunk_peak_near_their_length(k, as_json):
-    # The rows are written once into a bytearray and decoded once; each
-    # piece of lanes adds its digits, a fraction of the rows. Rows joined
-    # from a string per code peaked at 3.4x their length or more, and rows
-    # from one integer of the whole chunk at 2.5x or more.
+    # A chunk's rows come one piece at a time, so the bound is on a
+    # piece's rows. They are written once into a bytearray and decoded
+    # once, and the piece's base-2 digits are let go before the decode.
+    # Rows joined from a string per code peaked at 3.4x their length or
+    # more, and rows from one integer of a whole chunk at 2.5x or more.
     chunk = array(lane_typecode(k), lane_filling_codes(k, 1 << 16))
     pieces = document.render_pieces(k, 1, "tuples", [chunk], as_json=as_json)
     next(pieces)  # the header
@@ -497,7 +498,7 @@ def test_tuple_rows_of_a_chunk_peak_near_their_length(k, as_json):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == joined_tuples(k, chunk, as_json)
+    assert rows == joined_tuples(k, chunk[:document._PIECE_ROWS], as_json)
     assert peak <= 2.5 * len(rows)
 
 
@@ -536,6 +537,95 @@ def test_int_rows_of_an_oracle_witness_match_one_str_per_row(as_json):
     codes = oracle_exists(4, 3).witness.codes  # the one chunk `oracle --witness` renders
     text = "".join(document.render_pieces(4, 3, "ints", [codes], as_json=as_json))
     assert text == joined_ints(4, 3, codes, as_json)
+
+
+def rendered_translates(k, first, shifts, typecode, as_json):
+    """The rows ``render_pieces`` writes for the pieces ``first`` and
+    ``first ^ c`` for each ``c`` of ``shifts``, one chunk of pieces of
+    ``len(first)`` rows, and for each later piece whether it was written
+    from decimal fields."""
+    codes = [*first, *(code ^ c for c in shifts for code in first)]
+    chunk = tuple(codes) if typecode is None else array(typecode, codes)
+    taken = []
+    rows = decimal_rows.Translates.rows
+
+    def spy(self, piece):
+        text = rows(self, piece)
+        taken.append(text is not None)
+        return text
+
+    with mock.patch.object(decimal_rows.Translates, "rows", spy), \
+            mock.patch.object(document, "_PIECE_ROWS", len(first)):
+        text = "".join(document.render_pieces(k, 1, "ints", [chunk], as_json=as_json))
+    assert text == joined_ints(k, 1, codes, as_json)
+    return taken
+
+
+@st.composite
+def translates(draw):
+    """k, a first piece of up to 64 codes, up to four shifts in [0, 2**k),
+    a lane typecode wide enough for k or None for a tuple, and a form."""
+    k = draw(st.integers(12, 64))
+    code = st.integers(0, (1 << k) - 1)
+    first = draw(st.lists(code, min_size=1, max_size=64))
+    shifts = draw(st.lists(code, min_size=1, max_size=4))
+    wide_enough = [code for code in "BHIQ" if 8 * array(code).itemsize >= k]
+    return k, first, shifts, draw(st.sampled_from([None, *wide_enough])), draw(st.booleans())
+
+
+@given(translates())
+@example((12, [0, 4095, 5, 9], [4095, 4090], "H", False))  # rows 0 and 2**k - 1
+@example((17, list(range(99_990, 100_010)), [0, 1, 31, 1 << 16], None, True))  # across 10**5
+@example((64, [0, (1 << 64) - 1, 10**19, 10**19 - 1], [(1 << 64) - 1, 1 << 63], "Q", False))
+def test_translates_are_written_from_decimal_fields(case):
+    # A second path for the decimal fields: each piece after the first is
+    # a translate, written from them, and its rows are what str() writes.
+    k, first, shifts, typecode, as_json = case
+    assert rendered_translates(k, first, shifts, typecode, as_json) == [True] * len(shifts)
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_a_piece_that_is_no_translate_is_written_by_format(as_json):
+    # One lane changed, and a shift of 2**k or more: neither piece is a
+    # translate, so both are written by the % format; the piece after
+    # them is one again.
+    k, first = 13, [3, 8191, 4096, 77, 1000]
+    changed = [c ^ 5 for c in first]
+    changed[2] ^= 1
+    codes = [*first, *changed, *(c ^ (1 << k) for c in first), *(c ^ 6 for c in first)]
+    with mock.patch.object(document, "_PIECE_ROWS", len(first)):
+        text = "".join(document.render_pieces(k, 1, "ints", [array("H", codes)], as_json=as_json))
+        translates = decimal_rows.Translates(first, k, "\n")
+        pieces = [translates.rows(codes[i:i + 5]) for i in (5, 10, 15)]
+    assert text == joined_ints(k, 1, codes, as_json)
+    assert pieces[:2] == [None, None] and pieces[2] == "\n".join(map(str, codes[15:]))
+
+
+@pytest.mark.parametrize("k", [12, 15])
+def test_a_cycle_of_few_pieces_is_written_by_format(k):
+    # 2**15 codes are 8 pieces, too few translates to pay for the fields.
+    chunk = array(lane_typecode(k), construct(k, 3).path.codes)
+    with mock.patch.object(decimal_rows, "Translates") as fields:
+        text = "".join(document.render_pieces(k, 3, "ints", [chunk]))
+    assert not fields.called
+    assert text == joined_ints(k, 3, chunk, False)
+
+
+def int_rows_by_str_translate(window, sep):
+    """``_int_rows`` as it read a window before its test on bytes."""
+    if window.translate(dict.fromkeys(b"0123456789" + sep.encode())) or window[-1:] != sep:
+        return None
+    try:
+        return json.loads("[" + window[:-1].replace(sep, ",") + "]") or None
+    except ValueError:
+        return None
+
+
+@given(st.text(st.sampled_from("0123456789\n, -x\u0661\xe9\x00"), max_size=40), st.sampled_from("\n,"))
+@example("12\n0\n", "\n")
+@example("\u0661\n", "\n")
+def test_int_rows_take_the_windows_they_took_before(window, sep):
+    assert document._int_rows(window, sep) == int_rows_by_str_translate(window, sep)
 
 
 @pytest.mark.parametrize("render", [render_text, render_json])
