@@ -1,0 +1,153 @@
+"""The rows of a document's body, read a window or a piece at a time;
+the later pieces of an ``ints`` cycle of translates proven by rendering
+them.
+
+:mod:`.document` imports this module only to read a body, so
+``construct`` and ``oracle`` do not compile it.
+"""
+
+from __future__ import annotations
+
+import sys
+from array import array
+from collections.abc import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .decimal_rows import Translates
+
+
+class BodyRows:
+    """The code chunks of a document's body, fed in windows of whole rows,
+    each row ended by ``sep``.
+
+    ``read(rows, lineno)`` is a window reader of :mod:`.document`: it
+    returns the codes of ``rows``, the first of them on line ``lineno``,
+    or None if the body is to be parsed whole, or raises the fault of the
+    line at fault. It reads a whole window at once, unless ``piece`` is
+    not 0: the body is then ``ints`` rows of a cycle whose translates the
+    renderer writes, and it is taken ``piece`` rows at a time, aligned to
+    row ``piece * t``:
+
+    - ``read`` reads piece 0, whose codes are the template.
+    - A later piece whose first row is a code ``c`` of ASCII digits with
+      ``shift = c ^ first[0] < 2**k``, whose second row is ``first[1] ^
+      shift``, and whose text opens with the rows
+      :class:`~.decimal_rows.Translates` renders for ``shift`` and a
+      ``sep``, is the translate by ``shift``. Decimal without leading
+      zeros is canonical, so equal text is equal codes, and the piece is
+      handed on as lanes without a digit read.
+    - ``read`` reads any other piece, and the piece after it tries the
+      route again. The second-row test costs O(1), so a body that is no
+      run of translates pays for a render only where it passes.
+    - A piece start nearer a window's end than a translate's text reaches
+      is carried into the next window, so a piece cut by a window's edge
+      stays on the route.
+    """
+
+    def __init__(
+        self,
+        k: int,
+        sep: str,
+        read: Callable[[str, int], Sequence[int] | None],
+        piece: int,
+        lineno: int = 1,
+    ) -> None:
+        self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
+        # Rows left to ``read`` in the piece at hand; all of them off the route.
+        self._left = piece or sys.maxsize
+        self._first: list[int] | None = [] if piece else None  # piece 0, while it is read
+        self._translates: Translates | None = None
+        self._width = len(str((1 << k) - 1))  # digits of a code a translate row holds
+        self._span = piece * (self._width + len(sep))  # the longest translate text
+        self._chars = self._width + len(sep)  # a guess at a row's length, sep included
+        self._held = ""  # the rows from a piece start, carried to the next window
+
+    def feed(self, window: str, final: bool = False) -> Iterator[Sequence[int] | None]:
+        """The code chunks of the rows carried and then of ``window``; with
+        ``final``, of all the text left, its last row perhaps without a
+        ``sep``. A chunk of None ends the chunks."""
+        text, self._held = self._held + window, ""
+        limit = len(text) if final else text.rfind(self._sep) + 1
+        pos = 0
+        while pos < limit:
+            if not self._left:  # a piece start past piece 0
+                if not final and limit - pos < self._span:
+                    break
+                proven = self._translate(text, pos)
+                if proven is not None:
+                    lanes, pos = proven
+                    self._lineno += len(lanes)
+                    yield lanes
+                    continue
+                self._left = self._piece
+            end, rows = self._rows_end(text, pos, limit, self._left)
+            codes = self._read(text[pos:end], self._lineno)
+            if codes is None:
+                yield None
+                return
+            pos, self._lineno, self._left = end, self._lineno + rows, self._left - rows
+            if self._first is not None:
+                self._first += codes
+                if not self._left:
+                    self._template()
+            if codes:
+                yield codes
+        self._held = text[pos:]
+
+    def _template(self) -> None:
+        """Take piece 0, now read, as the template of the translates, or
+        leave the route if its codes are not a piece of codes in [0, 2**k)."""
+        first, self._first = self._first, None
+        if len(first) == self._piece and not max(first) >> self._k:
+            from .decimal_rows import Translates
+
+            self._translates = Translates(first, self._k, self._sep)
+        else:
+            self._left = sys.maxsize
+
+    def _translate(self, text: str, pos: int) -> tuple[array, int] | None:
+        """The lanes of the translate whose rows and a ``sep`` open
+        ``text[pos:]``, and the index after them; None if they do not."""
+        translates, sep = self._translates, self._sep
+        row_end = text.find(sep, pos, pos + self._width + 1)
+        row = text[pos:row_end] if row_end >= 0 else ""
+        if not (row.isascii() and row.isdigit()):
+            return None
+        first = translates.first
+        shift = int(row) ^ first[0]
+        second = f"{first[1] ^ shift}{sep}"
+        if shift >> self._k or not text.startswith(second, row_end + len(sep)):
+            return None
+        rows = translates.text(shift)
+        end = pos + len(rows)
+        if not (text.startswith(rows, pos) and text.startswith(sep, end)):
+            return None
+        return translates.lanes(shift), end + len(sep)
+
+    def _rows_end(self, text: str, pos: int, limit: int, rows: int) -> tuple[int, int]:
+        """The index after the ``rows``-th ``sep`` from ``pos``, or ``limit``
+        if fewer lie before it, and the count of ``sep`` up to that index.
+
+        The text is counted a span at a time, the rows still wanted times
+        the mean row so far. Once a span holds too many, the search halves
+        it until a part holds the rows wanted: ``text[lo:hi]`` holds more.
+        """
+        sep, chars = self._sep, self._chars
+        lo, n, hi = pos, 0, 0  # n counts the seps of text[pos:lo]
+        while True:
+            probe = (lo + hi + 1) // 2 if hi else min(limit, lo + (rows - n) * chars)
+            count = text.count(sep, lo, probe)
+            if n + count > rows:
+                hi = probe
+            elif n + count == rows:
+                end, n = text.rfind(sep, lo, probe) + len(sep), rows
+                break
+            elif probe == limit:
+                end, n = limit, n + count
+                break
+            else:
+                lo, n = probe, n + count
+                chars = (lo - pos) // n if n else 2 * chars
+        self._chars = (end - pos) // n if n else chars
+        return end, n

@@ -2,8 +2,9 @@
 document that are translates of its first piece.
 
 :mod:`.document` imports this module, and with it :mod:`decimal`, only
-once a cycle of enough pieces reaches its second piece, so ``verify``
-and ``oracle`` neither compile the one nor load the other.
+once a cycle of enough pieces reaches its second piece: ``construct``
+renders the translates by it, and ``verify`` renders them to prove the
+rows it reads. ``oracle`` writes one piece, and loads neither.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import decimal
 from array import array
 from collections.abc import Sequence
 
-from .core import lane_typecode, pack
+from .core import lane_typecode, pack, unpack
 
 
 class Translates:
@@ -32,7 +33,7 @@ class Translates:
     """
 
     def __init__(self, first: Sequence[int], k: int, sep: str) -> None:
-        self._first, self._k, self._sep = first, k, sep
+        self.first, self._k, self._sep = first, k, sep
         self._typecode = lane_typecode(k)
         self._hexits = 2 * array(self._typecode).itemsize  # hex digits of a lane
         self._packed = pack(array(self._typecode, first))
@@ -42,9 +43,10 @@ class Translates:
         self._fields: decimal.Decimal | None = None
         self._steps: dict[int, decimal.Decimal] = {}  # p -> 2**p * (ONE - 2 * B_p)
 
-    def rows(self, codes: Sequence[int]) -> str | None:
-        """The rows of ``codes`` if they are a translate of the first piece, else None."""
-        first = self._first
+    def shift_of(self, codes: Sequence[int]) -> int | None:
+        """The code ``c`` if ``codes`` are the first piece with ``c`` xor'ed
+        onto every lane, else None."""
+        first = self.first
         shift = codes[0] ^ first[0]
         if (
             len(codes) != len(first)
@@ -52,7 +54,12 @@ class Translates:
             or pack(array(self._typecode, codes)) != self._packed ^ shift * self._one
         ):
             return None
+        return shift
+
+    def text(self, shift: int) -> str:
+        """The rows of the translate by ``shift``, a code in [0, 2**k)."""
         if self._fields is None:
+            first = self.first
             self._fields = decimal.Decimal((f"%0{self._width}d" * len(first)) % tuple(first))
             self._ones = self._column("1" * len(first))
         total, add = self._fields, self._context.add
@@ -60,6 +67,10 @@ class Translates:
             if shift >> p & 1:
                 total = add(total, self._step(p))
         return self._joined(str(total))
+
+    def lanes(self, shift: int) -> array:
+        """The codes of the translate by ``shift`` as an ``array`` of lanes."""
+        return unpack(self._packed ^ shift * self._one, self._typecode, len(self.first))
 
     def _column(self, digits: str) -> decimal.Decimal:
         """The number whose fields hold one digit each, ``digits``."""
@@ -76,14 +87,14 @@ class Translates:
             step, multiply = self._ones, self._context.multiply
             bits = self._packed >> p & self._one
             if bits:
-                column = f"{bits:0{len(self._first) * self._hexits}x}"[::-self._hexits]
+                column = f"{bits:0{len(self.first) * self._hexits}x}"[::-self._hexits]
                 step = self._context.subtract(step, multiply(self._column(column), 2))
             step = self._steps[p] = multiply(step, 1 << p)
         return step
 
     def _joined(self, digits: str) -> str:
         """The fields of ``digits``, a number's ``str``, as rows."""
-        width, count, sep = self._width, len(self._first), self._sep.encode()
+        width, count, sep = self._width, len(self.first), self._sep.encode()
         data = digits.rjust(width * count, "0").encode()
         zeros = b"0" * count
         columns = [data[d::width] for d in range(width)]

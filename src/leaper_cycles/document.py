@@ -29,14 +29,19 @@ takes a head of 4 KiB, enough for a JSON header, then blocks of about
 1 MiB, and runs them together into windows of whole lines, a text
 header's line opening the first; :func:`read_cycle` reads the blocks
 from a file and :func:`parse_document` slices them from a text. At most
-one window's rows are held at once: ``read_cycle`` yields each window's
-codes, and ``parse_document`` collects them into one path. A window
-shaped as the renderers write it is read at C speed: ``ints`` rows, text
-or JSON, of ASCII digits and their separators only, by one
-``json.loads``, and ``tuples`` rows as one base-2 integer whose bytes
-are an ``array`` of :func:`~.core.lane_typecode`'s lanes. Any other text
-window goes through the per-line loop, which accepts the same documents
-and names the line at fault, and any other JSON to ``json.loads`` whole.
+one window's rows, and the start of a piece carried from the window
+before, are held at once: ``read_cycle`` yields the codes of each window,
+or of each piece of it on the route below, and ``parse_document``
+collects them into one path. Where the renderer writes translates, each
+later piece of ``ints`` rows, text or JSON, that opens with the rows
+:mod:`.decimal_rows` renders for the translate its first row names is
+proven without a digit read (see :mod:`.body_rows`). Other rows shaped
+as the renderers write them are read at C speed: ``ints`` rows of ASCII
+digits and their separators only by one ``json.loads``, and ``tuples``
+rows as one base-2 integer whose bytes are an ``array`` of
+:func:`~.core.lane_typecode`'s lanes. Any other text goes through the
+per-line loop, which accepts the same documents and names the line at
+fault, and any other JSON to ``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -48,9 +53,12 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import AnyStr, BinaryIO, TypeVar
+from typing import TYPE_CHECKING, AnyStr, BinaryIO, TypeVar
 
 from .core import CapacityError, VertexPath, check_dimension, lane_typecode, pack, unpack
+
+if TYPE_CHECKING:
+    from .body_rows import BodyRows
 
 ENCODINGS = ("tuples", "ints")
 
@@ -160,7 +168,7 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
     formats: dict[int, str] = {}
     first: Sequence[int] | None = None
     translates = None
-    fields_pay = 1 << k >= _FIELD_PIECES * _PIECE_ROWS
+    fields_pay = _translates_pay(k)
 
     def rows(codes: Sequence[int]) -> str:
         nonlocal first, translates
@@ -171,15 +179,22 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
                 from .decimal_rows import Translates
 
                 translates = Translates(first, k, row_sep)
-            text = translates.rows(codes)
-            if text is not None:
-                return text
+            shift = translates.shift_of(codes)
+            if shift is not None:
+                return translates.text(shift)
         fmt = formats.get(len(codes))
         if fmt is None:
             fmt = formats[len(codes)] = row_sep.join(["%d"] * len(codes))
         return fmt % tuple(codes)
 
     return rows
+
+
+def _translates_pay(k: int) -> bool:
+    """Whether a cycle of 2**k codes has pieces enough to pay for the
+    fields of :class:`~.decimal_rows.Translates`: the renderer writes its
+    translates, and the parser proves them, by those fields only then."""
+    return 1 << k >= _FIELD_PIECES * _PIECE_ROWS
 
 
 def _tuple_rows_joined(
@@ -340,8 +355,9 @@ def _text_header(text: str, end: int) -> tuple[int, int, str]:
 
 
 def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
-    """The header's ``(k, h, encoding)``, then the codes of each window of
-    a text document, the first window's after its first line.
+    """The header's ``(k, h, encoding)``, then the code chunks of the body
+    of a text document, read by :func:`_body_rows` from its windows, the
+    first window's after its first line.
 
     The fault raised is the one a parse of the whole decoded text names:
     the first byte that is not UTF-8, else the first stray whitespace,
@@ -353,6 +369,18 @@ def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
     spaced = False
     lineno = 1
     empty = True
+    body: BodyRows | None = None
+
+    def chunks(text: str, final: bool = False) -> Iterator[Sequence[int]]:
+        nonlocal fault, empty
+        try:
+            for codes in body.feed(text, final):
+                empty = False
+                yield codes
+                del codes  # parse the next rows without these codes
+        except DocumentError as exc:
+            fault = exc
+
     for window in windows:
         text = decode_text(window, lineno)
         if not spaced:
@@ -369,21 +397,36 @@ def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
                     fault = exc
                 else:
                     yield k, h, encoding
+                    read = partial(_window_codes, k=k, encoding=encoding)
+                    body = _body_rows(k, encoding, "\n", read, lineno=2)
             text, lineno = text[end:], 2
         if fault is None and text:
-            try:
-                codes = _window_codes(text, lineno, k, encoding)
-            except DocumentError as exc:
-                fault = exc
-            else:
-                empty = empty and not codes
-                yield codes
-                del codes  # parse the next window without this one's codes
+            yield from chunks(text)
         lineno += text.count("\n")
+    if fault is None and body is not None:
+        yield from chunks("", final=True)
     if fault is None and empty:
         fault = DocumentError("line 2: document has no vertices")
     if fault is not None:
         raise fault
+
+
+def _body_rows(
+    k: int,
+    encoding: str,
+    sep: str,
+    read: Callable[[str, int], Sequence[int] | None],
+    lineno: int = 1,
+) -> BodyRows:
+    """The reader of a body of rows ended by ``sep``, each window read by
+    ``read`` as :class:`~.body_rows.BodyRows` says; ``ints`` rows of a
+    cycle whose translates :func:`_translates_pay` for are read in pieces
+    of _PIECE_ROWS rows. The module is imported here, so only a parse
+    compiles it."""
+    from .body_rows import BodyRows
+
+    piece = _PIECE_ROWS if encoding == "ints" and _translates_pay(k) else 0
+    return BodyRows(k, sep, read, piece, lineno)
 
 
 def decode_text(data: AnyStr, lineno: int = 1) -> str:
@@ -580,8 +623,12 @@ def _json_chunks(
             yield data[:-len(tail)]
         yield row_end  # the last row ends as the others do
 
-    for window in _windows(body(), row_end[-1]):
-        codes = _grid_codes(window, k) if encoding == "tuples" else _int_rows(window, ",")
+    def read(rows: str, lineno: int) -> Sequence[int] | None:
+        return _grid_codes(rows, k) if encoding == "tuples" else _int_rows(rows, ",")
+
+    rows = _body_rows(k, encoding, row_end[-1], read)
+    windows = map(rows.feed, _windows(body(), row_end[-1]))
+    for codes in chain(chain.from_iterable(windows), rows.feed("", final=True)):
         yield codes
         if codes is None:
             return

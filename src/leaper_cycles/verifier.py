@@ -12,7 +12,8 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import chain, islice
+from operator import xor
 
 from .core import VertexPath, lane_typecode, pack, unpack
 
@@ -75,15 +76,16 @@ class CycleChecker:
     reports for the whole: the length, then repeated and out-of-range
     vertices by index, then the steps, then the closing edge.
 
-    The path is checked in blocks of _PACKED_LANES codes (of all of them,
-    if fewer), aligned to its index and sliced out of the chunks; a
-    partial block is held until the next chunk fills it, or until
-    :meth:`finish`. A block is an ``array`` of the lanes
-    :func:`~.core.lane_typecode` names for ``k``, packed by
-    :func:`~.core.pack`, or, if a code fits no lane, the codes as fed.
+    The path is checked in blocks of _PACKED_LANES codes, aligned to its
+    index and sliced out of the chunks, whatever k is; a partial block is
+    held until the next chunk fills it, or until :meth:`finish`. A block
+    is an ``array`` of the lanes :func:`~.core.lane_typecode` names for
+    ``k``, packed by :func:`~.core.pack`, or, if a code fits no lane, the
+    codes as fed.
 
-    Presence is proven by cosets while the path allows it. Block 0 must
-    pass :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
+    Presence is proven by cosets while the path allows it, which needs a
+    block of at most 2**k codes. Block 0 must pass
+    :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
     subspace V of as many codes, which :func:`_subspace_basis` proves. A
     later block whose first code is ``c`` must equal block 0 xor ``c ^
     first`` lane for lane, with ``c ^ first < 2**k`` and a step of h into
@@ -106,7 +108,7 @@ class CycleChecker:
         self._h = h
         self._n = 1 << k
         self._typecode = lane_typecode(k)
-        self._size = min(_PACKED_LANES, self._n)  # codes in a block
+        self._size = _PACKED_LANES  # codes in a block
         # A partial block: lanes, or a list once a slice is not lanes.
         self._held: array | list[int] = array(self._typecode)
         # Presence table of one byte per vertex, made only when the coset
@@ -192,7 +194,7 @@ class CycleChecker:
         whole block if the class docstring's tests hold: for block 0, that
         it is a translate of a subspace V; for a later block, that it is a
         coset of V not taken before."""
-        if lanes is None or len(lanes) < self._size:
+        if lanes is None or len(lanes) < self._size or self._size > self._n:
             return False
         k, h, head = self._k, self._h, lanes[0]
         one = _lane_masks(lanes.itemsize, len(lanes))[0]
@@ -249,30 +251,37 @@ class CycleChecker:
 
     def _scan(self, codes: Sequence[int], start: int) -> None:
         """Mark ``codes[start:]`` present, naming each one repeated or
-        outside the dimension."""
-        n, seen, keep, presence = self._n, self._seen, self._keep, self._presence
-        for i, c in enumerate(islice(codes, start, None), self._count + start):
-            if not 0 <= c < n:
-                keep(presence, DIMENSION_OVERFLOW, i)
-            elif seen[c]:
-                keep(presence, DUPLICATE_VERTEX, i)
-            else:
+        outside the dimension; once _KEPT_VIOLATIONS are named, the rest
+        are counted in bulk: every code but the first of each one inside
+        the dimension and not yet present."""
+        n, seen, presence = self._n, self._seen, self._presence
+        for i, c in enumerate(islice(codes, start, None), start):
+            if 0 <= c < n and not seen[c]:
                 seen[c] = 1
+            elif len(presence) < _KEPT_VIOLATIONS:
+                kind = DUPLICATE_VERTEX if 0 <= c < n else DIMENSION_OVERFLOW
+                presence.append(Violation(kind, self._count + i))
+            else:
+                rest = codes[i:]
+                fresh = [c for c in set(rest) if 0 <= c < n and not seen[c]]
+                for c in fresh:
+                    seen[c] = 1
+                self._dropped += len(rest) - len(fresh)
+                return
 
     def _scan_steps(self, codes: Sequence[int]) -> None:
-        """Name each step into ``codes`` that does not flip h coordinates."""
-        h, base, keep, steps = self._h, self._count, self._keep, self._steps
-        if base and (self._last ^ codes[0]).bit_count() != h:
-            keep(steps, WRONG_STEP, (base - 1, base))
-        for i in range(len(codes) - 1):
-            if (codes[i] ^ codes[i + 1]).bit_count() != h:
-                keep(steps, WRONG_STEP, (base + i, base + i + 1))
-
-    def _keep(self, kept: list[Violation], kind: str, where: int | tuple[int, int]) -> None:
-        if len(kept) < _KEPT_VIOLATIONS:
-            kept.append(Violation(kind, where))
-        else:
-            self._dropped += 1
+        """Name each step into ``codes`` that does not flip h coordinates;
+        once _KEPT_VIOLATIONS are named, the rest are counted in bulk."""
+        h, base, steps = self._h, self._count, self._steps
+        flips = map(int.bit_count, map(xor, codes, islice(codes, 1, None)))
+        if base:
+            flips, base = chain([(self._last ^ codes[0]).bit_count()], flips), base - 1
+        for i, flip in enumerate(flips, base):
+            if flip != h:
+                if len(steps) == _KEPT_VIOLATIONS:
+                    self._dropped += 1 + sum(map(h.__ne__, flips))
+                    return
+                steps.append(Violation(WRONG_STEP, (i, i + 1)))
 
 
 def _lanes(codes: Sequence[int], typecode: str) -> array | None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import cli, constructor, document
+from leaper_cycles import body_rows, cli, constructor, document
 from leaper_cycles.cli import main
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath
@@ -369,12 +369,12 @@ def verify_outcome(path, *flags, whole=False):
     """Exit code, stdout and stderr of ``verify path``, and whether the
     document was parsed whole; ``whole`` parses it whole in any case, by
     the per-line loop and ``json.loads`` alone, sharing no row reader
-    with the windowed read."""
+    with the windowed read and proving no piece by rendering it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if whole:
             stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
-            for name in ("_lane_codes", "_int_rows", "_json_cycle"):
+            for name in ("_lane_codes", "_int_rows", "_json_cycle", "_translates_pay"):
                 stack.enter_context(mock.patch.object(document, name, return_value=None))
         parsed = stack.enter_context(
             mock.patch.object(cli, "parse_document", wraps=parse_document)
@@ -612,6 +612,133 @@ class TestVerifyWindows:
         assert peak < 8 << k
 
 
+def ints_document(k, h, rows, as_json):
+    """The bytes of an ``ints`` document of ``rows``, each a code's text."""
+    if as_json:
+        return f'{{"k":{k},"h":{h},"encoding":"ints","cycle":[{",".join(rows)}],"closed":true}}\n'.encode()
+    return f"# k={k} h={h} encoding=ints closed=true\n{chr(10).join(rows)}\n".encode()
+
+
+@st.composite
+def translate_files(draw):
+    """(data, piece rows): an ``ints`` document of a closed-form cycle,
+    text or JSON, whose pieces of 16 to 64 rows are translates of the
+    first and many enough to be proven by rendering, with perhaps one
+    later piece changed."""
+    piece = draw(st.sampled_from([16, 32, 64]))
+    k = draw(st.integers(piece.bit_length() + 3, 10))  # 2**k >= 16 * piece
+    h = draw(st.sampled_from(range(1, k, 2)))
+    codes = list(construct(k, h).path.codes)
+    rows = list(map(str, codes))
+    at = draw(st.integers(piece, len(rows) - 1))  # a row of a later piece
+    change = draw(st.sampled_from(["none", "digit", "leading zero", "shift past k", "token"]))
+    if change == "digit":
+        pos = draw(st.integers(0, len(rows[at]) - 1))
+        digit = draw(st.sampled_from("0123456789".replace(rows[at][pos], "")))
+        rows[at] = rows[at][:pos] + digit + rows[at][pos + 1:]
+    elif change == "leading zero":
+        rows[at] = "0" + rows[at]
+    elif change == "shift past k":
+        start = at - at % piece
+        rows[start:start + piece] = [str(c ^ 1 << k) for c in codes[start:start + piece]]
+    elif change == "token":
+        rows[at] = draw(st.sampled_from(["x", "", "1 2", "-1", "1.0"]))
+    return ints_document(k, h, rows, draw(st.booleans())), piece
+
+
+class TestVerifyByRendering:
+    @given(
+        translate_files(),
+        st.sampled_from([7, 64, 1000, 1 << 20]),
+        st.sampled_from([64, 1 << 12]),
+        st.sampled_from([(), ("--h", "1"), ("--h", "3")]),
+    )
+    def test_a_changed_translate_gets_the_whole_document_verdict(self, case, window, head, flags):
+        # One digit, row or piece changed in a later piece, read in windows
+        # that cut pieces anywhere: the verdict, a fault's line included,
+        # is the one the whole-document parse, proving nothing, gives.
+        data, piece = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            document, _WINDOW_CHARS=window, _HEAD_BYTES=head, _PIECE_ROWS=piece
+        ):
+            target = Path(tmp) / "doc"
+            target.write_bytes(data)
+            assert verify_outcome(target, *flags)[0] == verify_outcome(target, *flags, whole=True)[0]
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("window", [7, 1000, 1 << 20])
+    def test_pieces_cut_by_windows_stay_on_the_route(self, as_json, window, tmp_path, monkeypatch):
+        monkeypatch.setattr(document, "_WINDOW_CHARS", window)
+        monkeypatch.setattr(document, "_PIECE_ROWS", 16)
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(9, 3, list(map(str, construct(9, 3).path.codes)), as_json))
+        proven, int_rows = self.spied(target)
+        assert proven == [True] * 31
+        assert sum(int_rows) == 16
+
+    @pytest.mark.parametrize(
+        ("change", "as_json", "proven"),
+        [
+            # Read as code 123, where the rendered row is "123".
+            ("leading zero", False, [False] + [True] * 14),
+            # JSON refuses it: the windowed read stops, and so does
+            # parse_document's, before json.loads of the whole text.
+            ("leading zero", True, [False, False]),
+            # The piece's first row is a code of 2**16 or more.
+            ("shift past k", False, [True, False] + [True] * 13),
+            ("shift past k", True, [True, False] + [True] * 13),
+            ("token", False, [True, False]),  # the fault ends the read
+            ("token", True, [True, False, True, False]),  # parsed whole
+        ],
+    )
+    def test_a_later_piece_off_the_route_is_read_as_before(self, change, as_json, proven, tmp_path):
+        # At the size construct writes its translates, the piece goes to
+        # the row readers, which name the line at fault as the whole parse
+        # does, and the pieces after it try the route again.
+        codes = construct(16, 3).path.codes
+        rows = list(map(str, codes))
+        if change == "leading zero":
+            rows[5000] = "0" + rows[5000]
+        elif change == "shift past k":
+            rows[8192:12288] = [str(c ^ 1 << 16) for c in codes[8192:12288]]
+        else:
+            rows[9000] = "x"
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(16, 3, rows, as_json))
+        outcome = verify_outcome(target)[0]
+        assert outcome == verify_outcome(target, whole=True)[0]
+        if change == "token" and not as_json:
+            assert outcome == (1, "", "error: line 9002: vertex code must be ASCII digits, got 'x'\n")
+        assert self.spied(target)[0] == proven
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_later_pieces_of_a_construct_are_proven_by_rendering(self, as_json, tmp_path):
+        # 15 of the 16 pieces of a k=16 cycle are proven, and only piece 0's
+        # rows reach the row reader.
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(16, 5, list(map(str, construct(16, 5).path.codes)), as_json))
+        proven, int_rows = self.spied(target)
+        assert proven == [True] * 15
+        assert sum(int_rows) == 4096  # in as many windows as piece 0 spans
+
+    @staticmethod
+    def spied(target):
+        """Whether each later piece of ``verify target`` was proven by
+        rendering, and the rows of each window ``_int_rows`` read."""
+        proven = []
+        translate = body_rows.BodyRows._translate
+
+        def spy(self, text, pos):
+            lanes = translate(self, text, pos)
+            proven.append(lanes is not None)
+            return lanes
+
+        with mock.patch.object(body_rows.BodyRows, "_translate", spy), \
+                mock.patch.object(document, "_int_rows", wraps=document._int_rows) as int_rows:
+            verify_outcome(target)
+        return proven, [rows.count("\n") + rows.count(",") for (rows, _), _ in int_rows.call_args_list]
+
+
 class TestOracle:
     def test_witness_round_trip(self, capsys):
         code, out, _ = run(capsys, "oracle", "--k", "4", "--h", "3", "--witness")
@@ -815,27 +942,35 @@ def test_cli_imports_only_the_standard_library():
     assert result.stdout == "False\n"
 
 
-def test_only_a_construct_with_translates_loads_decimal(tmp_path):
-    # decimal adds 0.4 MB to the peak memory of a call, and compiling the
-    # module that uses it more; an oracle witness is one piece, and verify
-    # renders nothing.
+def test_only_a_cycle_of_translates_loads_decimal(tmp_path):
+    # decimal adds 0.3-0.4 MB to the peak memory of a call, and compiling
+    # the module that uses it more; an oracle witness is one piece, so it
+    # loads neither. A construct of k=16 renders its translates by them,
+    # and a verify of its file, in a process of its own, proves them by
+    # the same render.
     env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
     doc, witness = str(tmp_path / "c.txt"), str(tmp_path / "w.txt")
-    script = f"""
+    runs = [
+        [
+            ["oracle", "--k", "4", "--h", "3", "--witness", "--format", "ints", "--output", witness],
+            ["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", doc],
+        ],
+        [["verify", doc]],
+    ]
+    loaded = []
+    for argvs in runs:
+        script = f"""
 import contextlib, io, sys
 from leaper_cycles.cli import main
 loaded = []
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (
-        ["oracle", "--k", "4", "--h", "3", "--witness", "--format", "ints", "--output", {witness!r}],
-        ["verify", {doc!r}],
-        ["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", {doc!r}],
-    ):
+    for argv in {argvs!r}:
         main(argv)
-        loaded.append(sorted({"decimal", "leaper_cycles.decimal_rows"} & sys.modules.keys()))
+        loaded.append(sorted({{"decimal", "leaper_cycles.decimal_rows"}} & sys.modules.keys()))
 print(loaded)
 """
-    assert main(["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", doc]) == 0
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[[], [], ['decimal', 'leaper_cycles.decimal_rows']]\n"
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        loaded.append(result.stdout)
+    both = "['decimal', 'leaper_cycles.decimal_rows']"
+    assert loaded == [f"[[], {both}]\n", f"[{both}]\n"]

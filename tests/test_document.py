@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import decimal_rows, document
+from leaper_cycles import body_rows, decimal_rows, document
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath, lane_typecode
 from leaper_cycles.document import (
@@ -547,14 +547,14 @@ def rendered_translates(k, first, shifts, typecode, as_json):
     codes = [*first, *(code ^ c for c in shifts for code in first)]
     chunk = tuple(codes) if typecode is None else array(typecode, codes)
     taken = []
-    rows = decimal_rows.Translates.rows
+    shift_of = decimal_rows.Translates.shift_of
 
     def spy(self, piece):
-        text = rows(self, piece)
-        taken.append(text is not None)
-        return text
+        shift = shift_of(self, piece)
+        taken.append(shift is not None)
+        return shift
 
-    with mock.patch.object(decimal_rows.Translates, "rows", spy), \
+    with mock.patch.object(decimal_rows.Translates, "shift_of", spy), \
             mock.patch.object(document, "_PIECE_ROWS", len(first)):
         text = "".join(document.render_pieces(k, 1, "ints", [chunk], as_json=as_json))
     assert text == joined_ints(k, 1, codes, as_json)
@@ -596,9 +596,10 @@ def test_a_piece_that_is_no_translate_is_written_by_format(as_json):
     with mock.patch.object(document, "_PIECE_ROWS", len(first)):
         text = "".join(document.render_pieces(k, 1, "ints", [array("H", codes)], as_json=as_json))
         translates = decimal_rows.Translates(first, k, "\n")
-        pieces = [translates.rows(codes[i:i + 5]) for i in (5, 10, 15)]
+        shifts = [translates.shift_of(codes[i:i + 5]) for i in (5, 10, 15)]
     assert text == joined_ints(k, 1, codes, as_json)
-    assert pieces[:2] == [None, None] and pieces[2] == "\n".join(map(str, codes[15:]))
+    assert shifts == [None, None, 6]
+    assert translates.text(6) == "\n".join(map(str, codes[15:]))
 
 
 @pytest.mark.parametrize("k", [12, 15])
@@ -821,3 +822,24 @@ def test_render_and_parse_hold_one_block_of_rows():
         parsed, parse_extra = bytes_beyond_result(parse_document, text)
     assert parsed == doc
     assert render_extra >> k < 16 and parse_extra >> k < 16
+
+
+@given(
+    st.lists(st.text("0123456789", max_size=12), max_size=40),
+    st.integers(0, 3),
+    st.integers(1, 50),
+    st.integers(1, 16),
+    st.booleans(),
+)
+@example(["12", "", ""], 0, 1, 2, False)  # a span of no sep, then one of two
+def test_rows_end_finds_the_rows_split_finds(rows, lead, wanted, chars, partial):
+    # A second path for the search by spans and halves: the end of the
+    # first ``wanted`` rows after ``lead`` characters, or the text's end.
+    text = "x" * lead + "".join(row + "," for row in rows) + "12" * partial
+    body = body_rows.BodyRows(8, ",", None, 0)
+    body._chars = chars
+    got = body._rows_end(text, lead, len(text), wanted)
+    if wanted <= len(rows):
+        assert got == (lead + sum(len(row) + 1 for row in rows[:wanted]), wanted)
+    else:
+        assert got == (len(text), len(rows))

@@ -8,6 +8,9 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import leaper_cycles.body_rows
+import leaper_cycles.decimal_rows
+import leaper_cycles.document
 import leaper_cycles.verifier
 from leaper_cycles import cli, constructor
 from leaper_cycles.constructor import _code, construct, construct_chunks
@@ -95,11 +98,10 @@ def test_never_accepts_incomplete_vertex_sets():
     assert not verify_cycle(VertexPath(3, tuple(codes)), 1).valid
 
 
-def test_verifier_shares_only_the_core_model():
-    # The verifier must stay independent of the construction pipeline so a
-    # construction bug cannot certify its own output.
-    # Absolute imports of the package count too, not only relative ones.
-    tree = ast.parse(inspect.getsource(leaper_cycles.verifier))
+def package_imports(module):
+    """The modules of the package that ``module`` imports, absolute
+    imports of the package as well as relative ones."""
+    tree = ast.parse(inspect.getsource(module))
     package_imports = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -111,7 +113,25 @@ def test_verifier_shares_only_the_core_model():
         package_imports.update(
             n for n in names if n.startswith(".") or n.split(".")[0] == "leaper_cycles"
         )
-    assert package_imports == {".core"}
+    return package_imports
+
+
+def test_verifier_shares_only_the_core_model():
+    # The verifier must stay independent of the construction pipeline so a
+    # construction bug cannot certify its own output.
+    # Absolute imports of the package count too, not only relative ones.
+    assert package_imports(leaper_cycles.verifier) == {".core"}
+
+
+@pytest.mark.parametrize(
+    "module", [leaper_cycles.document, leaper_cycles.body_rows, leaper_cycles.decimal_rows]
+)
+def test_the_verify_path_never_imports_the_closed_form(module):
+    # verify renders translates to prove the rows it reads; the code that
+    # renders them must not come from the construction it checks.
+    construction = {"constructor", "graycode", "transforms"}
+    names = {name.lstrip(".").split(".")[-1] for name in package_imports(module)}
+    assert not names & construction
 
 
 def test_even_step_candidates_always_rejected():
@@ -411,3 +431,51 @@ def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     assert cli.main(["verify", str(target)]) == 0
     assert capsys.readouterr().out == "valid: change-5 cycle on 262144 vertices in dimension 18\n"
+
+
+@st.composite
+def repeating_paths(draw):
+    """(k, h, codes): codes drawn with repeats, some outside the dimension."""
+    k = draw(st.integers(2, 5))
+    codes = draw(st.lists(st.integers(-1, (1 << k) + 2), max_size=80))
+    return k, draw(st.integers(1, k)), tuple(codes)
+
+
+@given(
+    st.one_of(corrupted_cycles(max_k=6), repeating_paths()),
+    st.integers(1, 5),
+    st.sampled_from([1, 3, 64]),
+)
+def test_violations_past_those_kept_are_counted_in_bulk(cycle, kept, piece):
+    # A report that keeps a few violations: the ones past them, counted
+    # in bulk, give the total the scalar reference counts one by one.
+    k, h, codes = cycle
+    with mock.patch.object(leaper_cycles.verifier, "_KEPT_VIOLATIONS", kept), \
+            mock.patch("reference_tours.KEPT_VIOLATIONS", kept), \
+            mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", piece):
+        assert fed_in_chunks(k, h, codes, [len(codes) // 3]) == scalar_report(k, h, codes)
+
+
+@pytest.mark.parametrize(
+    ("k", "h", "codes"),
+    [
+        pytest.param(16, 5, construct(16, 3).path.codes, id="wrong-h"),
+        pytest.param(2, 1, (0,) * 10**5, id="k=2-zeros"),
+        pytest.param(2, 1, (0, 1, 4, 3, 2, 9, 1) * 20_000, id="k=2-out-of-range"),
+    ],
+)
+def test_reports_past_1000_violations_are_the_scalar_reports(k, h, codes):
+    assert verify_cycle(VertexPath(k, codes), h) == scalar_report(k, h, codes)
+
+
+def test_a_long_path_at_small_k_is_checked_in_whole_blocks(tmp_path, capsys):
+    # Blocks of min(4096, 2**k) codes made 250,000 calls of _block for
+    # these 10**6 rows at k=2, and one call of a keeper per violation.
+    target = tmp_path / "zeros.txt"
+    target.write_bytes(b"# k=2 h=1 encoding=ints closed=true\n" + b"0\n" * 10**6)
+    with mock.patch.object(CycleChecker, "_block", autospec=True, side_effect=CycleChecker._block) as block:
+        assert cli.main(["verify", str(target)]) == 2
+    assert block.call_count <= -(-10**6 // 4096) + 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "invalid: 2000000 violation(s)", "WrongLength at 1000000", "DuplicateVertex at 1",
+    ]
