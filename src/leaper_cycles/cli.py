@@ -14,13 +14,13 @@ import io
 import os
 import stat
 import sys
-from collections.abc import Iterator
-from typing import IO, BinaryIO
+from collections.abc import Iterator, Sequence
+from typing import IO
 
 # construct, render_text and render_json stay bound for the bench tracer:
 # test_every_name_the_bench_traces_stays_bound, ROADMAP item 1
 from .constructor import FeasibilityVerdict, construct, construct_chunks  # noqa: F401
-from .document import decode_text, parse_document, read_cycle, render_pieces
+from .document import _parse_json, decode_text, parse_document, read_cycle, render_pieces
 from .document import render_json, render_text  # noqa: F401
 from .leapers import LeaperSpec, leaper_by_name, leaper_feasible, leaper_step, min_dimension
 from .oracle import oracle_count, oracle_exists
@@ -165,9 +165,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     with open(args.input, "rb") as fh:
         if not fh.seekable():  # a pipe: hold its bytes once, to read them again
             fh = io.BytesIO(fh.read())
-        verdict = _verify_windows(fh, args.h)
+        cycle = read_cycle(fh)
+        verdict = None if cycle is None else _check_windows(cycle, args.h)
         if verdict is None:
-            doc = parse_document(decode_text(fh.read()))
+            # Only JSON leaves the windowed read midway; that read is not
+            # tried again, nor is the window it stopped in held.
+            parse = parse_document if cycle is None else _parse_json
+            cycle = None
+            fh.seek(0)
+            doc = parse(decode_text(fh.read()))
             h = doc.h if args.h is None else args.h
             verdict = doc.path.k, h, verify_cycle(doc.path, h)
     k, h, report = verdict
@@ -182,26 +188,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 2
 
 
-def _verify_windows(
-    fh: BinaryIO, h_flag: int | None
+def _check_windows(
+    cycle: tuple[int, int, str, Iterator[Sequence[int] | None]], h_flag: int | None
 ) -> tuple[int, int, VerifyReport] | None:
-    """``(k, h, report)`` for the document in ``fh``, read window by window
-    into a CycleChecker, or None, with ``fh`` back at its start, for a
-    document to be parsed whole."""
-    cycle = read_cycle(fh)
-    if cycle is not None:
-        k, h, _, chunks = cycle
-        h = h if h_flag is None else h_flag
-        checker = CycleChecker(k, h)
-        for codes in chunks:
-            if codes is None:
-                break
-            checker.feed(codes)
-            del codes  # parse the next window without this one's codes
-        else:
-            return k, h, checker.finish()
-    fh.seek(0)
-    return None
+    """``(k, h, report)`` for the header and code chunks ``read_cycle``
+    read window by window into a CycleChecker, or None if a chunk of None
+    sends the document to be parsed whole."""
+    k, h, _, chunks = cycle
+    h = h if h_flag is None else h_flag
+    checker = CycleChecker(k, h)
+    for codes in chunks:
+        if codes is None:
+            return None
+        checker.feed(codes)
+        del codes  # parse the next window without this one's codes
+    return k, h, checker.finish()
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:

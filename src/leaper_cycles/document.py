@@ -46,6 +46,7 @@ fault, and any other JSON to ``json.loads`` whole.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 from array import array
@@ -79,6 +80,7 @@ _PIECE_ROWS = 1 << 12  # rows a renderer writes at once
 _FIELD_PIECES = 16  # pieces of a cycle that pay for the fields of ints rows
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
+_HEADER_TOKENS = 1 << 16  # characters but spaces and tabs a text header line may hold
 _Seq = TypeVar("_Seq", str, "tuple[int, ...]")
 # A document's k, h, encoding and code chunks; a chunk of None leaves the fast route.
 _Cycle = tuple[int, int, str, Iterator["Sequence[int] | None"]]
@@ -315,20 +317,61 @@ def _header_collapsed(blocks: Iterable[bytes]) -> Iterator[bytes]:
     one space, which the header check reads as it read the run; a header
     line of any length is then carried at about the length of its tokens.
     A pass cuts a run of n spaces to about n/32, and ``replace`` hands
-    back a block without runs as it is."""
+    back a block without runs as it is.
+
+    The line is decoded as it comes, and a byte that is not UTF-8 raised
+    as :func:`decode_text` names it. Once it holds more than
+    _HEADER_TOKENS characters other than spaces and tabs, which
+    :func:`_text_header` refuses, the rest of it is carried as ``x``,
+    then, if it has one, its first stray whitespace and ``x`` again, which
+    the whitespace check names as it would have named it in place."""
     blocks = iter(blocks)
+    utf8 = codecs.getincrementaldecoder("utf-8")()
+    tokens = 0
+    stray = cr = ""  # the rest's first stray whitespace; a CR the next block decides
     for block in blocks:
         line_end = block.find(b"\n") + 1
         cut = line_end or len(block)
         line, rest = block[:cut], block[cut:]
         del block  # a copy of the line is not held beside the block
-        line = line.replace(b"\t", b" ")
-        while b"  " in line:
-            line = line.replace(b" " * 16, b" ").replace(b"  ", b" ")
+        try:
+            text = utf8.decode(line, final=bool(line_end))
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, 1) from None
+        if tokens <= _HEADER_TOKENS:
+            tokens += len(text) - text.count(" ") - text.count("\t")
+            if tokens > _HEADER_TOKENS and not line_end:
+                # The rest decides a character, or a CR, this block ends with.
+                line = line[:len(line) - len(utf8.getstate()[0])]
+                if line.endswith(b"\r"):
+                    line, cr = line[:-1], "\r"
+            line = line.replace(b"\t", b" ")
+            while b"  " in line:
+                line = line.replace(b" " * 16, b" ").replace(b"  ", b" ")
+        else:
+            if not stray:
+                text = cr + text if cr else text
+                cr = "\r" if text.endswith("\r") else ""
+                found = _stray_whitespace(text[:-1] if cr else text)
+                stray = found.group() if found else ""
+            line = _carried(stray) + b"\n" if line_end else b""
         yield line + rest
         if line_end:
             break
+    else:  # the file ends on the first line
+        try:
+            utf8.decode(b"", final=True)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, 1) from None
+        if tokens > _HEADER_TOKENS:
+            yield _carried(stray or cr)
     yield from blocks
+
+
+def _carried(stray: str) -> bytes:
+    """What the first line carries of its rest past _HEADER_TOKENS, whose
+    first stray whitespace is ``stray``, or "" if it has none."""
+    return b"x" + (stray.encode() + b"x" if stray else b"")
 
 
 def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
@@ -343,7 +386,8 @@ def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[Sequ
 def _text_header(text: str, end: int) -> tuple[int, int, str]:
     """The dimension, step size and encoding named by the header line ``text[:end]``."""
     header = _HEADER_RE.match(text, 0, end)  # no copy of a long line
-    if header is None:
+    blanks = text.count(" ", 0, end) + text.count("\t", 0, end)
+    if header is None or end - blanks > _HEADER_TOKENS:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
         )
@@ -438,10 +482,14 @@ def decode_text(data: AnyStr, lineno: int = 1) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = lineno + data.count(b"\n", 0, exc.start)
-        raise DocumentError(
-            f"line {line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}"
-        ) from None
+        raise _not_utf8(exc, lineno) from None
+
+
+def _not_utf8(exc: UnicodeDecodeError, lineno: int) -> DocumentError:
+    """The fault ``exc`` raised decoding bytes whose first line is line ``lineno``."""
+    data = exc.object
+    line = lineno + data.count(b"\n", 0, exc.start)
+    return DocumentError(f"line {line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}")
 
 
 def _window_codes(window: str, lineno: int, k: int, encoding: str) -> Sequence[int]:
@@ -539,21 +587,26 @@ def _check_whitespace(text: str, lineno: int = 1) -> None:
     """Refuse whitespace other than space, tab, LF and a CR before an LF.
 
     Python splits lines or tokens at any of it, which would move line
-    numbers off the LF count. A few scans at C speed clear an ASCII text;
-    only a text they do not clear pays for the regex search. The first
-    line of ``text`` is line ``lineno``.
+    numbers off the LF count. The first line of ``text`` is line ``lineno``.
     """
-    bare_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-    stray_ascii = any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
-    if text.isascii() and not bare_cr and not stray_ascii:
-        return
-    stray = _STRAY_WHITESPACE_RE.search(text)
+    stray = _stray_whitespace(text)
     if stray:
         line = lineno + text.count("\n", 0, stray.start())
         raise DocumentError(
             f"line {line}: whitespace {stray.group()!r} "
             "is not a space, tab or line end"
         )
+
+
+def _stray_whitespace(text: str) -> re.Match[str] | None:
+    """The first whitespace in ``text`` that :func:`_check_whitespace`
+    refuses, if any. A few scans at C speed clear an ASCII text; only a
+    text they do not clear pays for the regex search."""
+    bare_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+    stray_ascii = any(c in text for c in "\v\f\x1c\x1d\x1e\x1f")
+    if text.isascii() and not bare_cr and not stray_ascii:
+        return None
+    return _STRAY_WHITESPACE_RE.search(text)
 
 
 def _parse_json(text: str) -> CycleDocument:

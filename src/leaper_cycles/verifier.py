@@ -9,11 +9,11 @@ certify its own output.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, islice
-from operator import xor
+from itertools import chain, compress, count, islice
+from operator import not_, xor
 
 from .core import VertexPath, lane_typecode, pack, unpack
 
@@ -25,6 +25,8 @@ DIMENSION_OVERFLOW = "DimensionOverflow"
 
 _KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
 _PACKED_LANES = 1 << 12  # codes the packed test takes at once
+_LOOKUPS = 1 << 8  # lanes of a block the coset route looks up one by one, at most
+_TABLES = 16  # tables of a block's bytes the coset route holds, at most
 
 
 @dataclass(frozen=True)
@@ -83,22 +85,42 @@ class CycleChecker:
     ``k``, packed by :func:`~.core.pack`, or, if a code fits no lane, the
     codes as fed.
 
-    Presence is proven by cosets while the path allows it, which needs a
-    block of at most 2**k codes. Block 0 must pass
-    :func:`_packed_chunk_passes` and be ``first ^ V`` for a linear
-    subspace V of as many codes, which :func:`_subspace_basis` proves. A
-    later block whose first code is ``c`` must equal block 0 xor ``c ^
-    first`` lane for lane, with ``c ^ first < 2**k`` and a step of h into
-    it: then it is the coset ``c ^ V``, its codes lie in the dimension and
-    its steps are block 0's. Its coset is named by ``c`` reduced by V's
-    basis and must not have been named before. Two cosets of V are equal
-    or disjoint, so such blocks repeat no code and none is marked present.
+    Presence is proven by cosets when the path allows it. The reference
+    is block 0, or, if block 0 fails, block 1, which block 0 waits for: a
+    whole block of at most 2**k lanes, inside the dimension, that is
+    ``origin ^ V`` for a linear subspace V of as many codes, which
+    :func:`_subspace_basis` proves, ``origin`` being its first code. Each
+    code ``c`` then has a coset name, ``c`` reduced by V's basis, and an
+    index in that coset, the basis vectors the reduction used; two cosets
+    of V are equal or disjoint. Each coset seen is kept by its name with a
+    table of ``_size`` bytes, one per index, of its codes present; the
+    cosets taken whole share one table. The reference's failing steps are
+    kept by their offsets.
 
-    The first block that leaves this route, a partial one included, makes
-    the presence table of one byte per vertex and marks the blocks taken
-    so far present in it. From then on, a block of lanes whose range and
-    steps pass :func:`_packed_chunk_passes` only has its vertices marked
-    present; any other block is checked code by code, naming each fault.
+    A block's expected translate is the reference xor ``c ^ origin``,
+    where ``c`` is its first code, or, if only its first lane differs
+    from that, its second lane's. A whole block equal to its translate
+    lane for lane, with ``c ^ origin < 2**k``, whose coset is not yet
+    seen, is taken whole: its codes lie in the dimension, none is marked,
+    and its inner steps are the reference's, so only the step into it is
+    new. In any other block, the lanes equal to the translate are codes
+    of its coset at known indices and enter the coset's table at once;
+    only the lanes that differ, every lane without a translate, are
+    looked up one by one, and so are the codes of that coset present
+    before. Repeated codes and codes outside the dimension are named in
+    index order, and the steps pass :func:`_packed_chunk_passes` or are
+    checked code by code.
+
+    The presence table of one byte per vertex is made if neither block 0
+    nor block 1 is a reference, or at the first block the route does not
+    take: one without a translate inside the dimension, or with more than
+    _LOOKUPS lanes that differ from it, which cost more looked up one by
+    one than marked in the table, or one that would make more than
+    _TABLES tables, which bounds what is held beside the table. It is
+    marked with the codes of the cosets seen. Then a block of lanes whose
+    range and steps pass :func:`_packed_chunk_passes` only has its
+    vertices marked present; any other block is checked code by code,
+    naming each fault.
     """
 
     def __init__(self, k: int, h: int) -> None:
@@ -111,12 +133,23 @@ class CycleChecker:
         self._size = _PACKED_LANES  # codes in a block
         # A partial block: lanes, or a list once a slice is not lanes.
         self._held: array | list[int] = array(self._typecode)
-        # Presence table of one byte per vertex, made only when the coset
-        # route is left: O(2**k) time and 2**k bytes.
+        # Block 0, as (codes, lanes, packed), while block 1 decides the route.
+        self._pending: tuple[Sequence[int], array | None, int] | None = None
+        # Presence table of one byte per vertex, made only off the coset
+        # route: O(2**k) time and 2**k bytes.
         self._seen: bytearray | None = None
-        self._block0 = 0  # block 0, packed
+        self._origin: int | None = None  # the reference's first code, once found
+        self._block0 = 0  # the reference, packed
         self._basis: list[tuple[int, int]] = []  # V's (pivot bit, vector) pairs
-        self._cosets: dict[int, int] = {}  # each taken block's coset name: its first code
+        self._inner: list[int] = []  # offsets o of the reference's failing steps (o, o + 1)
+        # The index in its coset of each lane of the reference, and the lane
+        # holding each index; made for the first block not taken whole.
+        self._slots: array | None = None
+        self._lane_of = array(self._typecode)
+        # Each coset seen: its name -> its codes present, by index in the coset.
+        self._cosets: dict[int, bytes | bytearray] = {}
+        self._whole = b"\1" * self._size  # the table of a coset taken whole
+        self._tables = 0  # tables of cosets seen in part
         self._count = 0
         self._first = self._last = 0
         self._presence: list[Violation] = []
@@ -144,6 +177,10 @@ class CycleChecker:
         if self._held:
             self._block(self._held)
             self._held = array(self._typecode)
+        if self._pending is not None:
+            self._leave()
+            self._check(*self._pending)
+            self._pending = None
         count = self._count
         violations = [] if count == self._n else [Violation(WRONG_LENGTH, count)]
         violations += self._presence
@@ -168,17 +205,28 @@ class CycleChecker:
             held.extend(lanes)
 
     def _block(self, block: Sequence[int]) -> None:
-        """Check ``block``, the next block: by the coset route while that
-        holds, else against the presence table."""
+        """Check ``block``, the next block, once the route is known: a
+        failing block 0 waits for block 1."""
         lanes = _lanes(block, self._typecode)
         packed = 0 if lanes is None else pack(lanes)
-        if self._seen is not None or not self._take_block(lanes, packed):
-            if self._seen is None:
+        if self._seen is None and self._origin is None:
+            if not self._reference(lanes, packed):
+                if self._pending is None:
+                    self._pending = (block, lanes, packed)
+                    return
                 self._leave()
-            lead = self._last if self._count else None
-            if lanes is not None and _packed_chunk_passes(
-                packed, lead, lanes.itemsize, len(lanes), self._k, self._h
-            ):
+            if self._pending is not None:
+                self._check(*self._pending)
+                self._pending = None
+        self._check(block, lanes, packed)
+
+    def _check(self, block: Sequence[int], lanes: array | None, packed: int) -> None:
+        """Check ``block``, its ``lanes`` (None if a code fits no lane) and
+        ``packed``, their integer: by cosets, or against the presence table."""
+        if self._seen is None and not self._take_block(lanes, packed):
+            self._leave()
+        if self._seen is not None:
+            if self._lanes_pass(lanes, packed):
                 self._mark(block)
             else:
                 self._scan(block, 0)
@@ -188,55 +236,195 @@ class CycleChecker:
         self._last = block[-1]
         self._count += len(block)
 
-    def _take_block(self, lanes: array | None, packed: int) -> bool:
-        """Whether the coset route takes the next block: ``lanes``, None if
-        a code fits no lane, and ``packed``, their integer. It takes a
-        whole block if the class docstring's tests hold: for block 0, that
-        it is a translate of a subspace V; for a later block, that it is a
-        coset of V not taken before."""
+    def _reference(self, lanes: array | None, packed: int) -> bool:
+        """Whether a block, ``lanes`` and ``packed``, their integer, is the
+        reference the class docstring describes; if it is, take it as such."""
         if lanes is None or len(lanes) < self._size or self._size > self._n:
             return False
-        k, h, head = self._k, self._h, lanes[0]
-        one = _lane_masks(lanes.itemsize, len(lanes))[0]
-        if self._count:
-            shift = head ^ self._first
-            if (
-                shift >> k
-                or (self._last ^ head).bit_count() != h
-                or packed != self._block0 ^ shift * one
-            ):
-                return False
-        else:
-            if not _packed_chunk_passes(packed, None, lanes.itemsize, len(lanes), k, h):
-                return False
-            basis = _subspace_basis(packed ^ head * one, self._typecode, len(lanes))
-            if basis is None:
-                return False
-            self._block0, self._basis = packed, basis
-        coset = self._coset(head)
-        if coset in self._cosets:
+        width, k = lanes.itemsize, self._k
+        one = _lane_masks(width, len(lanes))[0]
+        if packed & ((1 << 8 * width) - (1 << k)) * one:
             return False
-        self._cosets[coset] = head
+        basis = _subspace_basis(packed ^ lanes[0] * one, self._typecode, len(lanes))
+        if basis is None:
+            return False
+        self._block0, self._origin, self._basis = packed, lanes[0], basis
+        if not _packed_chunk_passes(packed, None, width, len(lanes), k, self._h):
+            self._inner = _step_faults(lanes, None, self._h)
         return True
 
-    def _coset(self, code: int) -> int:
-        """The name of the coset ``code ^ V``: ``code`` with each pivot bit
-        of V cleared by its basis vector, in the order they were found."""
-        for pivot, vector in self._basis:
+    def _take_block(self, lanes: array | None, packed: int) -> bool:
+        """Check the next block on the coset route: its ``lanes`` (None if a
+        code fits no lane) and ``packed``, their integer. False, having
+        changed nothing, for a block the route does not take: one without
+        a translate inside the dimension, one with more than _LOOKUPS
+        lanes that differ from it, or one whose lookups would make more
+        than _TABLES tables."""
+        translate = None if lanes is None else self._translate(lanes, packed)
+        if translate is None:
+            return False
+        coset, base, differs = translate
+        cosets, m = self._cosets, len(lanes)
+        if not differs and m == self._size and coset not in cosets:
+            cosets[coset] = self._whole
+            if self._count and (self._last ^ lanes[0]).bit_count() != self._h:
+                self._add_steps((-1,))
+            if self._inner:
+                self._add_steps(self._inner)
+            return True
+        differ = unpack(differs, self._typecode, m)
+        at = list(compress(range(m), differ))
+        if len(at) > _LOOKUPS:
+            return False
+        lookups = [self._coset(lanes[i]) for i in at]
+        tables = {name for name, _ in lookups if not name >> self._k} | {coset}
+        tables -= cosets.keys()
+        if self._tables + len(tables) > _TABLES:
+            return False
+        self._tables += len(tables)
+        self._place(differ, at, lookups, coset, base)
+        if not self._lanes_pass(lanes, packed):
+            self._scan_steps(lanes)
+        return True
+
+    def _lanes_pass(self, lanes: array | None, packed: int) -> bool:
+        """Whether the next block has ``lanes`` and they pass
+        :func:`_packed_chunk_passes` on ``packed``, their integer."""
+        lead = self._last if self._count else None
+        return lanes is not None and _packed_chunk_passes(
+            packed, lead, lanes.itemsize, len(lanes), self._k, self._h
+        )
+
+    def _translate(self, lanes: array, packed: int) -> tuple[int, int, int] | None:
+        """The expected translate of a block, ``lanes`` and ``packed``, their
+        integer, as ``(coset, index, differs)``: the name of its coset, the
+        index in it of the translate's lane 0, and the lanes of the block
+        that differ from it, packed; None if it lies outside the dimension."""
+        bits, m = 8 * lanes.itemsize, len(lanes)
+        one = _lane_masks(lanes.itemsize, m)[0]
+        reference = self._block0 if m == self._size else self._block0 & ((1 << bits * m) - 1)
+        shift = lanes[0] ^ self._origin
+        expected = reference ^ shift * one
+        differs = 0 if packed == expected else packed ^ expected
+        if differs >> bits:  # perhaps lane 0 alone differs: try lane 1's shift
+            other = lanes[1] ^ reference >> bits & ((1 << bits) - 1)
+            other_differs = packed ^ reference ^ other * one
+            if not other_differs >> bits:
+                shift, differs = other, other_differs
+        if shift >> self._k:
+            return None
+        coset, index = self._coset(self._origin ^ shift)
+        return coset, index, differs
+
+    def _place(
+        self,
+        differ: array,
+        at: list[int],
+        lookups: list[tuple[int, int]],
+        coset: int,
+        base: int,
+    ) -> None:
+        """Mark the codes of the next block present in their cosets'
+        tables, naming each one repeated or outside the dimension, in index
+        order. Its lanes that ``differ`` are those ``at``, with the coset
+        names and indices of their codes in ``lookups``; the others hold the
+        codes of the translate's ``coset`` at index ``base ^ slots[j]`` in
+        lane ``j``.
+
+        A lane that differs repeats a code present in its coset's table, or
+        held by a translate's lane before it. Then a translate's lane whose
+        code was present before it repeats it.
+        """
+        k, cosets = self._k, self._cosets
+        slots, lane_of = self._reference_slots()
+        found: list[tuple[int, str]] = []
+        for i, (name, index) in zip(at, lookups):
+            if name >> k:
+                found.append((i, DIMENSION_OVERFLOW))
+                continue
+            table = cosets.get(name)
+            if table is not None and table[index]:
+                found.append((i, DUPLICATE_VERTEX))
+            elif name == coset and (j := lane_of[index ^ base]) < i and not differ[j]:
+                found.append((i, DUPLICATE_VERTEX))
+            else:
+                if table is None:
+                    table = cosets[name] = bytearray(self._size)
+                table[index] = 1
+        table = cosets.get(coset)
+        if table is self._whole:
+            found += [(j, DUPLICATE_VERTEX) for j in compress(range(len(differ)), map(not_, differ))]
+        else:
+            # Every index of the coset but those of the lanes that differ,
+            # then each index present before. A partial block is the last,
+            # so no code is looked up in the indices of the lanes it lacks.
+            merged = bytearray(self._whole)
+            for j in at:
+                merged[base ^ slots[j]] = 0
+            index = -1 if table is None else table.find(1)
+            while index >= 0:
+                j = lane_of[index ^ base]
+                if j < len(differ) and not differ[j]:
+                    found.append((j, DUPLICATE_VERTEX))
+                merged[index] = 1
+                index = table.find(1, index + 1)
+            cosets[coset] = merged
+        self._add_presence(found)
+
+    def _coset(self, code: int) -> tuple[int, int]:
+        """The name of the coset ``code ^ V``, ``code`` with each pivot bit
+        of V cleared by its basis vector in the order they were found, and
+        the index of ``code`` in it, bit ``j`` set if vector ``j`` was used.
+        The name keeps a bit of ``code`` at k or above, or its sign."""
+        index = 0
+        for j, (pivot, vector) in enumerate(self._basis):
             if code >> pivot & 1:
                 code ^= vector
-        return code
+                index |= 1 << j
+        return code, index
+
+    def _reference_slots(self) -> tuple[array, array]:
+        """The index in its coset of each lane of the reference, and the
+        lane holding each index; a lane ``j`` of the translate whose coset
+        index is ``a`` holds index ``a ^ slots[j]``. The indices are those
+        :meth:`_coset` gives, found for every lane at once."""
+        if self._slots is None:
+            size, typecode = self._size, self._typecode
+            one = _lane_masks(array(typecode).itemsize, size)[0]
+            rest, indices = self._block0 ^ self._origin * one, 0
+            for j, (pivot, vector) in enumerate(self._basis):
+                hit = rest >> pivot & one
+                rest ^= hit * vector
+                indices |= hit << j
+            slots = self._slots = unpack(indices, typecode, size)
+            lane_of = self._lane_of = array(typecode, bytes(slots.itemsize * size))
+            for j, index in enumerate(slots):
+                lane_of[index] = j
+        return self._slots, self._lane_of
+
+    def _add_presence(self, found: list[tuple[int, str]]) -> None:
+        """Name each ``(offset, kind)`` of ``found`` at its index from the
+        start of the next block, in index order; once _KEPT_VIOLATIONS are
+        named, count the rest."""
+        base, presence = self._count, self._presence
+        for i, kind in sorted(found):
+            if len(presence) < _KEPT_VIOLATIONS:
+                presence.append(Violation(kind, base + i))
+            else:
+                self._dropped += 1
 
     def _leave(self) -> None:
-        """Leave the coset route: make the presence table and mark the
-        codes of the blocks taken present in it."""
+        """Go on against the presence table, marked with the codes of the
+        cosets seen, each table dropped once it is marked."""
         seen = self._seen = bytearray(self._n)
-        size = self._size
-        one = _lane_masks(array(self._typecode).itemsize, size)[0]
-        for head in self._cosets.values():
-            for c in unpack(self._block0 ^ (head ^ self._first) * one, self._typecode, size):
-                seen[c] = 1
-        self._cosets = {}
+        if self._cosets:
+            slots = self._reference_slots()[0]
+            one = _lane_masks(array(self._typecode).itemsize, self._size)[0]
+            while self._cosets:
+                name, table = self._cosets.popitem()
+                lanes = unpack(self._block0 ^ (name ^ self._origin) * one, self._typecode, self._size)
+                for c in compress(lanes, map(table.__getitem__, slots)):
+                    seen[c] = 1
 
     def _mark(self, codes: Sequence[int]) -> None:
         """Mark ``codes``, each inside the dimension, present, and hand the
@@ -270,18 +458,36 @@ class CycleChecker:
                 return
 
     def _scan_steps(self, codes: Sequence[int]) -> None:
-        """Name each step into ``codes`` that does not flip h coordinates;
-        once _KEPT_VIOLATIONS are named, the rest are counted in bulk."""
-        h, base, steps = self._h, self._count, self._steps
-        flips = map(int.bit_count, map(xor, codes, islice(codes, 1, None)))
-        if base:
-            flips, base = chain([(self._last ^ codes[0]).bit_count()], flips), base - 1
-        for i, flip in enumerate(flips, base):
-            if flip != h:
-                if len(steps) == _KEPT_VIOLATIONS:
-                    self._dropped += 1 + sum(map(h.__ne__, flips))
-                    return
-                steps.append(Violation(WRONG_STEP, (i, i + 1)))
+        """Name each step into ``codes``, the next block, that does not
+        flip h coordinates, as :meth:`_add_steps` does; once
+        _KEPT_VIOLATIONS are named, only count them."""
+        lead = self._last if self._count else None
+        if len(self._steps) == _KEPT_VIOLATIONS:
+            self._dropped += sum(map(self._h.__ne__, _flips(codes, lead)))
+        else:
+            self._add_steps(_step_faults(codes, lead, self._h))
+
+    def _add_steps(self, faults: Sequence[int]) -> None:
+        """Name the failing step ``(i + o, i + o + 1)`` for each offset
+        ``o`` of ``faults``, in order, where the next block starts at
+        index ``i``; once _KEPT_VIOLATIONS are named, count the rest."""
+        base, steps = self._count, self._steps
+        room = _KEPT_VIOLATIONS - len(steps)
+        steps += [Violation(WRONG_STEP, (base + o, base + o + 1)) for o in faults[:room]]
+        self._dropped += max(len(faults) - room, 0)
+
+
+def _flips(codes: Sequence[int], lead: int | None) -> Iterator[int]:
+    """The coordinates each step of ``codes`` flips, the step from
+    ``lead`` into code 0 first; None for ``lead`` leads no step in."""
+    flips = map(int.bit_count, map(xor, codes, islice(codes, 1, None)))
+    return flips if lead is None else chain([(lead ^ codes[0]).bit_count()], flips)
+
+
+def _step_faults(codes: Sequence[int], lead: int | None, h: int) -> list[int]:
+    """The offset ``o`` of each step ``(o, o + 1)`` of ``codes`` that does
+    not flip h coordinates, -1 for the step from ``lead`` into code 0."""
+    return list(compress(count(0 if lead is None else -1), map(h.__ne__, _flips(codes, lead))))
 
 
 def _lanes(codes: Sequence[int], typecode: str) -> array | None:

@@ -526,6 +526,68 @@ class TestVerifyWindows:
             tracemalloc.stop()
         assert peak < size // 16
 
+    @pytest.mark.parametrize("rows", [b"\n0\n1\n3\n2\n", b""], ids=["rows", "no-LF"])
+    def test_a_header_line_past_its_bound_is_not_held(self, rows, tmp_path, monkeypatch):
+        # A first line of 40 MiB of "x" peaked at a VmHWM of 98 MB, carried
+        # whole only to be refused; past _HEADER_TOKENS the rest of the line
+        # is decoded and dropped as it comes, and the refusal is the same.
+        # What is held is a few times _HEADER_TOKENS, whatever the size.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 8 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(b"x" * size + rows)
+        refusal = "error: line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'\n"
+        assert verify_outcome(target) == ((1, "", refusal), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
+    @pytest.mark.parametrize("zeros", [6, 7])
+    def test_a_header_of_more_tokens_than_its_bound_is_refused(self, zeros, tmp_path, monkeypatch):
+        # HEADER holds 32 characters other than spaces, its LF included; k's
+        # leading zeros add to them, and both parses refuse the same lines.
+        monkeypatch.setattr(document, "_HEADER_TOKENS", 38)
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 2)
+        monkeypatch.setattr(document, "_HEAD_BYTES", 8)
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER.replace(b"k=", b"k=" + b"0" * zeros) + b"0\n1\n3\n2\n")
+        outcome = verify_outcome(target)
+        assert outcome[0] == verify_outcome(target, whole=True)[0]
+        assert outcome == ((0, "valid: change-1 cycle on 4 vertices in dimension 2\n", "") if zeros == 6 else (
+            1, "", "error: line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'\n"
+        ), False)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 36), st.sampled_from(PIECES), st.sampled_from([1, 2, 40])), max_size=5),
+        st.sampled_from([b"0\n1\n3\n2\n", b"", b"0\n1\xff\n", b"0\v\n1\n", b"x\n"]),
+        st.sampled_from([4, 20, 33, 36]),
+        st.sampled_from([1, 2, 7, 64]),
+        st.sampled_from([1, 37, 1 << 12]),
+    )
+    # The rest past the bound opens with the end of a character, or with
+    # the LF after a CR, that the block before it starts.
+    @example([(32, "\u3000".encode(), 5), (33, b"\v", 40)], b"0\n1\n3\n2\n", 10, 2, 37)
+    @example([(35, b"\r", 1), (0, b"x", 40)], b"0\n1\n3\n2\n", 30, 1, 36)
+    def test_a_header_line_past_its_bound_gets_the_whole_document_verdict(
+        self, changes, rows, bound, window, head
+    ):
+        # Pieces put into the header line, some many times over: a byte
+        # that is not UTF-8 or stray whitespace in the part no longer held
+        # is named as the whole-document parse names it.
+        line = bytearray(HEADER)
+        for at, piece, times in changes:
+            line[at:at] = piece * times
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            document, _HEADER_TOKENS=bound, _WINDOW_CHARS=window, _HEAD_BYTES=head
+        ):
+            target = Path(tmp) / "doc"
+            target.write_bytes(bytes(line) + rows)
+            assert verify_outcome(target)[0] == verify_outcome(target, whole=True)[0]
+
     @pytest.mark.parametrize("h", ["0", "-3"])
     @pytest.mark.parametrize("rows", [b"0\n1\n3\n2\n", b"0\nx\n3\n2\n"], ids=["valid", "bad-row"])
     def test_a_step_size_below_1_is_refused_before_reading(self, h, rows, capsys, tmp_path, monkeypatch):
@@ -681,14 +743,14 @@ class TestVerifyByRendering:
         [
             # Read as code 123, where the rendered row is "123".
             ("leading zero", False, [False] + [True] * 14),
-            # JSON refuses it: the windowed read stops, and so does
-            # parse_document's, before json.loads of the whole text.
-            ("leading zero", True, [False, False]),
+            # JSON refuses it: the windowed read stops, and json.loads
+            # reads the whole text without trying the route again.
+            ("leading zero", True, [False]),
             # The piece's first row is a code of 2**16 or more.
             ("shift past k", False, [True, False] + [True] * 13),
             ("shift past k", True, [True, False] + [True] * 13),
             ("token", False, [True, False]),  # the fault ends the read
-            ("token", True, [True, False, True, False]),  # parsed whole
+            ("token", True, [True, False]),  # parsed whole, the route not tried again
         ],
     )
     def test_a_later_piece_off_the_route_is_read_as_before(self, change, as_json, proven, tmp_path):

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import random
+import tracemalloc
 from array import array
 from unittest import mock
 
@@ -337,8 +338,8 @@ def test_packed_test_leaves_a_step_wider_than_a_lane_to_the_scalar_loops():
 def coset_paths(draw):
     """(k, h, size, codes, bounds, corruption): a constructed cycle in
     blocks of ``size`` codes, rotated by whole blocks, perhaps broken one
-    way the coset route has to notice, and the bounds of the chunks it is
-    fed in."""
+    way the coset route has to notice, or read with a wrong h, and the
+    bounds of the chunks it is fed in."""
     size = draw(st.sampled_from([4, 16, 64]))
     k = draw(st.integers(max(2, size.bit_length() - 1), 10))
     h = draw(st.sampled_from(range(1, k, 2)))
@@ -350,13 +351,19 @@ def coset_paths(draw):
     lane = 8 * array(lane_typecode(k)).itemsize
     span = {c ^ first for c in block0}
     outside = [s for s in range(1 << k) if s.bit_count() == h and s not in span]
-    corruptions = ["none", "short", "repeat in block 0"] + ["not a subspace"] * bool(outside)
+    corruptions = ["none", "short", "repeat in block 0", "cut in the last block", "wrong h"]
+    corruptions += ["not a subspace"] * bool(outside)
     if blocks > 1:
-        corruptions += ["used coset", "boundary step", "changed code"]
+        corruptions += ["used coset", "boundary step", "changed code", "changed head"]
+        corruptions += ["two-block swap", "two changed blocks", "onto a partial coset"]
         corruptions += ["shift past k"] if lane > k else []
     corruption = draw(st.sampled_from(corruptions))
     later = draw(st.integers(1, blocks - 1)) if blocks > 1 else 0
     start = later * size
+    # Two blocks, the first perhaps block 0, and an offset in each.
+    pair = sorted(draw(st.lists(st.integers(0, blocks - 1), min_size=2, max_size=2, unique=True))) \
+        if blocks > 1 else [0, 0]
+    at = [b * size + draw(st.integers(0, size - 1)) for b in pair]
     if corruption == "short":
         del codes[draw(st.integers(1, len(codes) - 1)):]
     elif corruption == "not a subspace":
@@ -382,8 +389,35 @@ def coset_paths(draw):
         step = codes[start - 1] ^ codes[start]
         mask = 1 << draw(st.integers(k, lane - 1)) | step & -step
         codes[start:] = [c ^ mask for c in codes[start:]]
+    elif corruption == "cut in the last block":
+        del codes[len(codes) - draw(st.integers(1, size - 1)):]
+    elif corruption == "wrong h":
+        h = draw(st.integers(1, k + 1).filter(h.__ne__))
+    elif corruption == "changed head":
+        # The block's expected translate is read from its second lane.
+        codes[pair[0] * size] ^= 1 << draw(st.integers(0, lane - 1))
+    elif corruption == "two-block swap":
+        codes[at[0]], codes[at[1]] = codes[at[1]], codes[at[0]]
+    elif corruption == "two changed blocks":
+        for i in at:
+            codes[i] ^= 1 << draw(st.integers(0, lane - 1))
+    elif corruption == "onto a partial coset":
+        # A code of the later block copied into the earlier one: the
+        # later block, a whole translate, meets its coset partly filled.
+        codes[at[0]] = codes[at[1]]
     cuts = draw(st.lists(st.integers(0, len(codes)), max_size=8))
     return k, h, size, tuple(codes), [0, *sorted(cuts), len(codes)], corruption
+
+
+def subspace_translate(block, k):
+    """Whether ``block`` is ``block[0] ^ V`` for a linear subspace V of as
+    many codes inside the dimension, tested pair by pair."""
+    span = {c ^ block[0] for c in block}
+    return (
+        all(0 <= c < 1 << k for c in block)
+        and len(span) == len(block)
+        and all(a ^ b in span for a in span for b in span)
+    )
 
 
 def xor_from(codes, start, mask):
@@ -401,8 +435,15 @@ def test_coset_route_reports_what_the_scalar_reference_reports(path, arrays):
             checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
         report = checker.finish()
     assert report == scalar_report(k, h, codes)
+    # The route holds whenever block 0, or else block 1, is a whole
+    # translate, but for blocks with no translate inside the dimension;
+    # block 0 moved off its span may hold lanes of more than _TABLES cosets.
+    references = [codes[i:i + size] for i in (0, size) if i + size <= len(codes)]
+    on_route = any(subspace_translate(block, k) for block in references)
+    if corruption != "not a subspace":
+        assert (checker._seen is None) == (on_route and corruption != "shift past k")
     if corruption == "none":
-        assert report.valid and checker._seen is None
+        assert report.valid and on_route
 
 
 def test_a_translate_into_block_0s_coset_repeats_all_its_codes():
@@ -431,6 +472,113 @@ def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
     assert cli.main(argv) == 0
     assert cli.main(["verify", str(target)]) == 0
     assert capsys.readouterr().out == "valid: change-5 cycle on 262144 vertices in dimension 18\n"
+
+
+def test_a_changed_first_code_is_the_only_lane_looked_up():
+    # Lane 0 defines the expected translate, so every other lane differs
+    # from it; lane 1's translate leaves lane 0 alone to look up, after
+    # the two translates' cosets.
+    codes = list(construct(13, 3).path.codes)
+    codes[4096] ^= 1 << 5
+    checker = CycleChecker(13, 3)
+    with mock.patch.object(CycleChecker, "_coset", autospec=True, side_effect=CycleChecker._coset) as coset:
+        checker.feed(array(lane_typecode(13), codes))
+    assert checker.finish() == scalar_report(13, 3, codes)
+    assert [call.args[1] for call in coset.call_args_list][-1:] == [codes[4096]]
+    assert coset.call_count == 3 and checker._seen is None
+
+
+def test_a_block_that_mostly_differs_goes_to_the_presence_table():
+    # Block 2 shuffled: looking its lanes up one by one would cost more
+    # than the presence table, which is made and marked with the codes of
+    # the cosets seen: block 0's, taken whole, and block 1's, in part, one
+    # of its codes changed. Block 2 repeats a code of each.
+    codes = list(construct(14, 5).path.codes)
+    codes[4100] ^= 1 << 13
+    block = codes[8192:12288]
+    random.Random(5).shuffle(block)
+    block[5], block[6] = codes[10], codes[4096 + 7]
+    codes[8192:12288] = block
+    checker = CycleChecker(14, 5)
+    checker.feed(tuple(codes))
+    report = checker.finish()
+    assert report == scalar_report(14, 5, codes)
+    assert {(DUPLICATE_VERTEX, 8192 + 5), (DUPLICATE_VERTEX, 8192 + 6)} <= {
+        (v.kind, v.where) for v in report.violations
+    }
+    assert checker._seen is not None
+
+
+@pytest.mark.parametrize(
+    ("shape", "flags", "lines"),
+    [
+        # Row 1,000 lies in block 0, so block 1 is the reference.
+        ("swap", [], ["invalid: 2 violation(s)", "WrongStep at (999, 1000)", "WrongStep at (39999, 40000)"]),
+        ("flip", [], [
+            "invalid: 3 violation(s)", "DuplicateVertex at 30000",
+            "WrongStep at (29999, 30000)", "WrongStep at (30000, 30001)",
+        ]),
+        ("cut", [], ["invalid: 2 violation(s)", "WrongLength at 65535", "OpenEndpoints at (65534, 0)"]),
+        ("wrong h", ["--h", "3"], ["invalid: 65536 violation(s)", "WrongStep at (0, 1)", "WrongStep at (1, 2)"]),
+    ],
+)
+def test_faulty_paths_make_no_table(shape, flags, lines, tmp_path, capsys, monkeypatch):
+    # The four faulty shapes of the bench's check documents, at k=16: each
+    # fault costs the lanes it touches, and the rest stays on the coset
+    # route. The lines are those the presence table once gave.
+    def never(*args):
+        raise AssertionError("a faulty path made the presence table")
+
+    monkeypatch.setattr(CycleChecker, "_leave", never)
+    monkeypatch.setattr(CycleChecker, "_mark", never)
+    codes = list(construct(16, 5).path.codes)
+    if shape == "swap":
+        codes[1000], codes[40000] = codes[40000], codes[1000]
+    elif shape == "flip":
+        codes[30000] ^= 1 << 3
+    elif shape == "cut":
+        del codes[-1]
+    target = tmp_path / "cycle.txt"
+    target.write_text("# k=16 h=5 encoding=ints closed=true\n" + "".join(f"{c}\n" for c in codes))
+    assert cli.main(["verify", str(target), *flags]) == 2
+    assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
+
+
+def checker_peak(k, h, codes):
+    """The report on ``codes``, fed as one array, the checker, and the
+    peak of the memory it allocated, by ``tracemalloc``."""
+    lanes = array(lane_typecode(k), codes)
+    tracemalloc.start()
+    try:
+        checker = CycleChecker(k, h)
+        checker.feed(lanes)
+        report = checker.finish()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return report, checker, peak
+
+
+@pytest.mark.parametrize("k", [14, 17])
+def test_a_fault_in_every_block_holds_no_more_than_the_table(k):
+    # One code changed in every block but block 1, the reference: each
+    # faulty coset gets a table of a block's bytes. At k=14 they stay on
+    # the coset route; at k=17 they would pass _TABLES, and the presence
+    # table takes over, marked from _TABLES tables at most. Beyond what a
+    # valid path holds, the faults cost the 2**k bytes of the presence
+    # table at most, and a few dozen blocks' bytes: the tables, and the
+    # lanes of the reference and of a block or two at a time.
+    size = leaper_cycles.verifier._PACKED_LANES
+    valid = construct(k, 3).path.codes
+    codes = list(valid)
+    for b in range(len(codes) // size):
+        if b != 1:
+            codes[b * size + b * 577 % size] ^= 1 << b % k
+    _, _, valid_peak = checker_peak(k, 3, valid)
+    report, checker, peak = checker_peak(k, 3, codes)
+    assert report == scalar_report(k, 3, codes) and not report.valid
+    assert (checker._seen is None) == (k == 14)
+    assert peak <= valid_peak + (1 << k) + 2 * leaper_cycles.verifier._TABLES * size
 
 
 @st.composite
