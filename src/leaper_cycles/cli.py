@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from typing import IO
 
 # construct, render_text and render_json stay bound for the bench tracer:
-# test_every_name_the_bench_traces_stays_bound, ROADMAP item 1
+# test_every_name_the_bench_traces_stays_bound, ROADMAP item 2
 from .constructor import FeasibilityVerdict, construct, construct_chunks  # noqa: F401
 from .document import _parse_json, decode_text, parse_document, read_cycle, render_pieces
 from .document import render_json, render_text  # noqa: F401
@@ -144,14 +144,14 @@ def _open_output(output: str | None) -> Iterator[IO[str]]:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    if args.leaper is not None:
-        h = leaper_step(leaper_by_name(args.leaper))
-    else:
-        h = args.h
+    spec = None if args.leaper is None else leaper_by_name(args.leaper)
+    h = args.h if spec is None else leaper_step(spec)
     chunks = construct_chunks(args.k, h)
     if isinstance(chunks, FeasibilityVerdict):
-        print(f"status: {chunks.status.value}")
-        print(f"detail: {chunks.detail}")
+        # A leaper's verdict names its parity obstruction first, as ``leaper`` does.
+        verdict = chunks if spec is None else leaper_feasible(spec, args.k)
+        print(f"status: {verdict.status.value}")
+        print(f"detail: {verdict.detail}")
         return 2
     encoding, as_json = _FORMATS[args.format]
     with _open_output(args.output) as out:

@@ -14,26 +14,27 @@ coordinate = least significant bit). The JSON alternative carries the same
 fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
 
-Rendering yields the text in pieces: the header, the rows of 4,096
-codes at a time, and the tail, so it never holds a string per row. A
-piece's ``tuples`` rows are strided copies of the base-2 digits of its
-lanes. Its ``ints`` rows, if it is the first piece with one code xor'ed
-onto every lane, as each piece of a closed-form cycle of ``k >= 16`` is,
-are strided copies of the decimal digits of one sum of big decimals,
-written by :mod:`.decimal_rows`; else they are one ``%`` format of a
-``%d`` per code. A path that does not start on a 4,096-row boundary of
-the closed form has fewer such pieces. ``construct`` in the CLI writes the pieces as they come and holds one
-piece's rows at a time; ``render_text`` and ``render_json`` join them,
-holding the pieces and the joined text together at the end. Parsing
-takes a head of 4 KiB, enough for a JSON header, then blocks of about
-1 MiB, and runs them together into windows of whole lines, a text
-header's line opening the first; :func:`read_cycle` reads the blocks
-from a file and :func:`parse_document` slices them from a text. At most
-one window's rows, and the start of a piece carried from the window
-before, are held at once: ``read_cycle`` yields the codes of each window,
-or of each piece of it on the route below, and ``parse_document``
-collects them into one path. Where the renderer writes translates, each
-later piece of ``ints`` rows, text or JSON, that opens with the rows
+Rendering yields the text in pieces: the header, the rows of 4,096 codes
+at a time, and the tail, so it never holds a string per row. A piece's
+``tuples`` rows are strided copies of the base-2 digits of its lanes.
+Its ``ints`` rows, if it is the first piece with one code xor'ed onto
+every lane, as each piece of a closed-form cycle of ``k >= 16`` is, are
+strided copies of the decimal digits of one sum of big decimals, written
+by :mod:`.decimal_rows`; else they are one ``%`` format of a ``%d`` per
+code. A path that does not start on a 4,096-row boundary of the closed
+form has fewer such pieces. ``construct`` in the CLI writes the pieces
+as they come and holds one piece's rows at a time; ``render_text`` and
+``render_json`` join them, holding the pieces and the joined text
+together at the end. Parsing takes a head of 4 KiB, enough for a JSON
+header, then blocks of about 1 MiB, and runs them together into windows
+of whole lines, a text header's line opening the first;
+:func:`read_cycle` reads the blocks from a file and
+:func:`parse_document` slices them from a text. At most one window's
+rows, and the start of a piece carried from the window before, are held
+at once: ``read_cycle`` yields the codes of each window, or of each
+piece of it on the route below, and ``parse_document`` collects them
+into one path. Where the renderer writes translates, each later piece of
+``ints`` rows, text or JSON, that opens with the rows
 :mod:`.decimal_rows` renders for the translate its first row names is
 proven without a digit read (see :mod:`.body_rows`). Other rows shaped
 as the renderers write them are read at C speed: ``ints`` rows of ASCII

@@ -13,7 +13,7 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, islice
-from operator import not_, xor
+from operator import xor
 
 from .core import VertexPath, lane_typecode, pack, unpack
 
@@ -25,8 +25,6 @@ DIMENSION_OVERFLOW = "DimensionOverflow"
 
 _KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
 _PACKED_LANES = 1 << 12  # codes the packed test takes at once
-_LOOKUPS = 1 << 8  # lanes of a block the coset route looks up one by one, at most
-_TABLES = 16  # tables of a block's bytes the coset route holds, at most
 
 
 @dataclass(frozen=True)
@@ -92,35 +90,30 @@ class CycleChecker:
     :func:`_subspace_basis` proves, ``origin`` being its first code. Each
     code ``c`` then has a coset name, ``c`` reduced by V's basis, and an
     index in that coset, the basis vectors the reduction used; two cosets
-    of V are equal or disjoint. Each coset seen is kept by its name with a
-    table of ``_size`` bytes, one per index, of its codes present; the
-    cosets taken whole share one table. The reference's failing steps are
-    kept by their offsets.
+    of V are equal or disjoint, and a name at or past bit k is a code
+    outside the dimension. Each coset seen is kept by its name with a
+    page of ``_size`` bytes, one per index, of its codes present. The
+    reference's failing steps are kept by their offsets.
 
-    A block's expected translate is the reference xor ``c ^ origin``,
-    where ``c`` is its first code, or, if only its first lane differs
-    from that, its second lane's. A whole block equal to its translate
-    lane for lane, with ``c ^ origin < 2**k``, whose coset is not yet
-    seen, is taken whole: its codes lie in the dimension, none is marked,
-    and its inner steps are the reference's, so only the step into it is
-    new. In any other block, the lanes equal to the translate are codes
-    of its coset at known indices and enter the coset's table at once;
-    only the lanes that differ, every lane without a translate, are
-    looked up one by one, and so are the codes of that coset present
-    before. Repeated codes and codes outside the dimension are named in
-    index order, and the steps pass :func:`_packed_chunk_passes` or are
-    checked code by code.
+    A whole block that equals the reference xor ``c ^ origin`` lane for
+    lane, where ``c`` is its first code, with ``c ^ origin < 2**k``, and
+    whose coset is not yet seen, is taken whole: its codes lie in the
+    dimension, none is marked, and its inner steps are the reference's,
+    so only the step into it is new. Every coset taken whole shares one
+    page of ones, ``bytes``, which is never written, as every index of it
+    is set. Any other block has all its lanes reduced at once on their
+    integer; then each code, in index order, is named outside the
+    dimension, or repeated if its index in its coset's page is set, or
+    else is marked there. The steps pass :func:`_packed_chunk_passes` or
+    are checked code by code. There are ``2**k / _size`` cosets, so the
+    pages hold at most 2**k bytes.
 
-    The presence table of one byte per vertex is made if neither block 0
-    nor block 1 is a reference, or at the first block the route does not
-    take: one without a translate inside the dimension, or with more than
-    _LOOKUPS lanes that differ from it, which cost more looked up one by
-    one than marked in the table, or one that would make more than
-    _TABLES tables, which bounds what is held beside the table. It is
-    marked with the codes of the cosets seen. Then a block of lanes whose
-    range and steps pass :func:`_packed_chunk_passes` only has its
-    vertices marked present; any other block is checked code by code,
-    naming each fault.
+    If neither block 0 nor block 1 is a reference, as in a cycle rotated
+    by rows that are not a multiple of a block, at ``k < 12``, or with a
+    code that fits no lane in both, the presence table of one byte per
+    vertex is made instead. A block of lanes whose range and steps pass
+    :func:`_packed_chunk_passes` only has its vertices marked present in
+    it; any other block is checked code by code, naming each fault.
     """
 
     def __init__(self, k: int, h: int) -> None:
@@ -142,14 +135,9 @@ class CycleChecker:
         self._block0 = 0  # the reference, packed
         self._basis: list[tuple[int, int]] = []  # V's (pivot bit, vector) pairs
         self._inner: list[int] = []  # offsets o of the reference's failing steps (o, o + 1)
-        # The index in its coset of each lane of the reference, and the lane
-        # holding each index; made for the first block not taken whole.
-        self._slots: array | None = None
-        self._lane_of = array(self._typecode)
         # Each coset seen: its name -> its codes present, by index in the coset.
         self._cosets: dict[int, bytes | bytearray] = {}
-        self._whole = b"\1" * self._size  # the table of a coset taken whole
-        self._tables = 0  # tables of cosets seen in part
+        self._whole = b"\1" * self._size  # the page of a coset taken whole
         self._count = 0
         self._first = self._last = 0
         self._presence: list[Violation] = []
@@ -178,7 +166,7 @@ class CycleChecker:
             self._block(self._held)
             self._held = array(self._typecode)
         if self._pending is not None:
-            self._leave()
+            self._seen = bytearray(self._n)
             self._check(*self._pending)
             self._pending = None
         count = self._count
@@ -214,7 +202,7 @@ class CycleChecker:
                 if self._pending is None:
                     self._pending = (block, lanes, packed)
                     return
-                self._leave()
+                self._seen = bytearray(self._n)
             if self._pending is not None:
                 self._check(*self._pending)
                 self._pending = None
@@ -223,13 +211,15 @@ class CycleChecker:
     def _check(self, block: Sequence[int], lanes: array | None, packed: int) -> None:
         """Check ``block``, its ``lanes`` (None if a code fits no lane) and
         ``packed``, their integer: by cosets, or against the presence table."""
-        if self._seen is None and not self._take_block(lanes, packed):
-            self._leave()
         if self._seen is not None:
             if self._lanes_pass(lanes, packed):
                 self._mark(block)
             else:
                 self._scan(block, 0)
+                self._scan_steps(block)
+        elif not self._take_whole(lanes, packed):
+            self._place(block, lanes, packed)
+            if not self._lanes_pass(lanes, packed):
                 self._scan_steps(block)
         if not self._count:
             self._first = block[0]
@@ -253,38 +243,25 @@ class CycleChecker:
             self._inner = _step_faults(lanes, None, self._h)
         return True
 
-    def _take_block(self, lanes: array | None, packed: int) -> bool:
-        """Check the next block on the coset route: its ``lanes`` (None if a
-        code fits no lane) and ``packed``, their integer. False, having
-        changed nothing, for a block the route does not take: one without
-        a translate inside the dimension, one with more than _LOOKUPS
-        lanes that differ from it, or one whose lookups would make more
-        than _TABLES tables."""
-        translate = None if lanes is None else self._translate(lanes, packed)
-        if translate is None:
+    def _take_whole(self, lanes: array | None, packed: int) -> bool:
+        """Whether the next block, its ``lanes`` (None if a code fits no
+        lane) and ``packed``, their integer, is a coset taken whole, as the
+        class docstring says; if it is, take it and name the steps it
+        fails."""
+        if lanes is None or len(lanes) < self._size:
             return False
-        coset, base, differs = translate
-        cosets, m = self._cosets, len(lanes)
-        if not differs and m == self._size and coset not in cosets:
-            cosets[coset] = self._whole
-            if self._count and (self._last ^ lanes[0]).bit_count() != self._h:
-                self._add_steps((-1,))
-            if self._inner:
-                self._add_steps(self._inner)
-            return True
-        differ = unpack(differs, self._typecode, m)
-        at = list(compress(range(m), differ))
-        if len(at) > _LOOKUPS:
+        shift = lanes[0] ^ self._origin
+        one = _lane_masks(lanes.itemsize, self._size)[0]
+        if shift >> self._k or packed != self._block0 ^ shift * one:
             return False
-        lookups = [self._coset(lanes[i]) for i in at]
-        tables = {name for name, _ in lookups if not name >> self._k} | {coset}
-        tables -= cosets.keys()
-        if self._tables + len(tables) > _TABLES:
+        coset = self._coset(lanes[0])[0]
+        if coset in self._cosets:
             return False
-        self._tables += len(tables)
-        self._place(differ, at, lookups, coset, base)
-        if not self._lanes_pass(lanes, packed):
-            self._scan_steps(lanes)
+        self._cosets[coset] = self._whole
+        if self._count and (self._last ^ lanes[0]).bit_count() != self._h:
+            self._add_steps((-1,))
+        if self._inner:
+            self._add_steps(self._inner)
         return True
 
     def _lanes_pass(self, lanes: array | None, packed: int) -> bool:
@@ -295,81 +272,40 @@ class CycleChecker:
             packed, lead, lanes.itemsize, len(lanes), self._k, self._h
         )
 
-    def _translate(self, lanes: array, packed: int) -> tuple[int, int, int] | None:
-        """The expected translate of a block, ``lanes`` and ``packed``, their
-        integer, as ``(coset, index, differs)``: the name of its coset, the
-        index in it of the translate's lane 0, and the lanes of the block
-        that differ from it, packed; None if it lies outside the dimension."""
-        bits, m = 8 * lanes.itemsize, len(lanes)
-        one = _lane_masks(lanes.itemsize, m)[0]
-        reference = self._block0 if m == self._size else self._block0 & ((1 << bits * m) - 1)
-        shift = lanes[0] ^ self._origin
-        expected = reference ^ shift * one
-        differs = 0 if packed == expected else packed ^ expected
-        if differs >> bits:  # perhaps lane 0 alone differs: try lane 1's shift
-            other = lanes[1] ^ reference >> bits & ((1 << bits) - 1)
-            other_differs = packed ^ reference ^ other * one
-            if not other_differs >> bits:
-                shift, differs = other, other_differs
-        if shift >> self._k:
-            return None
-        coset, index = self._coset(self._origin ^ shift)
-        return coset, index, differs
-
-    def _place(
-        self,
-        differ: array,
-        at: list[int],
-        lookups: list[tuple[int, int]],
-        coset: int,
-        base: int,
-    ) -> None:
-        """Mark the codes of the next block present in their cosets'
-        tables, naming each one repeated or outside the dimension, in index
-        order. Its lanes that ``differ`` are those ``at``, with the coset
-        names and indices of their codes in ``lookups``; the others hold the
-        codes of the translate's ``coset`` at index ``base ^ slots[j]`` in
-        lane ``j``.
-
-        A lane that differs repeats a code present in its coset's table, or
-        held by a translate's lane before it. Then a translate's lane whose
-        code was present before it repeats it.
-        """
-        k, cosets = self._k, self._cosets
-        slots, lane_of = self._reference_slots()
-        found: list[tuple[int, str]] = []
-        for i, (name, index) in zip(at, lookups):
-            if name >> k:
-                found.append((i, DIMENSION_OVERFLOW))
-                continue
-            table = cosets.get(name)
-            if table is not None and table[index]:
-                found.append((i, DUPLICATE_VERTEX))
-            elif name == coset and (j := lane_of[index ^ base]) < i and not differ[j]:
-                found.append((i, DUPLICATE_VERTEX))
-            else:
-                if table is None:
-                    table = cosets[name] = bytearray(self._size)
-                table[index] = 1
-        table = cosets.get(coset)
-        if table is self._whole:
-            found += [(j, DUPLICATE_VERTEX) for j in compress(range(len(differ)), map(not_, differ))]
+    def _place(self, block: Sequence[int], lanes: array | None, packed: int) -> None:
+        """Mark the codes of the next block, ``block``, its ``lanes`` (None
+        if a code fits no lane) and ``packed``, their integer, present in
+        their cosets' pages, naming each one repeated or outside the
+        dimension, in index order; once _KEPT_VIOLATIONS are named, count
+        the rest. The lanes are reduced all at once, as :meth:`_coset`
+        reduces one code."""
+        if lanes is None:
+            names, indices = zip(*map(self._coset, block))
         else:
-            # Every index of the coset but those of the lanes that differ,
-            # then each index present before. A partial block is the last,
-            # so no code is looked up in the indices of the lanes it lacks.
-            merged = bytearray(self._whole)
-            for j in at:
-                merged[base ^ slots[j]] = 0
-            index = -1 if table is None else table.find(1)
-            while index >= 0:
-                j = lane_of[index ^ base]
-                if j < len(differ) and not differ[j]:
-                    found.append((j, DUPLICATE_VERTEX))
-                merged[index] = 1
-                index = table.find(1, index + 1)
-            cosets[coset] = merged
-        self._add_presence(found)
+            m, typecode = len(lanes), self._typecode
+            one = _lane_masks(lanes.itemsize, m)[0]
+            rest, where = packed, 0
+            for j, (pivot, vector) in enumerate(self._basis):
+                hit = rest >> pivot & one
+                rest ^= hit * vector
+                where |= hit << j
+            names, indices = unpack(rest, typecode, m), unpack(where, typecode, m)
+        k, size, cosets, presence = self._k, self._size, self._cosets, self._presence
+        for i, name, index in zip(count(self._count), names, indices):
+            if name >> k:
+                kind = DIMENSION_OVERFLOW
+            else:
+                page = cosets.get(name)
+                if page is None:
+                    page = cosets[name] = bytearray(size)
+                if not page[index]:
+                    page[index] = 1
+                    continue
+                kind = DUPLICATE_VERTEX
+            if len(presence) < _KEPT_VIOLATIONS:
+                presence.append(Violation(kind, i))
+            else:
+                self._dropped += 1
 
     def _coset(self, code: int) -> tuple[int, int]:
         """The name of the coset ``code ^ V``, ``code`` with each pivot bit
@@ -382,49 +318,6 @@ class CycleChecker:
                 code ^= vector
                 index |= 1 << j
         return code, index
-
-    def _reference_slots(self) -> tuple[array, array]:
-        """The index in its coset of each lane of the reference, and the
-        lane holding each index; a lane ``j`` of the translate whose coset
-        index is ``a`` holds index ``a ^ slots[j]``. The indices are those
-        :meth:`_coset` gives, found for every lane at once."""
-        if self._slots is None:
-            size, typecode = self._size, self._typecode
-            one = _lane_masks(array(typecode).itemsize, size)[0]
-            rest, indices = self._block0 ^ self._origin * one, 0
-            for j, (pivot, vector) in enumerate(self._basis):
-                hit = rest >> pivot & one
-                rest ^= hit * vector
-                indices |= hit << j
-            slots = self._slots = unpack(indices, typecode, size)
-            lane_of = self._lane_of = array(typecode, bytes(slots.itemsize * size))
-            for j, index in enumerate(slots):
-                lane_of[index] = j
-        return self._slots, self._lane_of
-
-    def _add_presence(self, found: list[tuple[int, str]]) -> None:
-        """Name each ``(offset, kind)`` of ``found`` at its index from the
-        start of the next block, in index order; once _KEPT_VIOLATIONS are
-        named, count the rest."""
-        base, presence = self._count, self._presence
-        for i, kind in sorted(found):
-            if len(presence) < _KEPT_VIOLATIONS:
-                presence.append(Violation(kind, base + i))
-            else:
-                self._dropped += 1
-
-    def _leave(self) -> None:
-        """Go on against the presence table, marked with the codes of the
-        cosets seen, each table dropped once it is marked."""
-        seen = self._seen = bytearray(self._n)
-        if self._cosets:
-            slots = self._reference_slots()[0]
-            one = _lane_masks(array(self._typecode).itemsize, self._size)[0]
-            while self._cosets:
-                name, table = self._cosets.popitem()
-                lanes = unpack(self._block0 ^ (name ^ self._origin) * one, self._typecode, self._size)
-                for c in compress(lanes, map(table.__getitem__, slots)):
-                    seen[c] = 1
 
     def _mark(self, codes: Sequence[int]) -> None:
         """Mark ``codes``, each inside the dimension, present, and hand the

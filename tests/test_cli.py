@@ -953,6 +953,16 @@ class TestLeaper:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(("name", "k"), [("ferz", 2), ("alfil", 3), ("knight", 5)])
+    def test_construct_gives_the_leaper_verdict(self, name, k, capsys):
+        # A leaper with a+b even is blocked by parity at every k, and both
+        # commands say so ahead of the range obstruction.
+        construct_code, construct_out, _ = run(capsys, "construct", "--leaper", name, "--k", str(k))
+        leaper_code, leaper_out, _ = run(capsys, "leaper", "--name", name, "--k", str(k))
+        assert construct_code == leaper_code == 2
+        verdict = [line for line in leaper_out.splitlines() if line.startswith(("status:", "detail:"))]
+        assert construct_out.splitlines() == verdict
+
 
 def test_main_leaves_the_environment_unchanged(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(MAX_K_ENV, raising=False)

@@ -356,6 +356,7 @@ def coset_paths(draw):
     if blocks > 1:
         corruptions += ["used coset", "boundary step", "changed code", "changed head"]
         corruptions += ["two-block swap", "two changed blocks", "onto a partial coset"]
+        corruptions += ["a fault in every block", "a shuffled block"]
         corruptions += ["shift past k"] if lane > k else []
     corruption = draw(st.sampled_from(corruptions))
     later = draw(st.integers(1, blocks - 1)) if blocks > 1 else 0
@@ -394,7 +395,7 @@ def coset_paths(draw):
     elif corruption == "wrong h":
         h = draw(st.integers(1, k + 1).filter(h.__ne__))
     elif corruption == "changed head":
-        # The block's expected translate is read from its second lane.
+        # The code that names the block's expected translate changed.
         codes[pair[0] * size] ^= 1 << draw(st.integers(0, lane - 1))
     elif corruption == "two-block swap":
         codes[at[0]], codes[at[1]] = codes[at[1]], codes[at[0]]
@@ -405,6 +406,19 @@ def coset_paths(draw):
         # A code of the later block copied into the earlier one: the
         # later block, a whole translate, meets its coset partly filled.
         codes[at[0]] = codes[at[1]]
+    elif corruption == "a fault in every block":
+        # One lane changed in each block but one, perhaps block 0.
+        kept = draw(st.integers(0, blocks - 1))
+        for b in range(blocks):
+            if b != kept:
+                codes[b * size + draw(st.integers(0, size - 1))] ^= 1 << draw(st.integers(0, lane - 1))
+    elif corruption == "a shuffled block":
+        # Block ``later``'s lanes permuted, one of them a copy of a code of
+        # another block.
+        block = draw(st.permutations(codes[start:start + size]))
+        other = draw(st.integers(0, len(codes) - size - 1))
+        block[draw(st.integers(0, size - 1))] = codes[other + size if other >= start else other]
+        codes[start:start + size] = block
     cuts = draw(st.lists(st.integers(0, len(codes)), max_size=8))
     return k, h, size, tuple(codes), [0, *sorted(cuts), len(codes)], corruption
 
@@ -435,13 +449,11 @@ def test_coset_route_reports_what_the_scalar_reference_reports(path, arrays):
             checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
         report = checker.finish()
     assert report == scalar_report(k, h, codes)
-    # The route holds whenever block 0, or else block 1, is a whole
-    # translate, but for blocks with no translate inside the dimension;
-    # block 0 moved off its span may hold lanes of more than _TABLES cosets.
+    # The route holds, whatever the later blocks are, whenever block 0,
+    # or else block 1, is a whole translate of a subspace.
     references = [codes[i:i + size] for i in (0, size) if i + size <= len(codes)]
     on_route = any(subspace_translate(block, k) for block in references)
-    if corruption != "not a subspace":
-        assert (checker._seen is None) == (on_route and corruption != "shift past k")
+    assert (checker._seen is None) == on_route
     if corruption == "none":
         assert report.valid and on_route
 
@@ -454,6 +466,21 @@ def test_a_translate_into_block_0s_coset_repeats_all_its_codes():
     report = verify_cycle(VertexPath(13, tuple(codes)), 1)
     assert report == scalar_report(13, 1, codes)
     assert report.total == 4096 and kinds(report) == {DUPLICATE_VERTEX}
+
+
+def test_cosets_taken_whole_share_one_page_that_cannot_be_written():
+    # Every coset taken whole is one immutable page; a block that repeats
+    # a code of its own coset gets a page of its own, which it writes.
+    codes = list(construct(15, 3).path.codes)
+    codes[3 * 4096 + 9] = codes[3 * 4096 + 10]
+    checker = CycleChecker(15, 3)
+    checker.feed(array(lane_typecode(15), codes))
+    assert checker.finish() == scalar_report(15, 3, codes)
+    pages = list(checker._cosets.values())
+    whole = [page for page in pages if isinstance(page, bytes)]
+    assert len(pages) == 8 and len(whole) == 7
+    assert pages[3].count(0) == 1
+    assert all(page is whole[0] for page in whole) and whole[0] == b"\1" * 4096
 
 
 def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
@@ -474,25 +501,22 @@ def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "valid: change-5 cycle on 262144 vertices in dimension 18\n"
 
 
-def test_a_changed_first_code_is_the_only_lane_looked_up():
-    # Lane 0 defines the expected translate, so every other lane differs
-    # from it; lane 1's translate leaves lane 0 alone to look up, after
-    # the two translates' cosets.
+def test_a_changed_first_code_stays_on_the_route():
+    # Lane 0 names the expected translate, so every other lane differs
+    # from it: the block is not taken whole, and its lanes go to the pages.
     codes = list(construct(13, 3).path.codes)
     codes[4096] ^= 1 << 5
     checker = CycleChecker(13, 3)
-    with mock.patch.object(CycleChecker, "_coset", autospec=True, side_effect=CycleChecker._coset) as coset:
-        checker.feed(array(lane_typecode(13), codes))
+    checker.feed(array(lane_typecode(13), codes))
     assert checker.finish() == scalar_report(13, 3, codes)
-    assert [call.args[1] for call in coset.call_args_list][-1:] == [codes[4096]]
-    assert coset.call_count == 3 and checker._seen is None
+    assert checker._seen is None
 
 
-def test_a_block_that_mostly_differs_goes_to_the_presence_table():
-    # Block 2 shuffled: looking its lanes up one by one would cost more
-    # than the presence table, which is made and marked with the codes of
-    # the cosets seen: block 0's, taken whole, and block 1's, in part, one
-    # of its codes changed. Block 2 repeats a code of each.
+def test_a_block_that_mostly_differs_stays_on_the_route():
+    # Block 2 shuffled, so no lane of it is where its translate has it:
+    # each is marked in its coset's page, beside block 0's, taken whole,
+    # and block 1's, in part, one of its codes changed. Block 2 repeats a
+    # code of each.
     codes = list(construct(14, 5).path.codes)
     codes[4100] ^= 1 << 13
     block = codes[8192:12288]
@@ -506,7 +530,7 @@ def test_a_block_that_mostly_differs_goes_to_the_presence_table():
     assert {(DUPLICATE_VERTEX, 8192 + 5), (DUPLICATE_VERTEX, 8192 + 6)} <= {
         (v.kind, v.where) for v in report.violations
     }
-    assert checker._seen is not None
+    assert checker._seen is None
 
 
 @pytest.mark.parametrize(
@@ -529,8 +553,8 @@ def test_faulty_paths_make_no_table(shape, flags, lines, tmp_path, capsys, monke
     def never(*args):
         raise AssertionError("a faulty path made the presence table")
 
-    monkeypatch.setattr(CycleChecker, "_leave", never)
     monkeypatch.setattr(CycleChecker, "_mark", never)
+    monkeypatch.setattr(CycleChecker, "_scan", never)
     codes = list(construct(16, 5).path.codes)
     if shape == "swap":
         codes[1000], codes[40000] = codes[40000], codes[1000]
@@ -562,12 +586,10 @@ def checker_peak(k, h, codes):
 @pytest.mark.parametrize("k", [14, 17])
 def test_a_fault_in_every_block_holds_no_more_than_the_table(k):
     # One code changed in every block but block 1, the reference: each
-    # faulty coset gets a table of a block's bytes. At k=14 they stay on
-    # the coset route; at k=17 they would pass _TABLES, and the presence
-    # table takes over, marked from _TABLES tables at most. Beyond what a
-    # valid path holds, the faults cost the 2**k bytes of the presence
-    # table at most, and a few dozen blocks' bytes: the tables, and the
-    # lanes of the reference and of a block or two at a time.
+    # faulty coset gets a page of a block's bytes, and the route holds.
+    # Beyond what a valid path holds, the faults cost the 2**k bytes of
+    # the pages at most, and a few dozen blocks' bytes: the lanes of the
+    # reference and of a block or two at a time, names and indices.
     size = leaper_cycles.verifier._PACKED_LANES
     valid = construct(k, 3).path.codes
     codes = list(valid)
@@ -577,8 +599,8 @@ def test_a_fault_in_every_block_holds_no_more_than_the_table(k):
     _, _, valid_peak = checker_peak(k, 3, valid)
     report, checker, peak = checker_peak(k, 3, codes)
     assert report == scalar_report(k, 3, codes) and not report.valid
-    assert (checker._seen is None) == (k == 14)
-    assert peak <= valid_peak + (1 << k) + 2 * leaper_cycles.verifier._TABLES * size
+    assert checker._seen is None
+    assert peak <= valid_peak + (1 << k) + 32 * size
 
 
 @st.composite
