@@ -9,7 +9,6 @@ them.
 from __future__ import annotations
 
 import sys
-from array import array
 from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
@@ -36,10 +35,13 @@ class BodyRows:
       :class:`~.decimal_rows.Translates` renders for ``shift`` and a
       ``sep``, is the translate by ``shift``. Decimal without leading
       zeros is canonical, so equal text is equal codes, and the piece is
-      handed on as lanes without a digit read.
+      handed on as a :class:`~.core.Translate` without a digit read.
     - ``read`` reads any other piece, and the piece after it tries the
       route again. The second-row test costs O(1), so a body that is no
       run of translates pays for a render only where it passes.
+    - If ``read`` reads piece 1, piece 2 is tried against piece 0, then
+      piece 1, and whichever proves it is the template from then on, as
+      the checker's reference is block 1 when block 0 is at fault.
     - A piece start nearer a window's end than a translate's text reaches
       is carried into the next window, so a piece cut by a window's edge
       stays on the route.
@@ -56,8 +58,9 @@ class BodyRows:
         self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
         # Rows left to ``read`` in the piece at hand; all of them off the route.
         self._left = piece or sys.maxsize
-        self._first: list[int] | None = [] if piece else None  # piece 0, while it is read
-        self._translates: Translates | None = None
+        self._first: list[int] | None = [] if piece else None  # piece 0 or 1, while read
+        self._translates: Translates | None = None  # the template
+        self._spare: Translates | None = None  # piece 1's, tried on piece 2 alone
         self._width = len(str((1 << k) - 1))  # digits of a code a translate row holds
         self._span = piece * (self._width + len(sep))  # the longest translate text
         self._chars = self._width + len(sep)  # a guess at a row's length, sep included
@@ -76,9 +79,9 @@ class BodyRows:
                     break
                 proven = self._translate(text, pos)
                 if proven is not None:
-                    lanes, pos = proven
-                    self._lineno += len(lanes)
-                    yield lanes
+                    view, pos = proven
+                    self._lineno += len(view)
+                    yield view
                     continue
                 self._left = self._piece
             end, rows = self._rows_end(text, pos, limit, self._left)
@@ -96,34 +99,38 @@ class BodyRows:
         self._held = text[pos:]
 
     def _template(self) -> None:
-        """Take piece 0, now read, as the template of the translates, or
-        leave the route if its codes are not a piece of codes in [0, 2**k)."""
+        """Take piece 0, now read, as the template, or piece 1 as the spare,
+        if its codes are a piece in [0, 2**k); else leave the route at 0."""
         first, self._first = self._first, None
         if len(first) == self._piece and not max(first) >> self._k:
             from .decimal_rows import Translates
 
-            self._translates = Translates(first, self._k, self._sep)
-        else:
+            self._spare = Translates(first, self._k, self._sep)
+            if self._translates is None:  # piece 0, and piece 1 may be the spare
+                self._translates, self._spare, self._first = self._spare, None, []
+        elif self._translates is None:
             self._left = sys.maxsize
 
-    def _translate(self, text: str, pos: int) -> tuple[array, int] | None:
-        """The lanes of the translate whose rows and a ``sep`` open
-        ``text[pos:]``, and the index after them; None if they do not."""
-        translates, sep = self._translates, self._sep
+    def _translate(self, text: str, pos: int) -> tuple[Sequence[int], int] | None:
+        """The translate of the template or else the spare, then the template,
+        whose rows and a ``sep`` open ``text[pos:]``, and the index after; else None."""
+        spare, self._spare, sep = self._spare, None, self._sep
         row_end = text.find(sep, pos, pos + self._width + 1)
         row = text[pos:row_end] if row_end >= 0 else ""
         if not (row.isascii() and row.isdigit()):
             return None
-        first = translates.first
-        shift = int(row) ^ first[0]
-        second = f"{first[1] ^ shift}{sep}"
-        if shift >> self._k or not text.startswith(second, row_end + len(sep)):
-            return None
-        rows = translates.text(shift)
-        end = pos + len(rows)
-        if not (text.startswith(rows, pos) and text.startswith(sep, end)):
-            return None
-        return translates.lanes(shift), end + len(sep)
+        for translates in filter(None, (self._translates, spare)):
+            first = translates.first
+            shift = int(row) ^ first[0]
+            second = f"{first[1] ^ shift}{sep}"
+            if shift >> self._k or not text.startswith(second, row_end + len(sep)):
+                continue
+            rows = translates.text(shift)
+            end = pos + len(rows)
+            if text.startswith(rows, pos) and text.startswith(sep, end):
+                self._translates, self._first = translates, None
+                return translates.translate(shift), end + len(sep)
+        return None
 
     def _rows_end(self, text: str, pos: int, limit: int, rows: int) -> tuple[int, int]:
         """The index after the ``rows``-th ``sep`` from ``pos``, or ``limit``

@@ -2,25 +2,27 @@
 
 A closed tour whose every step flips exactly h of the k coordinates exists
 iff h is odd and 1 <= h <= k-1 (and k >= 2). :func:`construct_chunks`
-builds it from a closed form a chunk of codes at a time, each an ``array``
-of unsigned lanes, and checks each chunk as it passes, so a caller that
-writes the chunks out never holds the whole path; :func:`construct` joins
-the checked chunks into one path of Python ints. The
-paper's base case (the change-1 tour of {0,1}^(h+1) with every odd-index
-vertex complemented) plus lifting (one dimension per lift) is no production
-route: it is the reference the tests compare with, and it stays here, with
-the transforms it calls, while the bench's tracer wraps these names.
+builds it from a closed form a piece of codes at a time, the first an
+``array`` of unsigned lanes and each later one a :class:`~.core.Translate`
+of it, and checks each piece as it passes, so a caller that writes the
+pieces out never holds the whole path; :func:`construct` joins the
+checked pieces into one path of Python ints. The paper's base case (the
+change-1 tour of {0,1}^(h+1) with every odd-index vertex complemented)
+plus lifting (one dimension per lift) is no production route: it is the
+reference the tests compare with, and it stays here, with the transforms
+it calls, while the bench's tracer wraps these names.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
 
-from .core import VertexPath, check_dimension, lane_typecode, pack, unpack
+from . import core
+from .core import Translate, VertexPath, check_dimension, lane_typecode, pack
 from .graycode import gray_tour
 from .transforms import (
     append_coordinate,
@@ -29,8 +31,6 @@ from .transforms import (
     reverse_path,
 )
 from .verifier import CycleChecker, VerifyReport, verify_cycle
-
-_CHUNK_CODES = 1 << 16  # codes per chunk; a power of two
 
 
 class Feasibility(Enum):
@@ -140,15 +140,16 @@ def construct(k: int, h: int) -> CycleCertificate | FeasibilityVerdict:
     return CycleCertificate(h=h, path=VertexPath(k, tuple(chain.from_iterable(chunks))))
 
 
-def construct_chunks(k: int, h: int) -> Iterator[array] | FeasibilityVerdict:
+def construct_chunks(k: int, h: int) -> Iterator[Sequence[int]] | FeasibilityVerdict:
     """The codes of the change-h cycle of {0,1}^k in chunks, or the verdict.
 
     A chunk is an ``array`` of the lanes :func:`~.core.lane_typecode`
-    names for ``k``. The ceiling and feasibility are checked before this
-    returns. Each chunk is fed to a :class:`CycleChecker` before it is
-    yielded, and the iterator raises RuntimeError after the last chunk if
-    the whole path fails the check, so a caller writing the chunks out
-    commits nothing until the iterator is exhausted.
+    names for ``k``, or, past the first, a :class:`~.core.Translate` of
+    it. The ceiling and feasibility are checked before this returns. Each
+    chunk is fed to a :class:`CycleChecker` before it is yielded, and the
+    iterator raises RuntimeError after the last chunk if the whole path
+    fails the check, so a caller writing the chunks out commits nothing
+    until the iterator is exhausted.
     """
     check_dimension(k)
     verdict = feasibility(k, h)
@@ -157,7 +158,7 @@ def construct_chunks(k: int, h: int) -> Iterator[array] | FeasibilityVerdict:
     return _checked_chunks(k, h)
 
 
-def _checked_chunks(k: int, h: int) -> Iterator[array]:
+def _checked_chunks(k: int, h: int) -> Iterator[Sequence[int]]:
     checker = CycleChecker(k, h)
     for chunk in _code_chunks(k, h):
         checker.feed(chunk)
@@ -167,18 +168,18 @@ def _checked_chunks(k: int, h: int) -> Iterator[array]:
         raise _bug(k, h, report)
 
 
-def _code_chunks(k: int, h: int) -> Iterator[array]:
-    """The codes of the change-h cycle of {0,1}^k, at most _CHUNK_CODES at a time.
+def _code_chunks(k: int, h: int) -> Iterator[Sequence[int]]:
+    """The codes of the change-h cycle of {0,1}^k, in pieces of at most
+    :data:`~.core.PIECE_CODES`.
 
-    :func:`_code` is GF(2)-linear in the index, so the first chunk is
+    :func:`_code` is GF(2)-linear in the index, so the first piece is
     built by doubling, codes ``[2**i, 2**(i+1))`` being ``_code(h, 2**i)``
-    xor'ed onto codes ``[0, 2**i)``, and the chunk starting at index j is
-    the first chunk with ``_code(h, j)`` xor'ed onto every code. The first
-    chunk is packed once, by :func:`~.core.pack`, into one integer, ``first``;
-    ``one`` has 1 in every lane, so ``_code(h, j) * one`` repeats the code
-    in every lane without a carry, and one xor makes the chunk's lanes.
+    xor'ed onto codes ``[0, 2**i)``, and the piece starting at index j is
+    the first piece with ``_code(h, j)`` xor'ed onto every code: the
+    :class:`~.core.Translate` by ``_code(h, j)`` of the first piece,
+    packed once by :func:`~.core.pack`, made in O(1).
     """
-    size = min(1 << k, _CHUNK_CODES)
+    size = min(1 << k, core.PIECE_CODES)
     codes = [0]
     while len(codes) < size:
         # islice reads only the codes already there as the list grows.
@@ -188,8 +189,9 @@ def _code_chunks(k: int, h: int) -> Iterator[array]:
     del codes
     first = pack(lanes)
     one = pack(array(typecode, [1]) * size)
-    for start in range(0, 1 << k, size):
-        yield unpack(first ^ _code(h, start) * one, typecode, size)
+    yield lanes
+    for start in range(size, 1 << k, size):
+        yield Translate(first, one, _code(h, start), typecode, size)
 
 
 def _code(h: int, j: int) -> int:

@@ -9,7 +9,9 @@ coordinate-flip counts; nothing in the library touches floating point.
 A chunk of codes is an ``array`` of the unsigned lanes :func:`lane_typecode`
 names, the one lane width the generator, the checker, the parser and the
 renderer share; :func:`pack` and :func:`unpack` are the one way lanes
-become an integer and back.
+become an integer and back. They share one piece length,
+:data:`PIECE_CODES`, and a piece that is a first piece with one code
+xor'ed onto every lane travels between them as a :class:`Translate`.
 """
 
 from __future__ import annotations
@@ -17,11 +19,13 @@ from __future__ import annotations
 import os
 import sys
 from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 DEFAULT_MAX_K = 28
 HARD_MAX_K = 64
 MAX_K_ENV = "LEAPER_CYCLES_MAX_K"
+PIECE_CODES = 1 << 12  # codes generated, checked or rendered at once; a power of two
 
 
 class CapacityError(ValueError):
@@ -84,6 +88,33 @@ def unpack(packed: int, typecode: str, count: int) -> array:
     if sys.byteorder == "big":
         lanes.byteswap()
     return lanes
+
+
+class Translate(Sequence):
+    """A read-only piece of ``count`` lanes of ``typecode``: the lanes
+    :func:`pack` made ``packed`` with ``shift``, a code that fits a lane,
+    xor'ed onto each; ``one`` has 1 in every lane. The checker and the
+    ``ints`` renderer read ``packed`` and ``shift`` alone, in O(1); any
+    other reader gets the lanes, unpacked when first read."""
+
+    def __init__(self, packed: int, one: int, shift: int, typecode: str, count: int) -> None:
+        self.packed, self.one, self.shift = packed, one, shift
+        self.typecode, self._count = typecode, count  # not Sequence.count
+        self._lanes: array | None = None
+
+    def lanes(self) -> array:
+        if self._lanes is None:
+            self._lanes = unpack(self.packed ^ self.shift * self.one, self.typecode, self._count)
+        return self._lanes
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index: int | slice) -> int | array:  # type: ignore[override]
+        return self.lanes()[index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.lanes())
 
 
 @dataclass(frozen=True)

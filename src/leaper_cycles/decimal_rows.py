@@ -3,8 +3,8 @@ document that are translates of its first piece.
 
 :mod:`.document` imports this module, and with it :mod:`decimal`, only
 once a cycle of enough pieces reaches its second piece: ``construct``
-renders the translates by it, and ``verify`` renders them to prove the
-rows it reads. ``oracle`` writes one piece, and loads neither.
+renders the translates by their shifts, and ``verify`` renders them to
+prove the rows it reads. ``oracle`` writes one piece, and loads neither.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import decimal
 from array import array
 from collections.abc import Sequence
 
-from .core import lane_typecode, pack, unpack
+from .core import Translate, lane_typecode, pack
 
 
 class Translates:
@@ -36,7 +36,7 @@ class Translates:
         self.first, self._k, self._sep = first, k, sep
         self._typecode = lane_typecode(k)
         self._hexits = 2 * array(self._typecode).itemsize  # hex digits of a lane
-        self._packed = pack(array(self._typecode, first))
+        self.packed = pack(array(self._typecode, first))
         self._one = pack(array(self._typecode, [1]) * len(first))
         self._context = decimal.Context(prec=decimal.MAX_PREC)
         self._width = len(str((1 << k) - 1))
@@ -51,7 +51,7 @@ class Translates:
         if (
             len(codes) != len(first)
             or shift >> self._k
-            or pack(array(self._typecode, codes)) != self._packed ^ shift * self._one
+            or pack(array(self._typecode, codes)) != self.packed ^ shift * self._one
         ):
             return None
         return shift
@@ -68,9 +68,9 @@ class Translates:
                 total = add(total, self._step(p))
         return self._joined(str(total))
 
-    def lanes(self, shift: int) -> array:
-        """The codes of the translate by ``shift`` as an ``array`` of lanes."""
-        return unpack(self._packed ^ shift * self._one, self._typecode, len(self.first))
+    def translate(self, shift: int) -> Translate:
+        """The translate by ``shift``, a code in [0, 2**k), as a view."""
+        return Translate(self.packed, self._one, shift, self._typecode, len(self.first))
 
     def _column(self, digits: str) -> decimal.Decimal:
         """The number whose fields hold one digit each, ``digits``."""
@@ -85,7 +85,7 @@ class Translates:
         step = self._steps.get(p)
         if step is None:
             step, multiply = self._ones, self._context.multiply
-            bits = self._packed >> p & self._one
+            bits = self.packed >> p & self._one
             if bits:
                 column = f"{bits:0{len(self.first) * self._hexits}x}"[::-self._hexits]
                 step = self._context.subtract(step, multiply(self._column(column), 2))

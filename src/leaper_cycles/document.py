@@ -17,12 +17,11 @@ cycles only. Output is deterministic: no timestamps, fixed field order.
 Rendering yields the text in pieces: the header, the rows of 4,096 codes
 at a time, and the tail, so it never holds a string per row. A piece's
 ``tuples`` rows are strided copies of the base-2 digits of its lanes.
-Its ``ints`` rows, if it is the first piece with one code xor'ed onto
-every lane, as each piece of a closed-form cycle of ``k >= 16`` is, are
-strided copies of the decimal digits of one sum of big decimals, written
-by :mod:`.decimal_rows`; else they are one ``%`` format of a ``%d`` per
-code. A path that does not start on a 4,096-row boundary of the closed
-form has fewer such pieces. ``construct`` in the CLI writes the pieces
+Its ``ints`` rows, at ``k >= 16``, if it is the first piece with one code
+xor'ed onto every lane, as a :class:`~.core.Translate` of it says in
+O(1), are strided copies of the decimal digits of one sum of big
+decimals, written by :mod:`.decimal_rows`; else they are one ``%``
+format of a ``%d`` per code. ``construct`` in the CLI writes the pieces
 as they come and holds one piece's rows at a time; ``render_text`` and
 ``render_json`` join them, holding the pieces and the joined text
 together at the end. Parsing takes a head of 4 KiB, enough for a JSON
@@ -36,7 +35,8 @@ piece of it on the route below, and ``parse_document`` collects them
 into one path. Where the renderer writes translates, each later piece of
 ``ints`` rows, text or JSON, that opens with the rows
 :mod:`.decimal_rows` renders for the translate its first row names is
-proven without a digit read (see :mod:`.body_rows`). Other rows shaped
+proven without a digit read, and yielded as a :class:`~.core.Translate`
+(see :mod:`.body_rows`). Other rows shaped
 as the renderers write them are read at C speed: ``ints`` rows of ASCII
 digits and their separators only by one ``json.loads``, and ``tuples``
 rows as one base-2 integer whose bytes are an ``array`` of
@@ -57,6 +57,7 @@ from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING, AnyStr, BinaryIO, TypeVar
 
+from . import core
 from .core import CapacityError, VertexPath, check_dimension, lane_typecode, pack, unpack
 
 if TYPE_CHECKING:
@@ -77,7 +78,6 @@ _JSON_TAIL = '],"closed":true}\n'
 # encoding -> (what ends each row of the body but the last, the tail after it)
 _JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
 
-_PIECE_ROWS = 1 << 12  # rows a renderer writes at once
 _FIELD_PIECES = 16  # pieces of a cycle that pay for the fields of ints rows
 _WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
@@ -123,7 +123,8 @@ def render_pieces(
     as_json: bool = False,
 ) -> Iterator[str]:
     """A document's text in pieces: its header, the rows of each piece of
-    _PIECE_ROWS codes cut from the chunks, and its tail.
+    :data:`~.core.PIECE_CODES` codes cut from the chunks, or of each
+    :class:`~.core.Translate` as it is, and its tail.
 
     The chunks are non-empty and hold codes in [0, 2**k), which are not
     checked here. ``render_text`` and ``render_json`` join the pieces; a
@@ -142,7 +143,9 @@ def render_pieces(
         rows = _tuple_rows_joined(k, sep, ",", "[", "]")
     else:
         rows = _tuple_rows_joined(k, sep, " ")
-    pieces = chain.from_iterable(_slices(chunk, 0, _PIECE_ROWS) for chunk in chunks)
+    pieces = chain.from_iterable(
+        [c] if isinstance(c, core.Translate) else _slices(c, 0, core.PIECE_CODES) for c in chunks
+    )
     for i, piece in enumerate(pieces):
         if i:
             yield sep
@@ -164,9 +167,10 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
     """The rows of codes, each its decimal digits, joined by ``row_sep``.
 
     Where a cycle of 2**k codes has _FIELD_PIECES pieces or more, a piece
-    that is a translate of the first is written by
-    :class:`~.decimal_rows.Translates`; any other piece is one ``%``
-    format of a ``%d`` per code, the format built once per piece length.
+    that is a translate of the first, a :class:`~.core.Translate` of it
+    or one found so, is written by :class:`~.decimal_rows.Translates`;
+    any other piece is one ``%`` format of a ``%d`` per code, the format
+    built once per piece length.
     """
     formats: dict[int, str] = {}
     first: Sequence[int] | None = None
@@ -182,6 +186,8 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
                 from .decimal_rows import Translates
 
                 translates = Translates(first, k, row_sep)
+            if isinstance(codes, core.Translate) and codes.packed == translates.packed:
+                return translates.text(codes.shift)
             shift = translates.shift_of(codes)
             if shift is not None:
                 return translates.text(shift)
@@ -197,7 +203,7 @@ def _translates_pay(k: int) -> bool:
     """Whether a cycle of 2**k codes has pieces enough to pay for the
     fields of :class:`~.decimal_rows.Translates`: the renderer writes its
     translates, and the parser proves them, by those fields only then."""
-    return 1 << k >= _FIELD_PIECES * _PIECE_ROWS
+    return 1 << k >= _FIELD_PIECES * core.PIECE_CODES
 
 
 def _tuple_rows_joined(
@@ -216,7 +222,7 @@ def _tuple_rows_joined(
     width, step = len(template), len(sep) + 1
 
     def rows(codes: Sequence[int]) -> str:
-        piece = array(typecode, codes)
+        piece = codes.lanes() if isinstance(codes, core.Translate) else array(typecode, codes)
         bits = f"{pack(piece):0{len(piece) * lane}b}"[::-1].encode()
         out = bytearray(template) * len(piece)
         for p in range(k):
@@ -466,11 +472,11 @@ def _body_rows(
     """The reader of a body of rows ended by ``sep``, each window read by
     ``read`` as :class:`~.body_rows.BodyRows` says; ``ints`` rows of a
     cycle whose translates :func:`_translates_pay` for are read in pieces
-    of _PIECE_ROWS rows. The module is imported here, so only a parse
-    compiles it."""
+    of :data:`~.core.PIECE_CODES` rows. The module is imported here, so
+    only a parse compiles it."""
     from .body_rows import BodyRows
 
-    piece = _PIECE_ROWS if encoding == "ints" and _translates_pay(k) else 0
+    piece = core.PIECE_CODES if encoding == "ints" and _translates_pay(k) else 0
     return BodyRows(k, sep, read, piece, lineno)
 
 

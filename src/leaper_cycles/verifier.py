@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import chain, compress, count, islice
 from operator import xor
 
-from .core import VertexPath, lane_typecode, pack, unpack
+from . import core
+from .core import Translate, VertexPath, lane_typecode, pack, unpack
 
 WRONG_LENGTH = "WrongLength"
 DUPLICATE_VERTEX = "DuplicateVertex"
@@ -24,7 +25,6 @@ OPEN_ENDPOINTS = "OpenEndpoints"
 DIMENSION_OVERFLOW = "DimensionOverflow"
 
 _KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
-_PACKED_LANES = 1 << 12  # codes the packed test takes at once
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,12 @@ class CycleChecker:
     reports for the whole: the length, then repeated and out-of-range
     vertices by index, then the steps, then the closing edge.
 
-    The path is checked in blocks of _PACKED_LANES codes, aligned to its
-    index and sliced out of the chunks, whatever k is; a partial block is
-    held until the next chunk fills it, or until :meth:`finish`. A block
-    is an ``array`` of the lanes :func:`~.core.lane_typecode` names for
-    ``k``, packed by :func:`~.core.pack`, or, if a code fits no lane, the
-    codes as fed.
+    The path is checked in blocks of :data:`~.core.PIECE_CODES` codes,
+    aligned to its index and sliced out of the chunks, whatever k is; a
+    partial block is held until the next chunk fills it, or until
+    :meth:`finish`. A block is an ``array`` of the lanes
+    :func:`~.core.lane_typecode` names for ``k``, packed by
+    :func:`~.core.pack`, or, if a code fits no lane, the codes as fed.
 
     Presence is proven by cosets when the path allows it. The reference
     is block 0, or, if block 0 fails, block 1, which block 0 waits for: a
@@ -99,10 +99,13 @@ class CycleChecker:
     lane, where ``c`` is its first code, with ``c ^ origin < 2**k``, and
     whose coset is not yet seen, is taken whole: its codes lie in the
     dimension, none is marked, and its inner steps are the reference's,
-    so only the step into it is new. Every coset taken whole shares one
-    page of ones, ``bytes``, which is never written, as every index of it
-    is set. Any other block has all its lanes reduced at once on their
-    integer; then each code, in index order, is named outside the
+    so only the step into it is new. A :class:`~.core.Translate` of the
+    reference, as long as a block and fed while none is held, is such a
+    block, ``c ^ origin`` its ``shift``, and is taken so without its
+    lanes; any other is fed as its lanes. Every coset taken whole shares
+    one page of ones, ``bytes``, which is never written, as every index
+    of it is set. Any other block has all its lanes reduced at once on
+    their integer; then each code, in index order, is named outside the
     dimension, or repeated if its index in its coset's page is set, or
     else is marked there. The steps pass :func:`_packed_chunk_passes` or
     are checked code by code. There are ``2**k / _size`` cosets, so the
@@ -123,7 +126,7 @@ class CycleChecker:
         self._h = h
         self._n = 1 << k
         self._typecode = lane_typecode(k)
-        self._size = _PACKED_LANES  # codes in a block
+        self._size = core.PIECE_CODES  # codes in a block
         # A partial block: lanes, or a list once a slice is not lanes.
         self._held: array | list[int] = array(self._typecode)
         # Block 0, as (codes, lanes, packed), while block 1 decides the route.
@@ -132,7 +135,7 @@ class CycleChecker:
         # route: O(2**k) time and 2**k bytes.
         self._seen: bytearray | None = None
         self._origin: int | None = None  # the reference's first code, once found
-        self._block0 = 0  # the reference, packed
+        self._block0 = self._end = 0  # the reference, packed, and its last code
         self._basis: list[tuple[int, int]] = []  # V's (pivot bit, vector) pairs
         self._inner: list[int] = []  # offsets o of the reference's failing steps (o, o + 1)
         # Each coset seen: its name -> its codes present, by index in the coset.
@@ -146,6 +149,12 @@ class CycleChecker:
 
     def feed(self, codes: Sequence[int]) -> None:
         """Check the next ``codes`` of the path."""
+        if isinstance(codes, Translate):
+            aligned = not self._held and self._origin is not None and len(codes) == self._size
+            if aligned and codes.packed == self._block0 and self._take(codes.shift):
+                self._last, self._count = self._end ^ codes.shift, self._count + self._size
+                return
+            codes = codes.lanes()
         size, start = self._size, 0
         if self._held:
             start = size - len(self._held)
@@ -238,27 +247,31 @@ class CycleChecker:
         basis = _subspace_basis(packed ^ lanes[0] * one, self._typecode, len(lanes))
         if basis is None:
             return False
-        self._block0, self._origin, self._basis = packed, lanes[0], basis
+        self._block0, self._origin, self._end, self._basis = packed, lanes[0], lanes[-1], basis
         if not _packed_chunk_passes(packed, None, width, len(lanes), k, self._h):
             self._inner = _step_faults(lanes, None, self._h)
         return True
 
     def _take_whole(self, lanes: array | None, packed: int) -> bool:
-        """Whether the next block, its ``lanes`` (None if a code fits no
-        lane) and ``packed``, their integer, is a coset taken whole, as the
-        class docstring says; if it is, take it and name the steps it
-        fails."""
+        """Whether the block of ``lanes`` (None if a code fits no lane) and
+        ``packed``, their integer, is the reference xor a code :meth:`_take` takes."""
         if lanes is None or len(lanes) < self._size:
             return False
         shift = lanes[0] ^ self._origin
         one = _lane_masks(lanes.itemsize, self._size)[0]
-        if shift >> self._k or packed != self._block0 ^ shift * one:
+        return packed == self._block0 ^ shift * one and self._take(shift)
+
+    def _take(self, shift: int) -> bool:
+        """Whether the next block, the reference with ``shift`` xor'ed onto
+        every lane, is a coset taken whole, as the class docstring says; if
+        it is, take it and name the steps it fails."""
+        if shift >> self._k:
             return False
-        coset = self._coset(lanes[0])[0]
+        coset = self._coset(self._origin ^ shift)[0]
         if coset in self._cosets:
             return False
         self._cosets[coset] = self._whole
-        if self._count and (self._last ^ lanes[0]).bit_count() != self._h:
+        if self._count and (self._last ^ self._origin ^ shift).bit_count() != self._h:
             self._add_steps((-1,))
         if self._inner:
             self._add_steps(self._inner)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import body_rows, cli, constructor, document
+from leaper_cycles import body_rows, cli, constructor, core, decimal_rows, document
 from leaper_cycles.cli import main
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath
@@ -128,7 +128,7 @@ def corrupt_last_chunk(monkeypatch):
         *head, last = chunks(k, h)
         return iter([*head, last[:-1] + last[:1]])
 
-    monkeypatch.setattr(constructor, "_CHUNK_CODES", 1 << 3)
+    monkeypatch.setattr(core, "PIECE_CODES", 1 << 3)
     monkeypatch.setattr(constructor, "_code_chunks", corrupted)
 
 
@@ -143,14 +143,14 @@ class TestConstructStreams:
             for fmt in ("tuples", "ints", "json")
         ]
         expected = {case: rendered(*case).encode() for case in cases}
-        monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
+        monkeypatch.setattr(core, "PIECE_CODES", chunk)
         for k, h, fmt in cases:
             target = tmp_path / f"{k}-{h}-{fmt}"
             assert main(construct_argv(k, h, fmt, target)) == 0
             assert target.read_bytes() == expected[k, h, fmt], (k, h, fmt)
 
     def test_chunked_stdout_matches_the_renderers(self, capsys, monkeypatch):
-        monkeypatch.setattr(constructor, "_CHUNK_CODES", 1 << 3)
+        monkeypatch.setattr(core, "PIECE_CODES", 1 << 3)
         code, out, err = run(capsys, "construct", "--k", "7", "--h", "5")
         assert (code, err) == (0, "")
         assert out == rendered(7, 5, "tuples")
@@ -214,7 +214,7 @@ class TestConstructStreams:
         # The first call in a process also imports `locale` for argparse's
         # messages, a cost independent of k, so the second call is measured.
         k = 14
-        monkeypatch.setattr(constructor, "_CHUNK_CODES", 1 << 8)
+        monkeypatch.setattr(core, "PIECE_CODES", 1 << 8)
         argv = construct_argv(k, 3, "ints", tmp_path / "cycle.txt")
         assert main(argv) == 0
         tracemalloc.start()
@@ -225,6 +225,62 @@ class TestConstructStreams:
             tracemalloc.stop()
         assert code == 0
         assert peak < 8 << k
+
+
+def plain_document(k, h, fmt, codes):
+    """The document ``construct --format fmt`` writes for ``codes``, built
+    one row at a time: ``str`` of each code, or its coordinate digits."""
+    if fmt == "ints":
+        return f"# k={k} h={h} encoding=ints closed=true\n" + "".join(f"{c}\n" for c in codes)
+    rows = [format(c, f"0{k}b")[::-1] for c in codes]
+    if fmt == "tuples":
+        return f"# k={k} h={h} encoding=tuples closed=true\n" + "".join(" ".join(r) + "\n" for r in rows)
+    grid = ",".join("[" + ",".join(r) + "]" for r in rows)
+    return f'{{"k":{k},"h":{h},"encoding":"tuples","cycle":[{grid}],"closed":true}}\n'
+
+
+@pytest.mark.parametrize("k", [16, 17])
+@pytest.mark.parametrize("h", [1, 3, 15])
+def test_construct_writes_the_rows_of_every_code(k, h, tmp_path):
+    # At k >= 16 later ints pieces are written from decimal fields and
+    # every later piece passes as a translate; the rows must still be the
+    # codes of the path, row by row.
+    codes = construct(k, h).path.codes
+    for fmt in ("ints", "tuples", "json"):
+        target = tmp_path / fmt
+        assert main(construct_argv(k, h, fmt, target)) == 0
+        assert target.read_bytes() == plain_document(k, h, fmt, codes).encode(), fmt
+
+
+def calls_of(monkeypatch, name):
+    """The calls of ``core.<name>`` wherever the package binds it, a list
+    that grows by one per call; the modules a parse or a render loads
+    only when it needs them, ``body_rows`` and ``decimal_rows``, are
+    imported at the top of this file so that theirs are found."""
+    original, calls = getattr(core, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("leaper_cycles")]:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_translates_are_never_unpacked_and_packed_again(tmp_path, monkeypatch):
+    # Each of the 64 pieces of a k=18 construct packed once in the checker
+    # and once in the renderer's translate test, and verify unpacked each
+    # piece it proved by rendering, for the checker to pack it again.
+    target = tmp_path / "cycle.txt"
+    packs = calls_of(monkeypatch, "pack")
+    assert main(construct_argv(18, 5, "ints", target)) == 0
+    assert len(packs) <= 5  # the first piece and its ones, twice, and block 0
+    unpacks = calls_of(monkeypatch, "unpack")
+    packs.clear()
+    assert main(["verify", str(target)]) == 0
+    assert len(unpacks) <= 1 and len(packs) <= 3  # block 0's basis; piece 0 and its ones
 
 
 class TestVerify:
@@ -686,13 +742,13 @@ def translate_files(draw):
     """(data, piece rows): an ``ints`` document of a closed-form cycle,
     text or JSON, whose pieces of 16 to 64 rows are translates of the
     first and many enough to be proven by rendering, with perhaps one
-    later piece changed."""
+    piece changed."""
     piece = draw(st.sampled_from([16, 32, 64]))
     k = draw(st.integers(piece.bit_length() + 3, 10))  # 2**k >= 16 * piece
     h = draw(st.sampled_from(range(1, k, 2)))
     codes = list(construct(k, h).path.codes)
     rows = list(map(str, codes))
-    at = draw(st.integers(piece, len(rows) - 1))  # a row of a later piece
+    at = draw(st.integers(0, len(rows) - 1))  # a row of any piece
     change = draw(st.sampled_from(["none", "digit", "leading zero", "shift past k", "token"]))
     if change == "digit":
         pos = draw(st.integers(0, len(rows[at]) - 1))
@@ -721,8 +777,8 @@ class TestVerifyByRendering:
         # is the one the whole-document parse, proving nothing, gives.
         data, piece = case
         with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
-            document, _WINDOW_CHARS=window, _HEAD_BYTES=head, _PIECE_ROWS=piece
-        ):
+            document, _WINDOW_CHARS=window, _HEAD_BYTES=head
+        ), mock.patch.object(core, "PIECE_CODES", piece):
             target = Path(tmp) / "doc"
             target.write_bytes(data)
             assert verify_outcome(target, *flags)[0] == verify_outcome(target, *flags, whole=True)[0]
@@ -731,7 +787,7 @@ class TestVerifyByRendering:
     @pytest.mark.parametrize("window", [7, 1000, 1 << 20])
     def test_pieces_cut_by_windows_stay_on_the_route(self, as_json, window, tmp_path, monkeypatch):
         monkeypatch.setattr(document, "_WINDOW_CHARS", window)
-        monkeypatch.setattr(document, "_PIECE_ROWS", 16)
+        monkeypatch.setattr(core, "PIECE_CODES", 16)
         target = tmp_path / "doc"
         target.write_bytes(ints_document(9, 3, list(map(str, construct(9, 3).path.codes)), as_json))
         proven, int_rows = self.spied(target)
@@ -782,6 +838,27 @@ class TestVerifyByRendering:
         proven, int_rows = self.spied(target)
         assert proven == [True] * 15
         assert sum(int_rows) == 4096  # in as many windows as piece 0 spans
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("row", [1000, 5000])
+    def test_a_fault_in_piece_0_or_1_costs_that_piece_alone(self, row, as_json, tmp_path):
+        # Rows `row` and 40,000 swapped: piece 0 or 1 is no translate of
+        # the other, and piece 9 is none. Piece 2 is tried against piece 0,
+        # then piece 1, and whichever proves it is the template from then
+        # on; the checker's reference is the block that template was, so
+        # only blocks 0 or 1 and 9 have their lanes placed.
+        codes = list(construct(16, 3).path.codes)
+        codes[row], codes[40000] = codes[40000], codes[row]
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(16, 3, list(map(str, codes)), as_json))
+        with mock.patch.object(CycleChecker, "_place", autospec=True, side_effect=CycleChecker._place) as place:
+            outcome = verify_outcome(target)[0]
+        assert outcome == verify_outcome(target, whole=True)[0]
+        assert outcome[1].startswith("invalid: ")
+        assert place.call_count == 2
+        proven, int_rows = self.spied(target)
+        assert proven == [False] + [True] * 7 + [False] + [True] * 6
+        assert sum(int_rows) == 3 * 4096
 
     @staticmethod
     def spied(target):

@@ -1,11 +1,12 @@
 import random
+from array import array
 from itertools import chain, islice
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from leaper_cycles import constructor, verifier
+from leaper_cycles import constructor, core
 from leaper_cycles.constructor import (
     CycleCertificate,
     Feasibility,
@@ -171,9 +172,8 @@ class TestConstruct:
 
         monkeypatch.setattr(constructor.CycleChecker, "_scan", never)
         monkeypatch.setattr(constructor.CycleChecker, "_scan_steps", never)
-        for chunk, piece in ((1 << 3, 3), (1 << 16, 1 << 12)):
-            monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
-            monkeypatch.setattr(verifier, "_PACKED_LANES", piece)
+        for piece in (1 << 3, 1 << 12):
+            monkeypatch.setattr(core, "PIECE_CODES", piece)
             for k in range(2, 13):
                 for h in range(1, k, 2):
                     assert isinstance(construct(k, h), CycleCertificate), (k, h)
@@ -229,7 +229,7 @@ def test_code_is_linear(h, x, y):
 
 @pytest.mark.parametrize("chunk", [1, 1 << 3, 1 << 16])
 def test_chunks_hold_the_code_of_every_index(chunk, monkeypatch):
-    monkeypatch.setattr(constructor, "_CHUNK_CODES", chunk)
+    monkeypatch.setattr(core, "PIECE_CODES", chunk)
     for k in [*range(2, 13), 16]:
         for h in range(1, k, 2) if k <= 12 else (1, 5, 15):
             chunks = list(constructor._code_chunks(k, h))
@@ -241,10 +241,10 @@ def test_chunks_hold_the_code_of_every_index(chunk, monkeypatch):
 @pytest.mark.parametrize("k", [32, 33, 63, 64])
 def test_first_chunks_fill_lanes_of_any_width(k, monkeypatch):
     # Codes past 32 bits need 64-bit lanes; the first chunks stand for all.
-    monkeypatch.setattr(constructor, "_CHUNK_CODES", 1 << 4)
+    monkeypatch.setattr(core, "PIECE_CODES", 1 << 4)
     for h in (1, 5, k - 1 - k % 2):
         chunks = list(islice(constructor._code_chunks(k, h), 3))
-        assert all(c.typecode == lane_typecode(k) and 8 * c.itemsize >= k for c in chunks)
+        assert all(c.typecode == lane_typecode(k) and 8 * array(c.typecode).itemsize >= k for c in chunks)
         codes = tuple(chain.from_iterable(chunks))
         assert codes == tuple(constructor._code(h, j) for j in range(48)), (k, h)
 

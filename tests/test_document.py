@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import body_rows, decimal_rows, document
+from leaper_cycles import body_rows, core, decimal_rows, document
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath, lane_typecode
 from leaper_cycles.document import (
@@ -396,10 +396,12 @@ def test_header_always_matches_the_row_width(doc):
         assert {len(row) for row in obj["cycle"]} == {k}
 
 
+@contextlib.contextmanager
 def small_blocks(rows=2, chars=3):
     """Render blocks of ``rows`` rows and parse windows of about ``chars``
     characters; the defaults make a small document cross many cuts."""
-    return mock.patch.multiple(document, _PIECE_ROWS=rows, _WINDOW_CHARS=chars)
+    with mock.patch.object(core, "PIECE_CODES", rows), mock.patch.object(document, "_WINDOW_CHARS", chars):
+        yield
 
 
 BLOCK_SIZES = (contextlib.nullcontext, small_blocks)
@@ -498,7 +500,7 @@ def test_tuple_rows_of_a_chunk_peak_near_their_length(k, as_json):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == joined_tuples(k, chunk[:document._PIECE_ROWS], as_json)
+    assert rows == joined_tuples(k, chunk[:core.PIECE_CODES], as_json)
     assert peak <= 2.5 * len(rows)
 
 
@@ -555,7 +557,7 @@ def rendered_translates(k, first, shifts, typecode, as_json):
         return shift
 
     with mock.patch.object(decimal_rows.Translates, "shift_of", spy), \
-            mock.patch.object(document, "_PIECE_ROWS", len(first)):
+            mock.patch.object(core, "PIECE_CODES", len(first)):
         text = "".join(document.render_pieces(k, 1, "ints", [chunk], as_json=as_json))
     assert text == joined_ints(k, 1, codes, as_json)
     return taken
@@ -593,7 +595,7 @@ def test_a_piece_that_is_no_translate_is_written_by_format(as_json):
     changed = [c ^ 5 for c in first]
     changed[2] ^= 1
     codes = [*first, *changed, *(c ^ (1 << k) for c in first), *(c ^ 6 for c in first)]
-    with mock.patch.object(document, "_PIECE_ROWS", len(first)):
+    with mock.patch.object(core, "PIECE_CODES", len(first)):
         text = "".join(document.render_pieces(k, 1, "ints", [array("H", codes)], as_json=as_json))
         translates = decimal_rows.Translates(first, k, "\n")
         shifts = [translates.shift_of(codes[i:i + 5]) for i in (5, 10, 15)]

@@ -10,12 +10,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import leaper_cycles.body_rows
+import leaper_cycles.core
 import leaper_cycles.decimal_rows
 import leaper_cycles.document
 import leaper_cycles.verifier
-from leaper_cycles import cli, constructor
+from leaper_cycles import cli
 from leaper_cycles.constructor import _code, construct, construct_chunks
-from leaper_cycles.core import VertexPath, lane_typecode
+from leaper_cycles.core import Translate, VertexPath, lane_typecode, pack
 from leaper_cycles.graycode import gray_tour
 from leaper_cycles.verifier import (
     DIMENSION_OVERFLOW,
@@ -101,12 +102,15 @@ def test_never_accepts_incomplete_vertex_sets():
 
 def package_imports(module):
     """The modules of the package that ``module`` imports, absolute
-    imports of the package as well as relative ones."""
+    imports of the package as well as relative ones; ``from . import m``
+    imports ``.m``."""
     tree = ast.parse(inspect.getsource(module))
     package_imports = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            names = ["." * node.level + (node.module or "")]
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            names = ["." * node.level + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = ["." * node.level + node.module]
         elif isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         else:
@@ -224,16 +228,22 @@ def as_lanes(k, chunk):
         return chunk
 
 
-@given(cut_cycles(), st.booleans(), st.sampled_from([1, 3, 64, leaper_cycles.verifier._PACKED_LANES]))
+@given(cut_cycles(), st.booleans(), st.sampled_from([1, 3, 64, leaper_cycles.core.PIECE_CODES]))
 @example((12, 3, tuple(construct(12, 1).path.codes), [0, 100, 4096]), False, 64)
 @example((4, 1, (*construct(4, 1).path.codes[:-1], 1 << 40), [0, 7, 16]), True, 3)
+@example(  # slices of 1, 3 and 4,097 lanes in turn, none aligned to a block
+    (14, 3, (*construct(14, 3).path.codes[:9000], *(c ^ 16 for c in construct(14, 3).path.codes[9000:])),
+     [0, 1, 4, 4101, 4102, 4105, 8202, 8203, 8206, 12303, 1 << 14]),
+    True,
+    4096,
+)
 def test_checker_fed_at_any_cuts_reports_what_the_scalar_reference_reports(cycle, arrays, piece):
     # The reference shares nothing with the checker but the report types;
     # the first example breaks every step, past the 1,000 a report keeps.
     # Small blocks put the checker's own cuts inside the chunks; a
     # checker fixes its block size when it is made.
     k, h, codes, bounds = cycle
-    with mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", piece):
+    with mock.patch.object(leaper_cycles.core, "PIECE_CODES", piece):
         checker = CycleChecker(k, h)
         for lo, hi in zip(bounds, bounds[1:]):
             checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
@@ -443,7 +453,7 @@ def xor_from(codes, start, mask):
 @example((6, 3, 16, xor_from(construct(6, 3).path.codes, 16, 1 << 7 | 1), [0, 64], "shift past k"), True)
 def test_coset_route_reports_what_the_scalar_reference_reports(path, arrays):
     k, h, size, codes, bounds, corruption = path
-    with mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", size):
+    with mock.patch.object(leaper_cycles.core, "PIECE_CODES", size):
         checker = CycleChecker(k, h)
         for lo, hi in zip(bounds, bounds[1:]):
             checker.feed(as_lanes(k, codes[lo:hi]) if arrays else codes[lo:hi])
@@ -485,8 +495,8 @@ def test_cosets_taken_whole_share_one_page_that_cannot_be_written():
 
 def test_valid_paths_mark_no_vertex(tmp_path, capsys, monkeypatch):
     # A change that turns the coset route off sends valid blocks to these.
-    size = leaper_cycles.verifier._PACKED_LANES
-    assert size & size - 1 == 0 and constructor._CHUNK_CODES % size == 0
+    size = leaper_cycles.core.PIECE_CODES
+    assert size & size - 1 == 0
 
     def never(*args):
         raise AssertionError("a valid block left the coset route")
@@ -531,6 +541,112 @@ def test_a_block_that_mostly_differs_stays_on_the_route():
         (v.kind, v.where) for v in report.violations
     }
     assert checker._seen is None
+
+
+def as_translate(piece, base, typecode):
+    """``piece``, a list of as many codes as ``base``, each fitting a lane
+    of ``typecode``, as the Translate of ``base ^ c ^ piece`` by ``c =
+    piece[0] ^ base[0]``: a view whose template is ``base`` exactly when
+    the piece is a translate of it."""
+    shift = piece[0] ^ base[0]
+    one = pack(array(typecode, [1]) * len(piece))
+    template = pack(array(typecode, [c ^ shift for c in piece]))
+    return Translate(template, one, shift, typecode, len(piece))
+
+
+@st.composite
+def view_paths(draw):
+    """(k, h, size, codes, lead, views, base, corruption): a constructed
+    cycle in blocks of ``size`` codes, perhaps broken one way the view
+    route has to notice, or read with a wrong h; it is fed as ``lead``
+    codes of lanes, then pieces of ``size`` codes, each a view of block
+    ``base`` if ``views`` says so and lanes if not, then the rest."""
+    size = draw(st.sampled_from([4, 16, 64]))
+    k = draw(st.integers(size.bit_length(), 10))  # two blocks or more
+    h = draw(st.sampled_from(range(1, k, 2)))
+    codes = list(construct(k, h).path.codes)
+    blocks = len(codes) // size
+    corruption = draw(st.sampled_from(
+        ["none", "block 0", "repeat", "shift past k", "boundary", "shuffle", "rotate", "wrong h"]
+    ))
+    later = draw(st.integers(1, blocks - 1)) * size  # a block past block 0
+    if corruption == "block 0":
+        at = draw(st.integers(0, size - 1))
+        codes[at] ^= 1 << draw(st.integers(0, k - 1))
+    elif corruption == "repeat":
+        earlier = draw(st.integers(0, later // size - 1)) * size
+        codes[later:later + size] = codes[earlier:earlier + size]
+    elif corruption == "shift past k" and k < 8 * array(lane_typecode(k)).itemsize:
+        codes[later:later + size] = [c ^ 1 << k for c in codes[later:later + size]]
+    elif corruption == "boundary":
+        mask = draw(st.integers(1, (1 << k) - 1))
+        codes[later:] = [c ^ mask for c in codes[later:]]
+    elif corruption == "shuffle":
+        block = codes[later:later + size]
+        codes[later:later + size] = draw(st.permutations(block).filter(lambda b: b != block))
+    elif corruption == "rotate":
+        codes = codes[1:] + codes[:1]
+    elif corruption == "wrong h":
+        h = draw(st.sampled_from([g for g in range(1, k + 1) if g != h]))
+    lead = draw(st.sampled_from([0, 0, 1, size - 1, size + 3]))
+    views = draw(st.lists(st.booleans(), min_size=blocks, max_size=blocks))
+    return k, h, size, codes, lead, views, draw(st.sampled_from([0, 1])), corruption
+
+
+def fed_as_views(k, h, size, codes, lead, views, base):
+    """The checkers fed ``codes`` as :func:`view_paths` says, one with the
+    views and one with their lanes."""
+    template = codes[base * size:(base + 1) * size]
+    by_view, by_lanes = CycleChecker(k, h), CycleChecker(k, h)
+    pieces = [codes[:lead]]
+    pieces += [codes[lo:lo + size] for lo in range(lead, len(codes) - size + 1, size)]
+    pieces.append(codes[lead + (len(codes) - lead) // size * size:])
+    for piece, view in zip(pieces, [False, *views, False]):
+        if not piece:
+            continue
+        typecode = lane_typecode(k)
+        fed = as_translate(piece, template, typecode) if view else array(typecode, piece)
+        by_view.feed(fed)
+        by_lanes.feed(fed.lanes() if view else fed)
+    return by_view, by_lanes
+
+
+@given(view_paths())
+@example((6, 3, 16, list(construct(6, 3).path.codes), 0, [True] * 4, 0, "none"))
+@example((6, 3, 16, [*construct(6, 3).path.codes[:16], *construct(6, 3).path.codes[:16],
+                     *construct(6, 3).path.codes[32:]], 0, [True] * 4, 0, "repeat"))
+@example((6, 3, 16, xor_from(construct(6, 3).path.codes, 48, 1 << 6), 0, [True] * 4, 1, "shift past k"))
+@example((6, 3, 16, xor_from(construct(6, 3).path.codes, 32, 5), 0, [True] * 4, 0, "boundary"))
+@example((6, 3, 16, [*construct(6, 3).path.codes[:32], *construct(6, 3).path.codes[47:31:-1],
+                     *construct(6, 3).path.codes[48:]], 0, [True] * 4, 0, "shuffle"))
+def test_views_report_what_their_lanes_report(path):
+    # A second path for the view route: a piece fed as a view of block 0
+    # or block 1 gives the report its lanes give, and the scalar one.
+    k, h, size, codes, lead, views, base, corruption = path
+    with mock.patch.object(leaper_cycles.core, "PIECE_CODES", size):
+        by_view, by_lanes = fed_as_views(k, h, size, codes, lead, views, base)
+    report = by_view.finish()
+    assert report == by_lanes.finish() == scalar_report(k, h, codes)
+    if corruption == "none":
+        assert report.valid
+
+
+def test_a_view_that_repeats_a_shift_names_its_codes():
+    # Block 3 fed as a view by block 1's shift: its coset is seen, so it
+    # is not taken whole, and each of its codes is named a repeat.
+    pieces = list(construct_chunks(14, 3))
+    repeat = pieces[1]
+    pieces[3] = Translate(repeat.packed, repeat.one, repeat.shift, repeat.typecode, len(repeat))
+    codes = [c for piece in pieces for c in piece]
+    with mock.patch.object(leaper_cycles.verifier, "_KEPT_VIOLATIONS", 5000), \
+            mock.patch("reference_tours.KEPT_VIOLATIONS", 5000):
+        checker = CycleChecker(14, 3)
+        for piece in pieces:
+            checker.feed(piece)
+        report = checker.finish()
+        assert report == scalar_report(14, 3, codes)
+    repeats = [v.where for v in report.violations if v.kind == DUPLICATE_VERTEX]
+    assert repeats == list(range(3 * 4096, 4 * 4096))
 
 
 @pytest.mark.parametrize(
@@ -590,7 +706,7 @@ def test_a_fault_in_every_block_holds_no_more_than_the_table(k):
     # Beyond what a valid path holds, the faults cost the 2**k bytes of
     # the pages at most, and a few dozen blocks' bytes: the lanes of the
     # reference and of a block or two at a time, names and indices.
-    size = leaper_cycles.verifier._PACKED_LANES
+    size = leaper_cycles.core.PIECE_CODES
     valid = construct(k, 3).path.codes
     codes = list(valid)
     for b in range(len(codes) // size):
@@ -622,7 +738,7 @@ def test_violations_past_those_kept_are_counted_in_bulk(cycle, kept, piece):
     k, h, codes = cycle
     with mock.patch.object(leaper_cycles.verifier, "_KEPT_VIOLATIONS", kept), \
             mock.patch("reference_tours.KEPT_VIOLATIONS", kept), \
-            mock.patch.object(leaper_cycles.verifier, "_PACKED_LANES", piece):
+            mock.patch.object(leaper_cycles.core, "PIECE_CODES", piece):
         assert fed_in_chunks(k, h, codes, [len(codes) // 3]) == scalar_report(k, h, codes)
 
 
