@@ -42,6 +42,9 @@ class BodyRows:
     - If ``read`` reads piece 1, piece 2 is tried against piece 0, then
       piece 1, and whichever proves it is the template from then on, as
       the checker's reference is block 1 when block 0 is at fault.
+    - A piece 0 with a code of 2**k or more is no template: piece 1 is,
+      as for the checker, and if it too holds one, the body is read
+      whole.
     - A piece start nearer a window's end than a translate's text reaches
       is carried into the next window, so a piece cut by a window's edge
       stays on the route.
@@ -61,6 +64,7 @@ class BodyRows:
         self._first: list[int] | None = [] if piece else None  # piece 0 or 1, while read
         self._translates: Translates | None = None  # the template
         self._spare: Translates | None = None  # piece 1's, tried on piece 2 alone
+        self._no_piece_0 = False  # piece 0 was no template
         self._width = len(str((1 << k) - 1))  # digits of a code a translate row holds
         self._span = piece * (self._width + len(sep))  # the longest translate text
         self._chars = self._width + len(sep)  # a guess at a row's length, sep included
@@ -99,17 +103,23 @@ class BodyRows:
         self._held = text[pos:]
 
     def _template(self) -> None:
-        """Take piece 0, now read, as the template, or piece 1 as the spare,
-        if its codes are a piece in [0, 2**k); else leave the route at 0."""
+        """Take the piece now read, if its codes are a piece in [0, 2**k), as
+        the template, piece 0 or else piece 1, or as the spare, piece 1
+        beside piece 0. A piece 0 that is none leaves piece 1 to try, and a
+        piece 1 that is none too leaves the route."""
         first, self._first = self._first, None
         if len(first) == self._piece and not max(first) >> self._k:
             from .decimal_rows import Translates
 
             self._spare = Translates(first, self._k, self._sep)
-            if self._translates is None:  # piece 0, and piece 1 may be the spare
-                self._translates, self._spare, self._first = self._spare, None, []
+            if self._translates is None:  # piece 0, or piece 1 after piece 0 failed
+                self._translates, self._spare = self._spare, None
+                self._first = None if self._no_piece_0 else []  # piece 1 may be the spare
         elif self._translates is None:
-            self._left = sys.maxsize
+            if self._no_piece_0:
+                self._left = sys.maxsize
+            else:
+                self._no_piece_0, self._first = True, []
 
     def _translate(self, text: str, pos: int) -> tuple[Sequence[int], int] | None:
         """The translate of the template or else the spare, then the template,

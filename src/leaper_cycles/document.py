@@ -19,10 +19,11 @@ at a time, and the tail, so it never holds a string per row. A piece's
 ``tuples`` rows are strided copies of the base-2 digits of its lanes.
 Its ``ints`` rows, at ``k >= 16``, if it is the first piece with one code
 xor'ed onto every lane, as a :class:`~.core.Translate` of it says in
-O(1), are strided copies of the decimal digits of one sum of big
-decimals, written by :mod:`.decimal_rows`; else they are one ``%``
-format of a ``%d`` per code. ``construct`` in the CLI writes the pieces
-as they come and holds one piece's rows at a time; ``render_text`` and
+O(1), are the decimal digits of one sum of big decimals, the
+separators stored strided over its fields' top digits where those are
+all 0s, written by :mod:`.decimal_rows`; else they are one ``%`` format
+of a ``%d`` per code. ``construct`` in the CLI writes the pieces as
+they come and holds one piece's rows at a time; ``render_text`` and
 ``render_json`` join them, holding the pieces and the joined text
 together at the end. Parsing takes a head of 4 KiB, enough for a JSON
 header, then blocks of about 1 MiB, and runs them together into windows
@@ -215,16 +216,21 @@ def _tuple_rows_joined(
     The inverse of :func:`_lane_codes`: a piece of lanes is one base-2
     integer whose reversed digits hold bit ``p`` of code ``i`` at
     ``i * lane + p``, and coordinate ``p`` of the rows, one template row
-    per code, is one strided copy of digits ``p::lane``.
+    per code, is one strided copy of digits ``p::lane``. A
+    :class:`~.core.Translate`'s integer is ``packed ^ shift * one``, made
+    without its lanes.
     """
     typecode, lane = lane_typecode(k), _lane(k)
     template = (left + sep.join("0" * k) + right + row_sep).encode()
     width, step = len(template), len(sep) + 1
 
     def rows(codes: Sequence[int]) -> str:
-        piece = codes.lanes() if isinstance(codes, core.Translate) else array(typecode, codes)
-        bits = f"{pack(piece):0{len(piece) * lane}b}"[::-1].encode()
-        out = bytearray(template) * len(piece)
+        if isinstance(codes, core.Translate):
+            packed = codes.packed ^ codes.shift * codes.one
+        else:
+            packed = pack(array(typecode, codes))
+        bits = f"{packed:0{len(codes) * lane}b}"[::-1].encode()
+        out = bytearray(template) * len(codes)
         for p in range(k):
             out[len(left) + p * step::width] = bits[p::lane]
         del bits, out[-len(row_sep):]  # bits is not held beside the decoded rows

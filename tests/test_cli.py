@@ -6,6 +6,8 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from functools import reduce
+from operator import or_
 from pathlib import Path
 from unittest import mock
 
@@ -240,16 +242,67 @@ def plain_document(k, h, fmt, codes):
 
 
 @pytest.mark.parametrize("k", [16, 17])
-@pytest.mark.parametrize("h", [1, 3, 15])
+@pytest.mark.parametrize("h", range(1, 16, 2))  # every odd h < k
 def test_construct_writes_the_rows_of_every_code(k, h, tmp_path):
     # At k >= 16 later ints pieces are written from decimal fields and
     # every later piece passes as a translate; the rows must still be the
-    # codes of the path, row by row.
+    # codes of the path, row by row, for every field layout a piece takes.
     codes = construct(k, h).path.codes
     for fmt in ("ints", "tuples", "json"):
         target = tmp_path / fmt
         assert main(construct_argv(k, h, fmt, target)) == 0
         assert target.read_bytes() == plain_document(k, h, fmt, codes).encode(), fmt
+
+
+@pytest.mark.parametrize("h", [3, 13])
+def test_digit_columns_are_copied_only_where_no_field_opens_with_a_free_0(h, tmp_path):
+    # A later piece of k=17 ints rows is summed in fields one digit wider
+    # than its rows, whose top digits become the separators, unless its
+    # rows differ in digit count, have fewer than w - 1 = 5 digits, or
+    # have 6 though its shift's bits outside the first piece's are below
+    # 10**5, so that it is summed in 6-digit fields: only then are its
+    # digit columns copied one by one. At h=13 two pieces are of the last.
+    k = 17
+    first = construct(k, h).path.codes[:core.PIECE_CODES]
+    width, support = len(str((1 << k) - 1)), reduce(or_, first)
+    text, joined = decimal_rows.Translates.text, decimal_rows.Translates._joined
+    shifts, copied = [], []
+
+    def text_spy(self, shift):
+        shifts.append(shift)
+        return text(self, shift)
+
+    def joined_spy(self, digits):
+        copied.append(shifts[-1])
+        return joined(self, digits)
+
+    with mock.patch.object(decimal_rows.Translates, "text", text_spy), \
+            mock.patch.object(decimal_rows.Translates, "_joined", joined_spy):
+        assert main(construct_argv(k, h, "ints", tmp_path / "doc")) == 0
+    assert len(shifts) == (1 << k) // core.PIECE_CODES - 1
+    digits = [{len(str(c ^ shift)) for c in first} for shift in shifts]
+    expected = [
+        s
+        for s, d in zip(shifts, digits)
+        if len(d) > 1 or max(d) < width - 1 or d == {width} and s & ~support < 10 ** (width - 1)
+    ]
+    assert copied == expected
+    assert 0 < len(copied) < len(shifts)
+
+
+def test_decimal_context_of_the_process_is_left_as_it_was(tmp_path):
+    # The fields are summed in a context of their own: construct and
+    # verify of a k=17 ints file, which write and prove translates, change
+    # no precision, trap or flag of the thread's context.
+    import decimal
+
+    context = decimal.getcontext()
+    before = context.prec, dict(context.traps), dict(context.flags)
+    target = tmp_path / "doc"
+    assert main(construct_argv(17, 3, "ints", target)) == 0
+    assert main(["verify", str(target)]) == 0
+    context = decimal.getcontext()
+    assert (context.prec, dict(context.traps), dict(context.flags)) == before
 
 
 def calls_of(monkeypatch, name):
@@ -271,15 +324,22 @@ def calls_of(monkeypatch, name):
 
 def test_translates_are_never_unpacked_and_packed_again(tmp_path, monkeypatch):
     # Each of the 64 pieces of a k=18 construct packed once in the checker
-    # and once in the renderer's translate test, and verify unpacked each
-    # piece it proved by rendering, for the checker to pack it again.
+    # and once in the renderer's translate test, or was unpacked and packed
+    # again for its tuples rows, and verify unpacked each ints piece it
+    # proved by rendering, for the checker to pack it again.
     target = tmp_path / "cycle.txt"
     packs = calls_of(monkeypatch, "pack")
-    assert main(construct_argv(18, 5, "ints", target)) == 0
-    assert len(packs) <= 5  # the first piece and its ones, twice, and block 0
     unpacks = calls_of(monkeypatch, "unpack")
+    for fmt in ("tuples", "json", "ints"):
+        packs.clear()
+        unpacks.clear()
+        assert main(construct_argv(18, 5, fmt, target)) == 0
+        # The first piece and its ones, twice for ints, block 0, and piece
+        # 0's tuples rows; block 0's basis.
+        assert len(packs) <= 5 and len(unpacks) <= 1, fmt
     packs.clear()
-    assert main(["verify", str(target)]) == 0
+    unpacks.clear()
+    assert main(["verify", str(target)]) == 0  # the ints file: its pieces are proven
     assert len(unpacks) <= 1 and len(packs) <= 3  # block 0's basis; piece 0 and its ones
 
 
@@ -859,6 +919,40 @@ class TestVerifyByRendering:
         proven, int_rows = self.spied(target)
         assert proven == [False] + [True] * 7 + [False] + [True] * 6
         assert sum(int_rows) == 3 * 4096
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_a_code_past_k_in_piece_0_leaves_piece_1_the_template(self, as_json, tmp_path):
+        # Row 1,000 is 2**16 + 5, so piece 0 is no template: piece 1 is,
+        # the 14 pieces after it are proven by rendering and reach the
+        # checker as views, and the report is the whole parse's.
+        rows = list(map(str, construct(16, 3).path.codes))
+        rows[1000] = str((1 << 16) + 5)
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(16, 3, rows, as_json))
+        with mock.patch.object(CycleChecker, "feed", autospec=True, side_effect=CycleChecker.feed) as feed:
+            outcome = verify_outcome(target)[0]
+        assert outcome == verify_outcome(target, whole=True)[0]
+        assert outcome[1].startswith("invalid: ")
+        views = [call.args[1] for call in feed.call_args_list if isinstance(call.args[1], core.Translate)]
+        assert len(views) == 14
+        proven, int_rows = self.spied(target)
+        assert proven == [False] + [True] * 14
+        assert sum(int_rows) == 2 * 4096
+
+    def test_codes_past_k_in_pieces_0_and_1_leave_the_route(self, tmp_path):
+        # With neither piece 0 nor piece 1 a template, no later piece is
+        # tried: the rest of the body, one window of its 390 KB, is read
+        # in one call.
+        rows = list(map(str, construct(16, 3).path.codes))
+        rows[1000] = rows[5000] = str((1 << 16) + 5)
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(16, 3, rows, False))
+        outcome = verify_outcome(target)[0]
+        assert outcome == verify_outcome(target, whole=True)[0]
+        assert outcome[1].startswith("invalid: ")
+        proven, int_rows = self.spied(target)
+        assert proven == [False]
+        assert sum(int_rows[:-1]) == 2 * 4096 and int_rows[-1] == 14 * 4096  # one window
 
     @staticmethod
     def spied(target):

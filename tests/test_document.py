@@ -6,13 +6,15 @@ import os
 import re
 import tracemalloc
 from array import array
+from functools import reduce
+from operator import or_
 from unittest import mock
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import body_rows, core, decimal_rows, document
+from leaper_cycles import body_rows, constructor, core, decimal_rows, document
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath, lane_typecode
 from leaper_cycles.document import (
@@ -584,6 +586,54 @@ def test_translates_are_written_from_decimal_fields(case):
     # a translate, written from them, and its rows are what str() writes.
     k, first, shifts, typecode, as_json = case
     assert rendered_translates(k, first, shifts, typecode, as_json) == [True] * len(shifts)
+
+
+@st.composite
+def translate_shifts(draw):
+    """k, a first piece of small support, ``range(n)`` or the closed
+    form's first codes, a separator, and shifts to render in turn: shifts
+    whose bits outside the support lie near a power of ten, so that rows
+    have w or w - 1 digits or run across 10**j, any shifts, and repeats,
+    which alternate between the field widths."""
+    k = draw(st.integers(1, 64))
+    n = draw(st.integers(1, min(70, 1 << k)))
+    if k < 2 or draw(st.booleans()):
+        first = list(range(n))
+    else:
+        h = draw(st.sampled_from(range(1, k, 2)))
+        first = [constructor._code(h, j) for j in range(n)]
+    support = reduce(or_, first)
+    top, width = 1 << k, len(str((1 << k) - 1))
+    span = 4 << support.bit_length()
+    near = st.builds(
+        lambda j, delta, inner: ((10**j + delta) & ~support | inner & support) & (top - 1),
+        st.integers(0, width - 1),
+        st.integers(-span, span),
+        st.integers(0, top - 1),
+    )
+    pool = draw(st.lists(st.one_of(near, st.integers(0, top - 1)), min_size=1, max_size=6))
+    shifts = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=10))
+    return k, first, draw(st.sampled_from("\n,")), shifts
+
+
+@given(translate_shifts())
+# Rows of 7 digits, summed in fields of 7 as the shift outside the
+# support is below 10**6, and copied by column.
+@example((20, list(range(64, 128)), "\n", [999_936, 0, 999_936]))
+@example((17, [constructor._code(3, j) for j in range(64)], ",", [10**5, 10**4 + 7, 10**5 - 64, 10**5]))
+# Rows 99,000 and 115,384: the first of 5 digits, the other of 6 with no 0
+# in its second digit.
+@example((17, [0, 1 << 14], "\n", [99_000]))
+@example((64, [constructor._code(5, j) for j in range(64)], "\n", [10**19, 1 << 63, 10**18 + 5, (1 << 64) - 1]))
+@example((64, [constructor._code(63, j) for j in range(64)], ",", [1 << 63, 10**19 + 1, 5]))
+def test_translate_rows_are_the_rows_str_writes(case):
+    # A second path for every field layout and the column copy: each
+    # shift's rows, rendered in turn by one Translates, are str of each
+    # code joined by the separator.
+    k, first, sep, shifts = case
+    translates = decimal_rows.Translates(first, k, sep)
+    for shift in shifts:
+        assert translates.text(shift) == sep.join(str(c ^ shift) for c in first), shift
 
 
 @pytest.mark.parametrize("as_json", [False, True])
