@@ -1,6 +1,5 @@
 """The rows of a document's body, read a window or a piece at a time;
-the later pieces of an ``ints`` cycle of translates proven by rendering
-them.
+the later pieces of a cycle of translates proven by rendering them.
 
 :mod:`.document` imports this module only to read a body, so
 ``construct`` and ``oracle`` do not compile it.
@@ -13,7 +12,7 @@ from collections.abc import Callable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
-    from .decimal_rows import Translates
+    from .core import Template
 
 
 class BodyRows:
@@ -24,18 +23,19 @@ class BodyRows:
     returns the codes of ``rows``, the first of them on line ``lineno``,
     or None if the body is to be parsed whole, or raises the fault of the
     line at fault. It reads a whole window at once, unless ``piece`` is
-    not 0: the body is then ``ints`` rows of a cycle whose translates the
+    not 0: the body is then rows of a cycle whose translates the
     renderer writes, and it is taken ``piece`` rows at a time, aligned to
     row ``piece * t``:
 
-    - ``read`` reads piece 0, whose codes are the template.
-    - A later piece whose first row is a code ``c`` of ASCII digits with
-      ``shift = c ^ first[0] < 2**k``, whose second row is ``first[1] ^
-      shift``, and whose text opens with the rows
-      :class:`~.decimal_rows.Translates` renders for ``shift`` and a
-      ``sep``, is the translate by ``shift``. Decimal without leading
-      zeros is canonical, so equal text is equal codes, and the piece is
-      handed on as a :class:`~.core.Translate` without a digit read.
+    - ``read`` reads piece 0, whose codes, made a :class:`~.core.Template`
+      by ``translates``, are the template.
+    - A later piece whose first row is the row of a code ``c`` with
+      ``shift = c ^ first[0] < 2**k``, whose second row is that of
+      ``first[1] ^ shift``, and whose text opens with the rows the
+      template renders for ``shift`` and a ``sep``, is the translate by
+      ``shift``. The renderer's rows are canonical, so equal text is
+      equal codes, and the piece is handed on as a
+      :class:`~.core.Translate` without a digit read.
     - ``read`` reads any other piece, and the piece after it tries the
       route again. The second-row test costs O(1), so a body that is no
       run of translates pays for a render only where it passes.
@@ -57,18 +57,25 @@ class BodyRows:
         read: Callable[[str, int], Sequence[int] | None],
         piece: int,
         lineno: int = 1,
+        translates: Callable[[list[int]], Template] | None = None,
     ) -> None:
         self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
+        self._make = translates
         # Rows left to ``read`` in the piece at hand; all of them off the route.
         self._left = piece or sys.maxsize
         self._first: list[int] | None = [] if piece else None  # piece 0 or 1, while read
-        self._translates: Translates | None = None  # the template
-        self._spare: Translates | None = None  # piece 1's, tried on piece 2 alone
+        self._translates: Template | None = None  # the template
+        self._spare: Template | None = None  # piece 1's, tried on piece 2 alone
         self._no_piece_0 = False  # piece 0 was no template
-        self._width = len(str((1 << k) - 1))  # digits of a code a translate row holds
-        self._span = piece * (self._width + len(sep))  # the longest translate text
-        self._chars = self._width + len(sep)  # a guess at a row's length, sep included
+        self._span = 0  # the longest translate text, once there is a template
+        self._chars = 2  # a guess at a row's length, sep included
         self._held = ""  # the rows from a piece start, carried to the next window
+
+    @property
+    def lineno(self) -> int:
+        """The line the text after the rows fed so far opens, ``sep`` being
+        an LF: the first row's line, the rows read, and those held."""
+        return self._lineno + self._held.count(self._sep)
 
     def feed(self, window: str, final: bool = False) -> Iterator[Sequence[int] | None]:
         """The code chunks of the rows carried and then of ``window``; with
@@ -109,11 +116,10 @@ class BodyRows:
         piece 1 that is none too leaves the route."""
         first, self._first = self._first, None
         if len(first) == self._piece and not max(first) >> self._k:
-            from .decimal_rows import Translates
-
-            self._spare = Translates(first, self._k, self._sep)
+            self._spare = self._make(first)
             if self._translates is None:  # piece 0, or piece 1 after piece 0 failed
                 self._translates, self._spare = self._spare, None
+                self._span = self._piece * (self._translates.width + len(self._sep))
                 self._first = None if self._no_piece_0 else []  # piece 1 may be the spare
         elif self._translates is None:
             if self._no_piece_0:
@@ -124,15 +130,17 @@ class BodyRows:
     def _translate(self, text: str, pos: int) -> tuple[Sequence[int], int] | None:
         """The translate of the template or else the spare, then the template,
         whose rows and a ``sep`` open ``text[pos:]``, and the index after; else None."""
-        spare, self._spare, sep = self._spare, None, self._sep
-        row_end = text.find(sep, pos, pos + self._width + 1)
-        row = text[pos:row_end] if row_end >= 0 else ""
-        if not (row.isascii() and row.isdigit()):
+        spare, self._spare, sep, template = self._spare, None, self._sep, self._translates
+        if template is None:
             return None
-        for translates in filter(None, (self._translates, spare)):
+        row_end = text.find(sep, pos, pos + template.width + 1)
+        code = template.code(text[pos:row_end]) if row_end >= 0 else None
+        if code is None:
+            return None
+        for translates in filter(None, (template, spare)):
             first = translates.first
-            shift = int(row) ^ first[0]
-            second = f"{first[1] ^ shift}{sep}"
+            shift = code ^ first[0]
+            second = translates.row(first[1] ^ shift) + sep
             if shift >> self._k or not text.startswith(second, row_end + len(sep)):
                 continue
             rows = translates.text(shift)

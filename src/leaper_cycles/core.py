@@ -11,7 +11,8 @@ names, the one lane width the generator, the checker, the parser and the
 renderer share; :func:`pack` and :func:`unpack` are the one way lanes
 become an integer and back. They share one piece length,
 :data:`PIECE_CODES`, and a piece that is a first piece with one code
-xor'ed onto every lane travels between them as a :class:`Translate`.
+xor'ed onto every lane travels between them as a :class:`Translate`
+of the first piece's :class:`Template`.
 """
 
 from __future__ import annotations
@@ -115,6 +116,41 @@ class Translate(Sequence):
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.lanes())
+
+
+class Template:
+    """A first piece of codes in [0, 2**k), ``first``, whose translates,
+    ``first`` with one code xor'ed onto every lane, are written or read
+    by their shift: what the rows of translates of each encoding share.
+
+    Each encoding's rows, :class:`~.decimal_rows.Translates` and
+    :class:`~.document.TupleTranslates`, add what the body reader asks
+    of them: ``text(shift)``, the rows of a translate joined by their
+    separator; ``row(code)``, the row of a code as the reader cuts it
+    before its separator, at most ``width`` characters; and
+    ``code(row)``, the code of such a row, or None."""
+
+    def __init__(self, first: Sequence[int], k: int) -> None:
+        self.first, self.k = first, k
+        self.typecode = lane_typecode(k)
+        self.packed = pack(array(self.typecode, first))
+        self.one = pack(array(self.typecode, [1]) * len(first))
+
+    def shift_of(self, codes: Sequence[int]) -> int | None:
+        """The code ``c < 2**k`` if ``codes`` are ``first`` with ``c`` xor'ed
+        onto every lane, else None; a view of ``first`` says so in O(1)."""
+        if len(codes) != len(self.first):
+            return None
+        if isinstance(codes, Translate):
+            return codes.shift if codes.packed == self.packed else None
+        shift = codes[0] ^ self.first[0]
+        if shift >> self.k or pack(array(self.typecode, codes)) != self.packed ^ shift * self.one:
+            return None
+        return shift
+
+    def translate(self, shift: int) -> Translate:
+        """The translate by ``shift``, a code in [0, 2**k), as a view."""
+        return Translate(self.packed, self.one, shift, self.typecode, len(self.first))
 
 
 @dataclass(frozen=True)

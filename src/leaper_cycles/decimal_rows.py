@@ -7,23 +7,28 @@ renders the translates by their shifts, and ``verify`` renders them to
 prove the rows it reads. ``oracle`` writes one piece, and loads neither.
 
 A translate's codes are summed as the fixed-width fields of one decimal
-number, and ``str`` of the sum gives every digit at C speed. Where each
-field is one digit wider than its row, that top digit is a 0 in the
-same place of every field, and one strided store turns the column into
-the row separators: the rows cost one ``str`` and one store. A piece
-whose rows differ in digit count, or fill their fields, or fall two or
-more digits short of them, has its digit columns copied one by one.
+number, and ``str`` of the sum gives every digit at C speed. The fields
+are wider than the piece's greatest row, so their top digit is a 0 in
+the same place of every field, and one strided store turns the column
+into the row separators: the rows cost one ``str`` and one store. Rows
+shorter than that strike out the zeros they open with, a column at a
+time, and in one pass at the end.
 """
 
 from __future__ import annotations
 
 import decimal
 from array import array
+from bisect import bisect_left
 from collections.abc import Sequence
 from functools import reduce
 from operator import or_
 
-from .core import Translate, lane_typecode, pack
+from .core import Template
+
+_X_LESS_0 = bytes([ord("x") - ord("0")])
+# A digit's byte -> "x" - "0" for a 0, else nothing: added to a 0, it makes an "x".
+_ZERO_TO_X = bytes(_X_LESS_0[0] if b == ord("0") else 0 for b in range(256))
 
 
 class _Fields:
@@ -47,7 +52,7 @@ def _column(width: int, digits: str) -> decimal.Decimal:
     return decimal.Decimal(fields.decode())
 
 
-class Translates:
+class Translates(Template):
     """The ``ints`` rows of the translates of a piece ``first`` of codes:
     ``first`` with one code ``c < 2**k`` xor'ed onto every lane, its rows
     joined by ``sep``, one character.
@@ -60,64 +65,59 @@ class Translates:
     translate it summed last, so a translate costs one add or subtract
     for each bit where its shift differs from that one's.
 
-    With ``w`` the digits of ``2**k - 1``, a translate is summed in
-    fields of ``w + 1`` digits when the bits of ``c`` that no first code
-    holds, ``c & ~support``, make a number of ``w`` digits, as every row
-    then has. Else it is summed in fields of ``w`` digits, and if every
-    row has ``w - 1`` digits, the top digit of each field is the 0 the
-    separator replaces there too. Any other translate has its digit
-    columns, all but those of zeros, copied strided into rows of zeros,
-    and the leading zeros go in at most ``w - 1`` passes of ``replace``. The numbers of a width are made when it is first asked
-    for and summed in an exact context of their own, so no process-wide
+    With ``w`` the digits of ``2**k - 1``, a translate whose greatest row
+    has ``w`` digits is summed in fields of ``w + 1`` digits, any other in
+    fields of ``w``, so the top digit of every field is a 0, and the
+    separators are stored over them. A row with fewer digits than its
+    field less one opens with zeros, which are struck out column by
+    column; the bits of ``c`` that no first code holds, ``c & ~support``,
+    spare that work where they make a number of ``w`` digits, as every row
+    then has. The numbers of a width are made when it is first asked for
+    and summed in an exact context of their own, so no process-wide
     context changes.
     """
 
     def __init__(self, first: Sequence[int], k: int, sep: str) -> None:
-        self.first, self._k, self._sep = first, k, sep
-        self._typecode = lane_typecode(k)
-        self._hexits = 2 * array(self._typecode).itemsize  # hex digits of a lane
-        self.packed = pack(array(self._typecode, first))
-        self._one = pack(array(self._typecode, [1]) * len(first))
+        super().__init__(first, k)
+        self._seps = sep.encode() * len(first)
+        self._hexits = 2 * array(self.typecode).itemsize  # hex digits of a lane
         self._support = reduce(or_, first, 0)
+        self._sorted = sorted(first)
+        self._bits = [1 << p for p in reversed(range(k)) if self._support >> p & 1]
         self._context = decimal.Context(prec=decimal.MAX_PREC)
-        self._width = len(str((1 << k) - 1))
-        self._wide = 10 ** (self._width - 1)  # every row has w digits from here on
-        self._seps = sep.encode() * (len(first) - 1)
-        self._zeros = "0" * (len(first) - 1)
+        self.width = len(str((1 << k) - 1))  # the digits of the longest row
+        # A row has w digits from here on; 0 has one digit too.
+        self._wide = 10 ** (self.width - 1) if self.width > 1 else 0
+        self._leads = int.from_bytes(_X_LESS_0 * len(first), "big")  # every row still opening
         self._fields: dict[int, _Fields] = {}  # width -> the fields of that width
 
-    def shift_of(self, codes: Sequence[int]) -> int | None:
-        """The code ``c`` if ``codes`` are the first piece with ``c`` xor'ed
-        onto every lane, else None."""
-        first = self.first
-        shift = codes[0] ^ first[0]
-        if (
-            len(codes) != len(first)
-            or shift >> self._k
-            or pack(array(self._typecode, codes)) != self.packed ^ shift * self._one
-        ):
-            return None
-        return shift
+    def code(self, row: str) -> int | None:
+        """The code a row of ASCII digits names, else None."""
+        return int(row) if row.isascii() and row.isdigit() else None
+
+    def row(self, code: int) -> str:
+        """The row of ``code``."""
+        return str(code)
 
     def text(self, shift: int) -> str:
         """The rows of the translate by ``shift``, a code in [0, 2**k)."""
-        width = self._width
-        if shift & ~self._support >= self._wide:
-            return self._slotted(self._sum(width + 1, shift), width + 1)
-        digits = self._sum(width, shift)
-        # Rows of w - 1 digits leave the top digit of each field a 0, the
-        # first field's not written, and the next digit of none a 0.
-        if (
-            len(digits) == width * len(self.first) - 1
-            and digits[width - 1::width] == self._zeros
-            and "0" not in digits[::width]
-        ):
-            return self._slotted(digits, width)
-        return self._joined(digits)
+        width = self.width
+        if shift & ~self._support >= self._wide:  # every row has w digits
+            return self._slotted(shift, width + 1, strip=False)
+        return self._slotted(shift, width + (self._greatest(shift) >= self._wide), strip=True)
 
-    def translate(self, shift: int) -> Translate:
-        """The translate by ``shift``, a code in [0, 2**k), as a view."""
-        return Translate(self.packed, self._one, shift, self._typecode, len(self.first))
+    def _greatest(self, shift: int) -> int:
+        """The greatest row ``c ^ shift`` of the first codes ``c``: the sorted
+        codes are cut, a bit at a time from the top, to those that differ
+        from ``shift`` in it where any does."""
+        codes, lo, hi, best = self._sorted, 0, len(self._sorted), 0
+        for bit in self._bits:
+            cut = bisect_left(codes, best | bit, lo, hi)
+            if (cut == lo) if shift & bit else (cut < hi):  # take the codes with the bit
+                lo, best = cut, best | bit
+            else:
+                hi = cut
+        return best ^ shift
 
     def _sum(self, width: int, shift: int) -> str:
         """``str`` of the translate by ``shift`` summed in ``width``-digit
@@ -141,36 +141,39 @@ class Translates:
         step = fields.steps.get(p)
         if step is None:
             multiply = self._context.multiply
-            step, bits = fields.one, self.packed >> p & self._one
+            step, bits = fields.one, self.packed >> p & self.one
             if bits:
                 column = f"{bits:0{len(self.first) * self._hexits}x}"[::-self._hexits]
                 step = self._context.subtract(step, multiply(_column(fields.width, column), 2))
             step = fields.steps[p] = multiply(step, 1 << p)
         return step
 
-    def _slotted(self, digits: str, width: int) -> str:
-        """The rows of ``digits``, a number's ``str`` whose ``width``-digit
-        fields each open with a 0, the first one's not written."""
-        out = bytearray(digits, "ascii")
-        out[width - 1::width] = self._seps
+    def _slotted(self, shift: int, width: int, strip: bool) -> str:
+        """The rows of the translate by ``shift``, summed in ``width``-digit
+        fields whose top digit is a 0 for every row; with ``strip``, the
+        zeros a row opens with are struck out."""
+        digits = self._sum(width, shift)
+        out = bytearray(b"0" * (width * len(self.first) - len(digits)))  # what str leaves out
+        out += digits.encode("ascii")
+        del digits
+        out[::width] = self._seps
+        if strip:
+            out = self._stripped(out, width)
+        del out[:1]
         return out.decode("ascii")
 
-    def _joined(self, digits: str) -> str:
-        """The fields of ``digits``, a number's ``str``, as rows."""
-        width, count, sep = self._width, len(self.first), self._sep.encode()
-        data = digits.rjust(width * count, "0").encode()
-        zeros = b"0" * count
-        columns = [data[d::width] for d in range(width)]
-        lead = next((d for d in range(width - 1) if columns[d] != zeros), width - 1)
-        # A row's leading zeros lie in the columns from ``lead`` on that hold a 0.
-        no_zero = (d for d in range(lead, width - 1) if b"0" not in columns[d])
-        passes = next(no_zero, width - 1) - lead
-        width -= lead
-        out = bytearray(sep + b"0" * width) * count
-        for d, column in enumerate(columns[lead:]):
-            if column != zeros:
-                out[len(sep) + d::len(sep) + width] = column
-        for _ in range(passes):
-            out = out.replace(sep + b"0", sep)
-        del out[:len(sep)]
-        return out.decode("ascii")
+    def _stripped(self, out: bytearray, width: int) -> bytearray:
+        """``out``, rows of ``width`` characters, ``sep`` first, without the
+        zeros each row opens with, but its last digit. Column by column, a
+        0 on a row whose columns before it are all 0s becomes an ``x``, by
+        adding ``"x" - "0"`` to the column's bytes as one integer, and the
+        ``x``s are deleted at once."""
+        count, lead, marked = len(self.first), self._leads, False
+        for d in range(1, width - 1):
+            column = out[d::width]
+            lead &= int.from_bytes(column.translate(_ZERO_TO_X), "big")
+            if not lead:
+                break
+            out[d::width] = (int.from_bytes(column, "big") + lead).to_bytes(count, "big")
+            marked = True
+        return out.translate(None, b"x") if marked else out

@@ -15,14 +15,16 @@ fields in one object. ``closed`` is always true: documents hold closed
 cycles only. Output is deterministic: no timestamps, fixed field order.
 
 Rendering yields the text in pieces: the header, the rows of 4,096 codes
-at a time, and the tail, so it never holds a string per row. A piece's
-``tuples`` rows are strided copies of the base-2 digits of its lanes.
-Its ``ints`` rows, at ``k >= 16``, if it is the first piece with one code
-xor'ed onto every lane, as a :class:`~.core.Translate` of it says in
-O(1), are the decimal digits of one sum of big decimals, the
-separators stored strided over its fields' top digits where those are
-all 0s, written by :mod:`.decimal_rows`; else they are one ``%`` format
-of a ``%d`` per code. ``construct`` in the CLI writes the pieces as
+at a time, and the tail, so it never holds a string per row. The first
+piece's ``tuples`` rows are strided copies of the base-2 digits of its
+lanes; a piece that is the first with one code xor'ed onto every lane,
+as a :class:`~.core.Translate` of it says in O(1), has those rows with
+the columns of that code's set bits complemented, by
+:class:`TupleTranslates`. Such a piece's ``ints`` rows, at ``k >= 16``,
+are the decimal digits of one sum of big decimals, the separators stored
+strided over its fields' top digits, which are all 0s, written by
+:mod:`.decimal_rows`; any other piece's are one ``%`` format of a ``%d``
+per code. ``construct`` in the CLI writes the pieces as
 they come and holds one piece's rows at a time; ``render_text`` and
 ``render_json`` join them, holding the pieces and the joined text
 together at the end. Parsing takes a head of 4 KiB, enough for a JSON
@@ -33,11 +35,10 @@ of whole lines, a text header's line opening the first;
 rows, and the start of a piece carried from the window before, are held
 at once: ``read_cycle`` yields the codes of each window, or of each
 piece of it on the route below, and ``parse_document`` collects them
-into one path. Where the renderer writes translates, each later piece of
-``ints`` rows, text or JSON, that opens with the rows
-:mod:`.decimal_rows` renders for the translate its first row names is
-proven without a digit read, and yielded as a :class:`~.core.Translate`
-(see :mod:`.body_rows`). Other rows shaped
+into one path. At ``k >= 16``, each later piece of rows, text or JSON,
+that opens with the rows the renderer writes for the translate its first
+row names is proven without a digit read, and yielded as a
+:class:`~.core.Translate` (see :mod:`.body_rows`). Other rows shaped
 as the renderers write them are read at C speed: ``ints`` rows of ASCII
 digits and their separators only by one ``json.loads``, and ``tuples``
 rows as one base-2 integer whose bytes are an ``array`` of
@@ -59,7 +60,7 @@ from itertools import chain
 from typing import TYPE_CHECKING, AnyStr, BinaryIO, TypeVar
 
 from . import core
-from .core import CapacityError, VertexPath, check_dimension, lane_typecode, pack, unpack
+from .core import CapacityError, VertexPath, check_dimension, lane_typecode, unpack
 
 if TYPE_CHECKING:
     from .body_rows import BodyRows
@@ -138,12 +139,7 @@ def render_pieces(
     else:
         yield f"# k={k} h={h} encoding={encoding} closed=true\n"
         sep = tail = "\n"
-    if encoding == "ints":
-        rows = _int_rows_joined(k, sep)
-    elif as_json:
-        rows = _tuple_rows_joined(k, sep, ",", "[", "]")
-    else:
-        rows = _tuple_rows_joined(k, sep, " ")
+    rows = _int_rows_joined(k, sep) if encoding == "ints" else _tuple_rows_joined(k, as_json)
     pieces = chain.from_iterable(
         [c] if isinstance(c, core.Translate) else _slices(c, 0, core.PIECE_CODES) for c in chunks
     )
@@ -184,11 +180,7 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
             first = codes
         elif fields_pay:
             if translates is None:
-                from .decimal_rows import Translates
-
-                translates = Translates(first, k, row_sep)
-            if isinstance(codes, core.Translate) and codes.packed == translates.packed:
-                return translates.text(codes.shift)
+                translates = _int_translates(first, k, row_sep)
             shift = translates.shift_of(codes)
             if shift is not None:
                 return translates.text(shift)
@@ -200,41 +192,108 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
     return rows
 
 
+def _int_translates(first: Sequence[int], k: int, sep: str) -> core.Template:
+    """The ``ints`` rows of the translates of ``first``, joined by ``sep``;
+    :mod:`.decimal_rows`, and with it :mod:`decimal`, is loaded here."""
+    from .decimal_rows import Translates
+
+    return Translates(first, k, sep)
+
+
 def _translates_pay(k: int) -> bool:
-    """Whether a cycle of 2**k codes has pieces enough to pay for the
-    fields of :class:`~.decimal_rows.Translates`: the renderer writes its
-    translates, and the parser proves them, by those fields only then."""
+    """Whether a cycle of 2**k codes has pieces enough to pay for a
+    template of its translates: the renderer writes its ``ints``
+    translates, and the parser proves its translates of either encoding,
+    by the template only then."""
     return 1 << k >= _FIELD_PIECES * core.PIECE_CODES
 
 
-def _tuple_rows_joined(
-    k: int, row_sep: str, sep: str, left: str = "", right: str = ""
-) -> Callable[[Sequence[int]], str]:
-    """The rows of codes, joined by ``row_sep``: each code's coordinates,
-    leftmost first, joined by ``sep`` between ``left`` and ``right``.
+_FLIP = bytes.maketrans(b"01", b"10")
 
-    The inverse of :func:`_lane_codes`: a piece of lanes is one base-2
-    integer whose reversed digits hold bit ``p`` of code ``i`` at
-    ``i * lane + p``, and coordinate ``p`` of the rows, one template row
-    per code, is one strided copy of digits ``p::lane``. A
-    :class:`~.core.Translate`'s integer is ``packed ^ shift * one``, made
-    without its lanes.
+
+class TupleTranslates(core.Template):
+    """The ``tuples`` rows of the translates of a piece ``first`` of codes,
+    JSON grid rows if ``as_json``, else text rows.
+
+    The rows are one ``bytearray`` of units of ``2k`` characters, ``b b
+    ... b`` and an LF, or in JSON of ``2k + 2``, ``[b,...,b],``, each a
+    code's coordinates, leftmost first, at a stride of 2. The translate by
+    ``c`` is the first piece's rows with the columns of the set bits of
+    ``c`` complemented. The rows held are those of the translate last
+    asked for, so a translate costs one strided ``translate`` of a column
+    for each bit where its shift differs from that one's: about two on
+    the closed form. :meth:`written` is the rows as the renderer writes
+    them, and :meth:`text` as the body reader cuts them, ended by the
+    ``[`` of the next row in JSON: the same bytes, one character on.
     """
-    typecode, lane = lane_typecode(k), _lane(k)
-    template = (left + sep.join("0" * k) + right + row_sep).encode()
-    width, step = len(template), len(sep) + 1
+
+    def __init__(self, first: Sequence[int], k: int, as_json: bool) -> None:
+        super().__init__(first, k)
+        self._sep, self._end, lead, row_sep = (",", "],", "[", ",") if as_json else (" ", "", "", "\n")
+        unit = (lead + self._sep.join("0" * k) + "]" * as_json + row_sep).encode()
+        self._unit, self._lead = len(unit), len(lead)
+        self.width = len(unit) - 1  # a row as the reader cuts it, its sep not
+        lane = _lane(k)
+        bits = f"{self.packed:0{len(first) * lane}b}"[::-1].encode()
+        rows = bytearray(unit) * len(first)
+        for p in range(k):
+            rows[self._lead + 2 * p::self._unit] = bits[p::lane]
+        del bits  # not held beside the rows
+        self._rows, self._shift = rows, 0
+
+    def code(self, row: str) -> int | None:
+        """The code of a row of ``k`` 0/1 digits as the reader cuts it,
+        else None."""
+        bits = row[:2 * self.k:2]
+        if len(row) != self.width or bits.strip("01"):
+            return None
+        return int(bits[::-1], 2)
+
+    def row(self, code: int) -> str:
+        """The row of ``code`` as the reader cuts it."""
+        return self._sep.join(f"{code:0{self.k}b}"[::-1]) + self._end
+
+    def text(self, shift: int) -> str:
+        """The rows of the translate by ``shift``, a code in [0, 2**k), as
+        the reader cuts them, joined by their ``sep``."""
+        return self._view(shift, self._lead)
+
+    def written(self, shift: int) -> str:
+        """The rows of the translate by ``shift``, a code in [0, 2**k), as
+        the renderer writes them."""
+        return self._view(shift, 0)
+
+    def _view(self, shift: int, start: int) -> str:
+        """The rows of the translate by ``shift``, all units but one
+        character, from ``start`` on."""
+        rows, unit = self._rows, self._unit
+        changed, self._shift = shift ^ self._shift, shift
+        while changed:
+            p = changed.bit_length() - 1
+            column = self._lead + 2 * p
+            rows[column::unit] = rows[column::unit].translate(_FLIP)
+            changed ^= 1 << p
+        return str(memoryview(rows)[start:start + len(rows) - 1], "ascii")
+
+
+def _tuple_rows_joined(k: int, as_json: bool) -> Callable[[Sequence[int]], str]:
+    """The rows of codes, each its coordinates, leftmost first, joined as
+    :class:`TupleTranslates` writes them. The first piece's are made from
+    its codes, and so are those of a piece that is no translate of it; a
+    translate's are the first piece's with the columns of its shift
+    complemented.
+    """
+    template: TupleTranslates | None = None
 
     def rows(codes: Sequence[int]) -> str:
-        if isinstance(codes, core.Translate):
-            packed = codes.packed ^ codes.shift * codes.one
-        else:
-            packed = pack(array(typecode, codes))
-        bits = f"{packed:0{len(codes) * lane}b}"[::-1].encode()
-        out = bytearray(template) * len(codes)
-        for p in range(k):
-            out[len(left) + p * step::width] = bits[p::lane]
-        del bits, out[-len(row_sep):]  # bits is not held beside the decoded rows
-        return out.decode("ascii")
+        nonlocal template
+        if template is None:
+            template = TupleTranslates(codes, k, as_json)
+            return template.written(0)
+        shift = template.shift_of(codes)
+        if shift is None:
+            return TupleTranslates(codes, k, as_json).written(0)
+        return template.written(shift)
 
     return rows
 
@@ -421,6 +480,8 @@ def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
     else a header at fault, else the first row at fault. So once a window
     holds a fault, the windows after it are only decoded and, until stray
     whitespace turns up, checked for it; the fault is raised at the end.
+    Until then a window's first line is the body's line count; only after
+    a fault are the windows' LFs counted.
     """
     fault: DocumentError | None = None
     spaced = False
@@ -455,11 +516,14 @@ def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
                 else:
                     yield k, h, encoding
                     read = partial(_window_codes, k=k, encoding=encoding)
-                    body = _body_rows(k, encoding, "\n", read, lineno=2)
+                    body = _body_rows(k, encoding, read, lineno=2)
             text, lineno = text[end:], 2
         if fault is None and text:
             yield from chunks(text)
-        lineno += text.count("\n")
+        if fault is None and body is not None:
+            lineno = body.lineno  # the body has counted its lines as it read them
+        else:
+            lineno += text.count("\n")
     if fault is None and body is not None:
         yield from chunks("", final=True)
     if fault is None and empty:
@@ -471,19 +535,24 @@ def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
 def _body_rows(
     k: int,
     encoding: str,
-    sep: str,
     read: Callable[[str, int], Sequence[int] | None],
+    as_json: bool = False,
     lineno: int = 1,
 ) -> BodyRows:
-    """The reader of a body of rows ended by ``sep``, each window read by
-    ``read`` as :class:`~.body_rows.BodyRows` says; ``ints`` rows of a
-    cycle whose translates :func:`_translates_pay` for are read in pieces
-    of :data:`~.core.PIECE_CODES` rows. The module is imported here, so
-    only a parse compiles it."""
+    """The reader of a body of rows, text or JSON, each window read by
+    ``read`` as :class:`~.body_rows.BodyRows` says; rows of a cycle whose
+    translates :func:`_translates_pay` for are read in pieces of
+    :data:`~.core.PIECE_CODES` rows, and proven by the encoding's rows of
+    translates. The module is imported here, so only a parse compiles it."""
     from .body_rows import BodyRows
 
-    piece = core.PIECE_CODES if encoding == "ints" and _translates_pay(k) else 0
-    return BodyRows(k, sep, read, piece, lineno)
+    sep = _JSON_ROWS[encoding][0][-1] if as_json else "\n"
+    if encoding == "ints":
+        translates = partial(_int_translates, k=k, sep=sep)
+    else:
+        translates = partial(TupleTranslates, k=k, as_json=as_json)
+    piece = core.PIECE_CODES if _translates_pay(k) else 0
+    return BodyRows(k, sep, read, piece, lineno, translates)
 
 
 def decode_text(data: AnyStr, lineno: int = 1) -> str:
@@ -692,7 +761,7 @@ def _json_chunks(
     def read(rows: str, lineno: int) -> Sequence[int] | None:
         return _grid_codes(rows, k) if encoding == "tuples" else _int_rows(rows, ",")
 
-    rows = _body_rows(k, encoding, row_end[-1], read)
+    rows = _body_rows(k, encoding, read, as_json=True)
     windows = map(rows.feed, _windows(body(), row_end[-1]))
     for codes in chain(chain.from_iterable(windows), rows.feed("", final=True)):
         yield codes

@@ -255,39 +255,41 @@ def test_construct_writes_the_rows_of_every_code(k, h, tmp_path):
 
 
 @pytest.mark.parametrize("h", [3, 13])
-def test_digit_columns_are_copied_only_where_no_field_opens_with_a_free_0(h, tmp_path):
-    # A later piece of k=17 ints rows is summed in fields one digit wider
-    # than its rows, whose top digits become the separators, unless its
-    # rows differ in digit count, have fewer than w - 1 = 5 digits, or
-    # have 6 though its shift's bits outside the first piece's are below
-    # 10**5, so that it is summed in 6-digit fields: only then are its
-    # digit columns copied one by one. At h=13 two pieces are of the last.
+def test_leading_zeros_are_struck_out_only_where_a_row_falls_short_of_its_field(h, tmp_path):
+    # A later piece of k=17 ints rows is summed in fields of w + 1 = 7
+    # digits if its greatest row has w, else of w, and the fields' top
+    # digits, all 0s, become the separators. Only
+    # a piece whose shift's bits outside the first piece's are below
+    # 10**(w-1) = 10**5 is looked at for rows that open with zeros, and
+    # only one with a row shorter than its field less one has any struck
+    # out. Such pieces once had their digit columns copied one by one.
     k = 17
     first = construct(k, h).path.codes[:core.PIECE_CODES]
-    width, support = len(str((1 << k) - 1)), reduce(or_, first)
-    text, joined = decimal_rows.Translates.text, decimal_rows.Translates._joined
-    shifts, copied = [], []
+    w, support = len(str((1 << k) - 1)), reduce(or_, first)
+    slotted, stripped = decimal_rows.Translates._slotted, decimal_rows.Translates._stripped
+    fields, looked, struck = [], [], []
 
-    def text_spy(self, shift):
-        shifts.append(shift)
-        return text(self, shift)
+    def slotted_spy(self, shift, width, strip):
+        fields.append((shift, width))
+        return slotted(self, shift, width, strip)
 
-    def joined_spy(self, digits):
-        copied.append(shifts[-1])
-        return joined(self, digits)
+    def stripped_spy(self, out, width):
+        size = len(out)
+        rows = stripped(self, out, width)
+        looked.append(fields[-1][0])
+        if len(rows) < size:
+            struck.append(fields[-1][0])
+        return rows
 
-    with mock.patch.object(decimal_rows.Translates, "text", text_spy), \
-            mock.patch.object(decimal_rows.Translates, "_joined", joined_spy):
+    with mock.patch.object(decimal_rows.Translates, "_slotted", slotted_spy), \
+            mock.patch.object(decimal_rows.Translates, "_stripped", stripped_spy):
         assert main(construct_argv(k, h, "ints", tmp_path / "doc")) == 0
-    assert len(shifts) == (1 << k) // core.PIECE_CODES - 1
-    digits = [{len(str(c ^ shift)) for c in first} for shift in shifts]
-    expected = [
-        s
-        for s, d in zip(shifts, digits)
-        if len(d) > 1 or max(d) < width - 1 or d == {width} and s & ~support < 10 ** (width - 1)
-    ]
-    assert copied == expected
-    assert 0 < len(copied) < len(shifts)
+    assert len(fields) == (1 << k) // core.PIECE_CODES - 1
+    digits = {shift: [len(str(c ^ shift)) for c in first] for shift, _ in fields}
+    assert all(width == w + (max(digits[shift]) == w) for shift, width in fields)
+    assert looked == [shift for shift, _ in fields if shift & ~support < 10 ** (w - 1)]
+    assert struck == [shift for shift, width in fields if min(digits[shift]) < width - 1]
+    assert 0 < len(struck) < len(looked) < len(fields)
 
 
 def test_decimal_context_of_the_process_is_left_as_it_was(tmp_path):
@@ -485,13 +487,15 @@ def verify_outcome(path, *flags, whole=False):
     """Exit code, stdout and stderr of ``verify path``, and whether the
     document was parsed whole; ``whole`` parses it whole in any case, by
     the per-line loop and ``json.loads`` alone, sharing no row reader
-    with the windowed read and proving no piece by rendering it."""
+    with the windowed read and proving no piece, ``ints`` or ``tuples``,
+    by rendering it."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if whole:
             stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
             for name in ("_lane_codes", "_int_rows", "_json_cycle", "_translates_pay"):
                 stack.enter_context(mock.patch.object(document, name, return_value=None))
+            stack.enter_context(mock.patch.object(body_rows.BodyRows, "_translate", return_value=None))
         parsed = stack.enter_context(
             mock.patch.object(cli, "parse_document", wraps=parse_document)
         )
@@ -972,6 +976,84 @@ class TestVerifyByRendering:
         return proven, [rows.count("\n") + rows.count(",") for (rows, _), _ in int_rows.call_args_list]
 
 
+def tuples_file(target, k, h, codes, as_json, crlf=False):
+    """Write the ``tuples`` document of ``codes``, text or JSON, built one
+    row at a time, to ``target``."""
+    data = plain_document(k, h, "json" if as_json else "tuples", codes).encode()
+    target.write_bytes(data.replace(b"\n", b"\r\n") if crlf else data)
+    return target
+
+
+def changed_tuples(codes, change):
+    """``codes`` of a closed-form cycle with ``change`` made."""
+    codes, n = list(codes), len(codes)
+    if change == "reversed":
+        codes.reverse()
+    elif change.startswith("rotated"):
+        by = int(change.split()[-1])
+        codes = codes[by:] + codes[:by]
+    elif change.startswith("flip"):
+        row = {"piece 0": 100, "middle piece": n // 2 + 77, "last row": n - 1}[change[5:]]
+        codes[row] ^= 1 << 3
+    elif change == "swap across a piece edge":
+        edge = core.PIECE_CODES
+        codes[edge - 1], codes[edge] = codes[edge], codes[edge - 1]
+    return codes
+
+
+class TestVerifyTuplesByFlips:
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize(
+        ("k", "change"),
+        [
+            (17, "valid"),
+            (16, "reversed"),
+            (16, "rotated by 1"),
+            (16, "rotated by 2048"),
+            (16, "flip piece 0"),
+            (17, "flip middle piece"),
+            (16, "flip last row"),
+            (16, "swap across a piece edge"),
+            (16, "crlf"),
+            (16, "cut by windows"),
+        ],
+    )
+    def test_verdict_is_the_whole_document_verdict(self, k, change, as_json, tmp_path, monkeypatch):
+        # Proving later tuples pieces by their flipped rows changes no exit
+        # code, report line or error text of the whole parse.
+        if change == "cut by windows":  # a window's edge in every piece
+            monkeypatch.setattr(document, "_WINDOW_CHARS", 100_000)
+        target = tuples_file(
+            tmp_path / "doc", k, 3, changed_tuples(construct(k, 3).path.codes, change), as_json, change == "crlf"
+        )
+        outcome, _ = verify_outcome(target)
+        assert outcome == verify_outcome(target, whole=True)[0]
+        valid = change in ("valid", "reversed", "crlf", "cut by windows") or change.startswith("rotated")
+        assert outcome[0] == (0 if valid else 2)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_only_piece_0_and_a_piece_at_fault_are_read_by_digits(self, as_json, tmp_path):
+        # Of a valid k=17 file, only piece 0's rows reach the base-2 reader:
+        # the 31 later pieces are proven by their flipped rows and reach
+        # the checker as views. A flipped coordinate in piece 9 adds that
+        # piece, and that piece alone, to what is read. Once every row was
+        # read, at 215-325 ns a row.
+        codes = list(construct(17, 3).path.codes)
+        target = tmp_path / "doc"
+        for fault, pieces in ((None, [0]), (9 * 4096 + 100, [0, 9])):
+            if fault is not None:
+                codes[fault] ^= 1 << 5
+            tuples_file(target, 17, 3, codes, as_json)
+            with mock.patch.object(document, "_lane_codes", wraps=document._lane_codes) as lanes, \
+                    mock.patch.object(CycleChecker, "feed", autospec=True, side_effect=CycleChecker.feed) as feed:
+                outcome = verify_outcome(target)[0]
+            assert outcome[0] == (0 if fault is None else 2)
+            assert sum(call.args[2] for call in lanes.call_args_list) == 4096 * len(pieces)
+            fed = [call.args[1] for call in feed.call_args_list]
+            read = [c for chunk in fed if not isinstance(chunk, core.Translate) for c in chunk]
+            assert read == [c for i in pieces for c in codes[i * 4096:(i + 1) * 4096]]
+
+
 class TestOracle:
     def test_witness_round_trip(self, capsys):
         code, out, _ = run(capsys, "oracle", "--k", "4", "--h", "3", "--witness")
@@ -1188,17 +1270,25 @@ def test_cli_imports_only_the_standard_library():
 def test_only_a_cycle_of_translates_loads_decimal(tmp_path):
     # decimal adds 0.3-0.4 MB to the peak memory of a call, and compiling
     # the module that uses it more; an oracle witness is one piece, so it
-    # loads neither. A construct of k=16 renders its translates by them,
-    # and a verify of its file, in a process of its own, proves them by
-    # the same render.
+    # loads neither. A construct of k=16 ints renders its translates by
+    # them, and a verify of its file, in a process of its own, proves them
+    # by the same render. tuples rows, text or JSON, are flipped, not
+    # summed: a construct of k=17 and a verify of its file load neither.
     env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
     doc, witness = str(tmp_path / "c.txt"), str(tmp_path / "w.txt")
+    text, grid = str(tmp_path / "t.txt"), str(tmp_path / "t.json")
     runs = [
         [
             ["oracle", "--k", "4", "--h", "3", "--witness", "--format", "ints", "--output", witness],
             ["construct", "--k", "16", "--h", "3", "--format", "ints", "--output", doc],
         ],
         [["verify", doc]],
+        [
+            ["construct", "--k", "17", "--h", "3", "--format", "tuples", "--output", text],
+            ["construct", "--k", "17", "--h", "3", "--format", "json", "--output", grid],
+        ],
+        [["verify", text]],
+        [["verify", grid]],
     ]
     loaded = []
     for argvs in runs:
@@ -1208,7 +1298,7 @@ from leaper_cycles.cli import main
 loaded = []
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in {argvs!r}:
-        main(argv)
+        assert main(argv) == 0, argv
         loaded.append(sorted({{"decimal", "leaper_cycles.decimal_rows"}} & sys.modules.keys()))
 print(loaded)
 """
@@ -1216,4 +1306,4 @@ print(loaded)
         assert result.returncode == 0, result.stderr
         loaded.append(result.stdout)
     both = "['decimal', 'leaper_cycles.decimal_rows']"
-    assert loaded == [f"[[], {both}]\n", f"[{both}]\n"]
+    assert loaded == [f"[[], {both}]\n", f"[{both}]\n", "[[], []]\n", "[[]]\n", "[[]]\n"]

@@ -636,6 +636,104 @@ def test_translate_rows_are_the_rows_str_writes(case):
         assert translates.text(shift) == sep.join(str(c ^ shift) for c in first), shift
 
 
+@st.composite
+def mixed_digit_pieces(draw):
+    """k, a first piece of codes on both sides of 10**(w-1), ``w`` the
+    digits of 2**k - 1, and of few digits, a separator, and shifts: codes
+    of the piece, which make a row 0, small ones, and any."""
+    k = draw(st.integers(4, 64))
+    top = 1 << k
+    edge = 10 ** (len(str(top - 1)) - 1)
+    code = st.one_of(
+        st.integers(max(0, edge - 300), min(top - 1, edge + 300)),
+        st.integers(0, min(999, top - 1)),
+        st.integers(0, top - 1),
+    )
+    first = draw(st.lists(code, min_size=2, max_size=50, unique=True))
+    pool = st.one_of(st.sampled_from(first), st.integers(0, min(511, top - 1)), st.integers(0, top - 1))
+    return k, first, draw(st.sampled_from("\n,")), draw(st.lists(pool, min_size=1, max_size=8))
+
+
+@given(mixed_digit_pieces())
+# Rows of 6 and 5 digits, of 6 and 1 (the row 0), of 1 to 6, at k=17.
+@example((17, [99_999, 100_000, 5, 0], "\n", [0, 100_000, 99_999, 5]))
+@example((17, [100_000, 100_001, 131_071], ",", [100_000, 1, 131_071]))
+@example((20, [999_999, 1_000_000, 12, 7], "\n", [999_999 ^ 1_000_000, 12, 1_048_575]))
+def test_rows_of_mixed_digit_counts_are_the_rows_str_writes(case):
+    # A second path for the leading zeros struck out: a translate whose
+    # rows have w and w - 1 digits, or fewer, or are 0, is what str()
+    # writes, row by row.
+    k, first, sep, shifts = case
+    translates = decimal_rows.Translates(first, k, sep)
+    for shift in shifts:
+        assert translates.text(shift) == sep.join(map(str, (c ^ shift for c in first))), shift
+
+
+def coordinate_rows(k, codes, as_json):
+    """The rows of ``codes`` written code by code from ``rows_of``: as the
+    renderer writes them, and as the body reader cuts them."""
+    rows = [",".join(map(str, row)) if as_json else " ".join(map(str, row)) for row in rows_of(VertexPath(k, tuple(codes)))]
+    if as_json:
+        return ",".join(f"[{row}]" for row in rows), "[".join(f"{row}]," for row in rows)
+    return "\n".join(rows), "\n".join(rows)
+
+
+@st.composite
+def tuple_translates(draw):
+    """k from 1 to 64, lane edges often; a first piece; shifts drawn from a
+    few, so that they repeat and alternate; and a form."""
+    k = draw(st.one_of(st.integers(1, 64), st.sampled_from([7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64])))
+    code = st.integers(0, (1 << k) - 1)
+    first = draw(st.lists(code, min_size=1, max_size=min(40, 1 << k)))
+    pool = draw(st.lists(code, min_size=1, max_size=4))
+    return k, first, draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)), draw(st.booleans())
+
+
+@given(tuple_translates())
+@example((8, [0, 255, 1, 128], [255, 0, 255, 3, 3], True))
+@example((64, [0, (1 << 64) - 1, 1 << 63], [1 << 63, 1, 1 << 63, (1 << 64) - 1], False))
+@example((1, [0, 1], [1, 0, 1], True))
+def test_flipped_rows_are_the_rows_written_code_by_code(case):
+    # A second path for the column flips: each shift's rows, flipped in
+    # turn from the last shift's, are the rows of first ^ shift written
+    # code by code, as the renderer writes them and as the reader cuts
+    # them; a row reads back as its code.
+    k, first, shifts, as_json = case
+    translates = document.TupleTranslates(first, k, as_json)
+    for shift in [0, *shifts]:
+        codes = [c ^ shift for c in first]
+        written, cut = coordinate_rows(k, codes, as_json)
+        assert translates.written(shift) == written, shift
+        assert translates.text(shift) == cut, shift
+        row = translates.row(codes[-1])
+        assert cut.endswith(row) and translates.code(row) == codes[-1]
+    # Rendered from the first piece's codes and views of its translates,
+    # or found to be translates among plain codes, pieces of len(first).
+    template = core.Template(first, k)
+    views = [template.translate(shift) for shift in shifts]
+    codes = [*first, *(c ^ shift for shift in shifts for c in first)]
+    with mock.patch.object(core, "PIECE_CODES", len(first)):
+        for chunks in ([array(lane_typecode(k), first), *views], [tuple(codes)]):
+            pieces = list(document.render_pieces(k, 1, "tuples", chunks, as_json=as_json))
+            assert "".join(pieces[1:-1]) == joined_tuples(k, codes, as_json)
+
+
+def test_a_tuples_piece_that_is_no_translate_is_written_from_its_codes():
+    # A piece with one lane changed is no translate of the first: its rows
+    # are written from its codes, and the rows held for the translates,
+    # those of the piece before it, are those of the piece after it.
+    k, first = 13, [3, 8191, 4096, 77, 1000]
+    changed = [c ^ 5 for c in first]
+    changed[2] ^= 1
+    codes = [*first, *(c ^ 6 for c in first), *changed, *(c ^ 6 for c in first), *(c ^ 5 for c in first)]
+    for as_json in (False, True):
+        with mock.patch.object(core, "PIECE_CODES", len(first)), \
+                mock.patch.object(document, "TupleTranslates", wraps=document.TupleTranslates) as made:
+            pieces = list(document.render_pieces(k, 1, "tuples", [tuple(codes)], as_json=as_json))
+        assert "".join(pieces[1:-1]) == joined_tuples(k, codes, as_json)
+        assert made.call_count == 2  # the first piece, and the one that is no translate
+
+
 @pytest.mark.parametrize("as_json", [False, True])
 def test_a_piece_that_is_no_translate_is_written_by_format(as_json):
     # One lane changed, and a shift of 2**k or more: neither piece is a
