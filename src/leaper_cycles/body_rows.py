@@ -1,5 +1,6 @@
-"""The rows of a document's body, read a window or a piece at a time;
-the later pieces of a cycle of translates proven by rendering them.
+"""The rows of a document's body, read as the file's bytes, never decoded,
+a block or a piece at a time; the later pieces of a cycle of translates
+proven by rendering them.
 
 :mod:`.document` imports this module only to read a body, so
 ``construct`` and ``oracle`` do not compile it.
@@ -8,7 +9,7 @@ the later pieces of a cycle of translates proven by rendering them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -16,16 +17,16 @@ if TYPE_CHECKING:
 
 
 class BodyRows:
-    """The code chunks of a document's body, fed in windows of whole rows,
-    each row ended by ``sep``.
+    """The code chunks of a document's body, fed as the bytes of the file
+    in blocks cut anywhere, each row ended by ``sep``.
 
     ``read(rows, lineno)`` is a window reader of :mod:`.document`: it
-    returns the codes of ``rows``, the first of them on line ``lineno``,
-    or None if the body is to be parsed whole, or raises the fault of the
-    line at fault. It reads a whole window at once, unless ``piece`` is
-    not 0: the body is then rows of a cycle whose translates the
-    renderer writes, and it is taken ``piece`` rows at a time, aligned to
-    row ``piece * t``:
+    returns the codes of ``rows``, whole rows the first of which is on
+    line ``lineno``, or None if the body is to be parsed whole, or raises
+    the fault of the line at fault. It reads all the whole rows fed at
+    once, unless ``piece`` is not 0: the body is then rows of a cycle
+    whose translates the renderer writes, and it is taken ``piece`` rows
+    at a time, aligned to row ``piece * t``:
 
     - ``read`` reads piece 0, whose codes, made a :class:`~.core.Template`
       by ``translates``, are the template.
@@ -45,16 +46,16 @@ class BodyRows:
     - A piece 0 with a code of 2**k or more is no template: piece 1 is,
       as for the checker, and if it too holds one, the body is read
       whole.
-    - A piece start nearer a window's end than a translate's text reaches
-      is carried into the next window, so a piece cut by a window's edge
-      stays on the route.
+    - A row cut by a block's edge, and a piece start nearer the end of the
+      text fed than a translate's text reaches, are held and read with the
+      next block, so a piece cut by a block's edge stays on the route.
     """
 
     def __init__(
         self,
         k: int,
-        sep: str,
-        read: Callable[[str, int], Sequence[int] | None],
+        sep: bytes,
+        read: Callable[[bytes, int], Sequence[int] | None],
         piece: int,
         lineno: int = 1,
         translates: Callable[[list[int]], Template] | None = None,
@@ -69,19 +70,19 @@ class BodyRows:
         self._no_piece_0 = False  # piece 0 was no template
         self._span = 0  # the longest translate text, once there is a template
         self._chars = 2  # a guess at a row's length, sep included
-        self._held = ""  # the rows from a piece start, carried to the next window
+        self._held = b""  # the text not read yet, from a row or piece start
 
     @property
-    def lineno(self) -> int:
-        """The line the text after the rows fed so far opens, ``sep`` being
-        an LF: the first row's line, the rows read, and those held."""
-        return self._lineno + self._held.count(self._sep)
+    def held(self) -> tuple[bytes, int]:
+        """The text fed and not read, from the rows ``read`` refused if it
+        raised, and its first line."""
+        return self._held, self._lineno
 
-    def feed(self, window: str, final: bool = False) -> Iterator[Sequence[int] | None]:
-        """The code chunks of the rows carried and then of ``window``; with
-        ``final``, of all the text left, its last row perhaps without a
-        ``sep``. A chunk of None ends the chunks."""
-        text, self._held = self._held + window, ""
+    def feed(self, *parts: bytes | memoryview, final: bool = False) -> Iterator[Sequence[int] | None]:
+        """The code chunks of the text held and then of ``parts``, run
+        together; with ``final``, of all the text left, its last row perhaps
+        without a ``sep``. A chunk of None ends the chunks."""
+        text, self._held = b"".join((self._held, *parts)), b""
         limit = len(text) if final else text.rfind(self._sep) + 1
         pos = 0
         while pos < limit:
@@ -96,7 +97,11 @@ class BodyRows:
                     continue
                 self._left = self._piece
             end, rows = self._rows_end(text, pos, limit, self._left)
-            codes = self._read(text[pos:end], self._lineno)
+            try:
+                codes = self._read(text[pos:end], self._lineno)
+            except ValueError:
+                self._held = text[pos:]
+                raise
             if codes is None:
                 yield None
                 return
@@ -108,6 +113,12 @@ class BodyRows:
             if codes:
                 yield codes
         self._held = text[pos:]
+
+    def chunks(self, blocks: Iterable[bytes]) -> Iterator[Sequence[int] | None]:
+        """The code chunks of ``blocks`` fed in turn, then of the text left."""
+        for block in blocks:
+            yield from self.feed(block)
+        yield from self.feed(final=True)
 
     def _template(self) -> None:
         """Take the piece now read, if its codes are a piece in [0, 2**k), as
@@ -127,7 +138,7 @@ class BodyRows:
             else:
                 self._no_piece_0, self._first = True, []
 
-    def _translate(self, text: str, pos: int) -> tuple[Sequence[int], int] | None:
+    def _translate(self, text: bytes, pos: int) -> tuple[Sequence[int], int] | None:
         """The translate of the template or else the spare, then the template,
         whose rows and a ``sep`` open ``text[pos:]``, and the index after; else None."""
         spare, self._spare, sep, template = self._spare, None, self._sep, self._translates
@@ -150,7 +161,7 @@ class BodyRows:
                 return translates.translate(shift), end + len(sep)
         return None
 
-    def _rows_end(self, text: str, pos: int, limit: int, rows: int) -> tuple[int, int]:
+    def _rows_end(self, text: bytes, pos: int, limit: int, rows: int) -> tuple[int, int]:
         """The index after the ``rows``-th ``sep`` from ``pos``, or ``limit``
         if fewer lie before it, and the count of ``sep`` up to that index.
 

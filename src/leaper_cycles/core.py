@@ -125,10 +125,11 @@ class Template:
 
     Each encoding's rows, :class:`~.decimal_rows.Translates` and
     :class:`~.document.TupleTranslates`, add what the body reader asks
-    of them: ``text(shift)``, the rows of a translate joined by their
-    separator; ``row(code)``, the row of a code as the reader cuts it
-    before its separator, at most ``width`` characters; and
-    ``code(row)``, the code of such a row, or None."""
+    of them, all in ASCII bytes: ``text(shift)``, the rows of a translate
+    joined by their separator, a ``bytearray`` or a view of one;
+    ``row(code)``, the row of a code as the reader cuts it before its
+    separator, at most ``width`` bytes; and ``code(row)``, the code of
+    such a row, or None."""
 
     def __init__(self, first: Sequence[int], k: int) -> None:
         self.first, self.k = first, k

@@ -12,7 +12,8 @@ are wider than the piece's greatest row, so their top digit is a 0 in
 the same place of every field, and one strided store turns the column
 into the row separators: the rows cost one ``str`` and one store. Rows
 shorter than that strike out the zeros they open with, a column at a
-time, and in one pass at the end.
+time, and in one pass at the end. The rows are ASCII bytes, as the
+file's are.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ def _column(width: int, digits: str) -> decimal.Decimal:
 class Translates(Template):
     """The ``ints`` rows of the translates of a piece ``first`` of codes:
     ``first`` with one code ``c < 2**k`` xor'ed onto every lane, its rows
-    joined by ``sep``, one character.
+    joined by ``sep``, one byte, as ASCII bytes.
 
     Take the codes as the fixed-width fields of one decimal number. As
     ``x ^ 2**p`` is ``x + 2**p - 2**(p+1)`` times bit ``p`` of ``x``, a
@@ -77,9 +78,9 @@ class Translates(Template):
     context changes.
     """
 
-    def __init__(self, first: Sequence[int], k: int, sep: str) -> None:
+    def __init__(self, first: Sequence[int], k: int, sep: bytes) -> None:
         super().__init__(first, k)
-        self._seps = sep.encode() * len(first)
+        self._seps = sep * len(first)
         self._hexits = 2 * array(self.typecode).itemsize  # hex digits of a lane
         self._support = reduce(or_, first, 0)
         self._sorted = sorted(first)
@@ -91,15 +92,15 @@ class Translates(Template):
         self._leads = int.from_bytes(_X_LESS_0 * len(first), "big")  # every row still opening
         self._fields: dict[int, _Fields] = {}  # width -> the fields of that width
 
-    def code(self, row: str) -> int | None:
+    def code(self, row: bytes) -> int | None:
         """The code a row of ASCII digits names, else None."""
-        return int(row) if row.isascii() and row.isdigit() else None
+        return int(row) if row.isdigit() else None
 
-    def row(self, code: int) -> str:
+    def row(self, code: int) -> bytes:
         """The row of ``code``."""
-        return str(code)
+        return b"%d" % code
 
-    def text(self, shift: int) -> str:
+    def text(self, shift: int) -> bytearray:
         """The rows of the translate by ``shift``, a code in [0, 2**k)."""
         width = self.width
         if shift & ~self._support >= self._wide:  # every row has w digits
@@ -148,7 +149,7 @@ class Translates(Template):
             step = fields.steps[p] = multiply(step, 1 << p)
         return step
 
-    def _slotted(self, shift: int, width: int, strip: bool) -> str:
+    def _slotted(self, shift: int, width: int, strip: bool) -> bytearray:
         """The rows of the translate by ``shift``, summed in ``width``-digit
         fields whose top digit is a 0 for every row; with ``strip``, the
         zeros a row opens with are struck out."""
@@ -160,7 +161,7 @@ class Translates(Template):
         if strip:
             out = self._stripped(out, width)
         del out[:1]
-        return out.decode("ascii")
+        return out
 
     def _stripped(self, out: bytearray, width: int) -> bytearray:
         """``out``, rows of ``width`` characters, ``sep`` first, without the

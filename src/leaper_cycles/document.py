@@ -27,24 +27,24 @@ strided over its fields' top digits, which are all 0s, written by
 per code. ``construct`` in the CLI writes the pieces as
 they come and holds one piece's rows at a time; ``render_text`` and
 ``render_json`` join them, holding the pieces and the joined text
-together at the end. Parsing takes a head of 4 KiB, enough for a JSON
-header, then blocks of about 1 MiB, and runs them together into windows
-of whole lines, a text header's line opening the first;
-:func:`read_cycle` reads the blocks from a file and
-:func:`parse_document` slices them from a text. At most one window's
-rows, and the start of a piece carried from the window before, are held
-at once: ``read_cycle`` yields the codes of each window, or of each
-piece of it on the route below, and ``parse_document`` collects them
-into one path. At ``k >= 16``, each later piece of rows, text or JSON,
-that opens with the rows the renderer writes for the translate its first
-row names is proven without a digit read, and yielded as a
-:class:`~.core.Translate` (see :mod:`.body_rows`). Other rows shaped
-as the renderers write them are read at C speed: ``ints`` rows of ASCII
-digits and their separators only by one ``json.loads``, and ``tuples``
-rows as one base-2 integer whose bytes are an ``array`` of
-:func:`~.core.lane_typecode`'s lanes. Any other text goes through the
-per-line loop, which accepts the same documents and names the line at
-fault, and any other JSON to ``json.loads`` whole.
+together at the end. Parsing reads bytes: a head of 4 KiB, enough for
+a JSON header, then blocks of about 1 MiB, which :func:`read_cycle`
+reads from a file and :func:`parse_document` slices from its text,
+encoded once. The body reader takes each block as it comes and holds
+only the rows cut by its edge, or a piece's start: ``read_cycle`` yields
+the codes of the whole rows of each block, or of each piece on the route
+below, and ``parse_document`` collects them into one path. At ``k >= 16``,
+each later piece of rows, text or JSON, that opens with the rows the
+renderer writes for the translate its first row names is proven without
+a digit read, and yielded as a :class:`~.core.Translate` (see
+:mod:`.body_rows`). Other rows shaped as the renderers write them are
+read at C speed: ``ints`` rows of ASCII digits and their separators only
+by one ``json.loads``, and ``tuples`` rows as one base-2 integer whose
+bytes are an ``array`` of :func:`~.core.lane_typecode`'s lanes. These
+are ASCII by construction, so only a text header's line, rows they
+refuse, which go through the per-line loop that names the line at
+fault, and the rest of a body after a fault are decoded and checked for
+stray whitespace. Any other JSON goes to ``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
-from typing import TYPE_CHECKING, AnyStr, BinaryIO, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, TypeVar
 
 from . import core
 from .core import CapacityError, VertexPath, check_dimension, lane_typecode, unpack
@@ -74,17 +74,17 @@ _STRAY_WHITESPACE_RE = re.compile(r"[^\S \t\n\r]|\r(?!\n)")
 # The JSON text render_json writes, up to the first row; tuples rows open
 # with one more "[".
 _JSON_HEAD_RE = re.compile(
-    r'\{"k":([1-9][0-9]*),"h":([1-9][0-9]*),"encoding":"(tuples|ints)","cycle":\[(\[?)'
+    rb'\{"k":([1-9][0-9]*),"h":([1-9][0-9]*),"encoding":"(tuples|ints)","cycle":\[(\[?)'
 )
 _JSON_TAIL = '],"closed":true}\n'
 # encoding -> (what ends each row of the body but the last, the tail after it)
-_JSON_ROWS = {"tuples": ("],[", "]" + _JSON_TAIL), "ints": (",", _JSON_TAIL)}
+_JSON_ROWS = {"tuples": (b"],[", b"]" + _JSON_TAIL.encode()), "ints": (b",", _JSON_TAIL.encode())}
 
 _FIELD_PIECES = 16  # pieces of a cycle that pay for the fields of ints rows
-_WINDOW_CHARS = 1 << 20  # characters of body a parser checks at once
+_WINDOW_CHARS = 1 << 20  # bytes of body a parser reads at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
 _HEADER_TOKENS = 1 << 16  # characters but spaces and tabs a text header line may hold
-_Seq = TypeVar("_Seq", str, "tuple[int, ...]")
+_Seq = TypeVar("_Seq", bytes, "tuple[int, ...]")
 # A document's k, h, encoding and code chunks; a chunk of None leaves the fast route.
 _Cycle = tuple[int, int, str, Iterator["Sequence[int] | None"]]
 
@@ -180,10 +180,10 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
             first = codes
         elif fields_pay:
             if translates is None:
-                translates = _int_translates(first, k, row_sep)
+                translates = _int_translates(first, k, row_sep.encode())
             shift = translates.shift_of(codes)
             if shift is not None:
-                return translates.text(shift)
+                return translates.text(shift).decode("ascii")
         fmt = formats.get(len(codes))
         if fmt is None:
             fmt = formats[len(codes)] = row_sep.join(["%d"] * len(codes))
@@ -192,7 +192,7 @@ def _int_rows_joined(k: int, row_sep: str) -> Callable[[Sequence[int]], str]:
     return rows
 
 
-def _int_translates(first: Sequence[int], k: int, sep: str) -> core.Template:
+def _int_translates(first: Sequence[int], k: int, sep: bytes) -> core.Template:
     """The ``ints`` rows of the translates of ``first``, joined by ``sep``;
     :mod:`.decimal_rows`, and with it :mod:`decimal`, is loaded here."""
     from .decimal_rows import Translates
@@ -224,7 +224,8 @@ class TupleTranslates(core.Template):
     for each bit where its shift differs from that one's: about two on
     the closed form. :meth:`written` is the rows as the renderer writes
     them, and :meth:`text` as the body reader cuts them, ended by the
-    ``[`` of the next row in JSON: the same bytes, one character on.
+    ``[`` of the next row in JSON: the same bytes, one character on, each
+    a view of the rows held, good until the next call.
     """
 
     def __init__(self, first: Sequence[int], k: int, as_json: bool) -> None:
@@ -241,29 +242,29 @@ class TupleTranslates(core.Template):
         del bits  # not held beside the rows
         self._rows, self._shift = rows, 0
 
-    def code(self, row: str) -> int | None:
+    def code(self, row: bytes) -> int | None:
         """The code of a row of ``k`` 0/1 digits as the reader cuts it,
         else None."""
         bits = row[:2 * self.k:2]
-        if len(row) != self.width or bits.strip("01"):
+        if len(row) != self.width or bits.strip(b"01"):
             return None
         return int(bits[::-1], 2)
 
-    def row(self, code: int) -> str:
+    def row(self, code: int) -> bytes:
         """The row of ``code`` as the reader cuts it."""
-        return self._sep.join(f"{code:0{self.k}b}"[::-1]) + self._end
+        return (self._sep.join(f"{code:0{self.k}b}"[::-1]) + self._end).encode()
 
-    def text(self, shift: int) -> str:
+    def text(self, shift: int) -> memoryview:
         """The rows of the translate by ``shift``, a code in [0, 2**k), as
         the reader cuts them, joined by their ``sep``."""
         return self._view(shift, self._lead)
 
-    def written(self, shift: int) -> str:
+    def written(self, shift: int) -> memoryview:
         """The rows of the translate by ``shift``, a code in [0, 2**k), as
         the renderer writes them."""
         return self._view(shift, 0)
 
-    def _view(self, shift: int, start: int) -> str:
+    def _view(self, shift: int, start: int) -> memoryview:
         """The rows of the translate by ``shift``, all units but one
         character, from ``start`` on."""
         rows, unit = self._rows, self._unit
@@ -273,7 +274,7 @@ class TupleTranslates(core.Template):
             column = self._lead + 2 * p
             rows[column::unit] = rows[column::unit].translate(_FLIP)
             changed ^= 1 << p
-        return str(memoryview(rows)[start:start + len(rows) - 1], "ascii")
+        return memoryview(rows)[start:start + len(rows) - 1]
 
 
 def _tuple_rows_joined(k: int, as_json: bool) -> Callable[[Sequence[int]], str]:
@@ -289,35 +290,36 @@ def _tuple_rows_joined(k: int, as_json: bool) -> Callable[[Sequence[int]], str]:
         nonlocal template
         if template is None:
             template = TupleTranslates(codes, k, as_json)
-            return template.written(0)
+            return str(template.written(0), "ascii")
         shift = template.shift_of(codes)
         if shift is None:
-            return TupleTranslates(codes, k, as_json).written(0)
-        return template.written(shift)
+            return str(TupleTranslates(codes, k, as_json).written(0), "ascii")
+        return str(template.written(shift), "ascii")
 
     return rows
 
 
 def parse_document(text: str) -> CycleDocument:
-    """Parse either the text or the JSON form, sniffing the first character."""
+    """Parse either the text or the JSON form, sniffing the first character;
+    the text is encoded once and read as :func:`read_cycle` reads a file."""
     stripped = text.lstrip()
     if not stripped:
         raise DocumentError("line 1: empty document")
-    blocks = chain([text[:_HEAD_BYTES]], _slices(text, _HEAD_BYTES, _WINDOW_CHARS))
+    data = text.encode("utf-8", "surrogatepass")  # a lone surrogate is no UTF-8
+    blocks = chain([data[:_HEAD_BYTES]], _slices(data, _HEAD_BYTES, _WINDOW_CHARS))
     if stripped[0] == "{":
         return _collect(_json_cycle(blocks)) or _parse_json(text)
-    return _collect(_text_cycle(_windows(blocks, "\n")))
+    return _collect(_text_cycle(blocks))
 
 
 def read_cycle(fh: BinaryIO) -> _Cycle | None:
-    """The header and code chunks of the document in ``fh``, read in windows.
+    """The header and code chunks of the document in ``fh``, read in blocks.
 
     ``fh`` is a binary file at its start. Its first 4 KiB are read, enough
-    for a JSON header, then blocks of about 1 MiB; the blocks run together
-    into windows cut after their last line, so no more than a window of
-    the file is held. A text header's line opens the first window, which
-    reaches at least to that line's end; each run of spaces and tabs in
-    it is carried as one space. Returns ``(k, h, encoding,
+    for a JSON header, then blocks of about 1 MiB, whose bytes the body
+    reader takes as they are read, so no more than a block and the rows
+    cut by its edge are held. Each run of spaces and tabs in a text
+    header's line is carried as one space. Returns ``(k, h, encoding,
     chunks)`` for a text document whose first byte is ASCII and neither
     ``{`` nor whitespace, and for a JSON document that opens as the
     renderer writes it; None for any other document, which
@@ -330,14 +332,13 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     """
     head = fh.read(_HEAD_BYTES)
     blocks = chain([head], iter(partial(fh.read, _WINDOW_CHARS), b""))
-    lead = head[:1].decode("latin-1")
+    lead = chr(head[0]) if head else ""
+    if lead == "{":
+        return _json_cycle(blocks)
     # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
     # so an ASCII byte it keeps opens a text document.
-    if lead != "{" and lead.isascii() and lead.strip():
-        return _text_cycle(_windows(_header_collapsed(blocks), b"\n"))
-    if lead == "{":
-        # latin-1 keeps byte offsets; a byte outside ASCII fits no row.
-        return _json_cycle(block.decode("latin-1") for block in blocks)
+    if lead.isascii() and lead.strip():
+        return _text_cycle(_header_collapsed(blocks))
     return None
 
 
@@ -364,24 +365,6 @@ def _collect(cycle: _Cycle | None) -> CycleDocument | None:
 def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
     """``seq`` from ``start`` on, in slices of ``size``."""
     return (seq[i:i + size] for i in range(start, len(seq), size))
-
-
-def _windows(blocks: Iterable[AnyStr], sep: AnyStr) -> Iterator[AnyStr]:
-    """The blocks run together and cut after the last ``sep`` of each, so
-    every window but the last ends with ``sep``; a block without one is
-    carried into the next window. A window is not held beside its pieces."""
-    carried: list[AnyStr] = []
-    for block in blocks:
-        cut = block.rfind(sep) + 1
-        if cut:
-            carried.append(block[:cut])
-            window, carried = sep[:0].join(carried), [block[cut:]]
-            yield window
-        else:
-            carried.append(block)
-    window, carried = sep[:0].join(carried), []
-    if window:
-        yield window
 
 
 def _header_collapsed(blocks: Iterable[bytes]) -> Iterator[bytes]:
@@ -446,20 +429,19 @@ def _carried(stray: str) -> bytes:
     return b"x" + (stray.encode() + b"x" if stray else b"")
 
 
-def _text_cycle(windows: Iterable[AnyStr]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
-    """The header and code chunks of a text document from its windows of
-    whole lines. A header at fault is raised only once :func:`_text_chunks`
-    has scanned the body for a fault named before it."""
-    chunks = _text_chunks(windows)
+def _text_cycle(blocks: Iterable[bytes]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
+    """The header and code chunks of a text document from its blocks. A
+    header at fault is raised only once :func:`_text_chunks` has scanned
+    the body for a fault named before it."""
+    chunks = _text_chunks(blocks)
     k, h, encoding = next(chunks)  # raises the fault, or one the body names first
     return k, h, encoding, chunks
 
 
-def _text_header(text: str, end: int) -> tuple[int, int, str]:
-    """The dimension, step size and encoding named by the header line ``text[:end]``."""
-    header = _HEADER_RE.match(text, 0, end)  # no copy of a long line
-    blanks = text.count(" ", 0, end) + text.count("\t", 0, end)
-    if header is None or end - blanks > _HEADER_TOKENS:
+def _text_header(line: str) -> tuple[int, int, str]:
+    """The dimension, step size and encoding named by the header line."""
+    header = _HEADER_RE.match(line)
+    if header is None or len(line) - line.count(" ") - line.count("\t") > _HEADER_TOKENS:
         raise DocumentError(
             "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
         )
@@ -470,72 +452,72 @@ def _text_header(text: str, end: int) -> tuple[int, int, str]:
     return k, h, encoding
 
 
-def _text_chunks(windows: Iterable[AnyStr]) -> Iterator[Sequence]:
+def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
     """The header's ``(k, h, encoding)``, then the code chunks of the body
-    of a text document, read by :func:`_body_rows` from its windows, the
-    first window's after its first line.
+    of a text document, read by :func:`_body_rows` from its blocks, the
+    first line taken off the first of them.
 
     The fault raised is the one a parse of the whole decoded text names:
     the first byte that is not UTF-8, else the first stray whitespace,
-    else a header at fault, else the first row at fault. So once a window
-    holds a fault, the windows after it are only decoded and, until stray
-    whitespace turns up, checked for it; the fault is raised at the end.
-    Until then a window's first line is the body's line count; only after
-    a fault are the windows' LFs counted.
+    else a header at fault, else the first row at fault. The header line
+    is decoded and checked for stray whitespace; the body's rows are where
+    a reader refuses them, in :func:`_window_codes`. After a fault the rest
+    of the body, from the rows at fault on, is only decoded, in windows of
+    whole lines, and checked until stray whitespace turns up.
     """
+    from .body_rows import BodyRows
+
     fault: DocumentError | None = None
     spaced = False
-    lineno = 1
-    empty = True
-    body: BodyRows | None = None
 
-    def chunks(text: str, final: bool = False) -> Iterator[Sequence[int]]:
-        nonlocal fault, empty
-        try:
-            for codes in body.feed(text, final):
-                empty = False
-                yield codes
-                del codes  # parse the next rows without these codes
-        except DocumentError as exc:
-            fault = exc
-
-    for window in windows:
-        text = decode_text(window, lineno)
+    def scan(data: bytes, lineno: int) -> str:
+        """``data``, whole lines from line ``lineno`` on, decoded; its first
+        stray whitespace is the fault, unless some is one already."""
+        nonlocal fault, spaced
+        text = decode_text(data, lineno)
         if not spaced:
             try:
                 _check_whitespace(text, lineno)
             except DocumentError as exc:
                 fault, spaced = exc, True
-        if lineno == 1:  # the header's line opens the first window
-            end = text.find("\n") + 1 or len(text)
-            if fault is None:
-                try:
-                    k, h, encoding = _text_header(text, end)
-                except DocumentError as exc:
-                    fault = exc
-                else:
-                    yield k, h, encoding
-                    read = partial(_window_codes, k=k, encoding=encoding)
-                    body = _body_rows(k, encoding, read, lineno=2)
-            text, lineno = text[end:], 2
-        if fault is None and text:
-            yield from chunks(text)
-        if fault is None and body is not None:
-            lineno = body.lineno  # the body has counted its lines as it read them
-        else:
-            lineno += text.count("\n")
-    if fault is None and body is not None:
-        yield from chunks("", final=True)
-    if fault is None and empty:
-        fault = DocumentError("line 2: document has no vertices")
-    if fault is not None:
-        raise fault
+        return text
+
+    blocks, line = iter(blocks), []
+    for block in blocks:
+        end = block.find(b"\n") + 1
+        line.append(block[:end or len(block)])
+        if end:
+            blocks = chain([block[end:]], blocks)
+            break
+    header, lineno, body = scan(b"".join(line), 1), 2, None
+    try:
+        if fault is None:
+            k, h, encoding = _text_header(header)
+            yield k, h, encoding
+            body = _body_rows(k, encoding, partial(_window_codes, k=k, encoding=encoding), lineno=2)
+            empty = True
+            for codes in body.chunks(blocks):
+                empty = False
+                yield codes
+                del codes  # parse the next rows without these codes
+            if not empty:
+                return
+            fault = DocumentError("line 2: document has no vertices")
+    except DocumentError as exc:
+        fault = exc
+        if body is not None:  # the rest opens with the rows at fault
+            held, lineno = body.held
+            blocks = chain([held], blocks)
+    # The rest is only scanned, a window of whole lines at a time, as rows of no codes.
+    for _ in BodyRows(0, b"\n", lambda data, lineno: scan(data, lineno)[:0], 0, lineno).chunks(blocks):
+        pass
+    raise fault
 
 
 def _body_rows(
     k: int,
     encoding: str,
-    read: Callable[[str, int], Sequence[int] | None],
+    read: Callable[[bytes, int], Sequence[int] | None],
     as_json: bool = False,
     lineno: int = 1,
 ) -> BodyRows:
@@ -546,7 +528,7 @@ def _body_rows(
     translates. The module is imported here, so only a parse compiles it."""
     from .body_rows import BodyRows
 
-    sep = _JSON_ROWS[encoding][0][-1] if as_json else "\n"
+    sep = _JSON_ROWS[encoding][0][-1:] if as_json else b"\n"
     if encoding == "ints":
         translates = partial(_int_translates, k=k, sep=sep)
     else:
@@ -555,12 +537,9 @@ def _body_rows(
     return BodyRows(k, sep, read, piece, lineno, translates)
 
 
-def decode_text(data: AnyStr, lineno: int = 1) -> str:
+def decode_text(data: bytes, lineno: int = 1) -> str:
     """``data`` as UTF-8 text, lines unchanged; a byte that is not UTF-8 is
-    named by its line, the first line of ``data`` being line ``lineno``.
-    Text passes through as it is."""
-    if isinstance(data, str):
-        return data
+    named by its line, the first line of ``data`` being line ``lineno``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -574,35 +553,36 @@ def _not_utf8(exc: UnicodeDecodeError, lineno: int) -> DocumentError:
     return DocumentError(f"line {line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}")
 
 
-def _window_codes(window: str, lineno: int, k: int, encoding: str) -> Sequence[int]:
-    """The codes of a window of whole lines whose first is line ``lineno``."""
-    codes = _line_codes(window, k) if encoding == "tuples" else _int_rows(window, "\n")
+def _window_codes(window: bytes, lineno: int, k: int, encoding: str) -> Sequence[int]:
+    """The codes of a window of whole lines whose first is line ``lineno``;
+    only lines the fast readers refuse are decoded and checked."""
+    codes = _line_codes(window, k) if encoding == "tuples" else _int_rows(window, b"\n")
     if codes is None:
-        codes = _text_codes(window.split("\n"), lineno, k, encoding)
+        text = decode_text(window, lineno)
+        _check_whitespace(text, lineno)
+        codes = _text_codes(text.split("\n"), lineno, k, encoding)
     return codes
 
 
-def _line_codes(window: str, k: int) -> array | None:
+def _line_codes(window: bytes, k: int) -> array | None:
     """The codes of LF-ended rows of ``k`` space-separated 0/1 digits, else None."""
     rows, rest = divmod(len(window), 2 * k)
-    if rest or window[1::2] != (" " * (k - 1) + "\n") * rows:
+    if rest or window[1::2] != (b" " * (k - 1) + b"\n") * rows:
         return None
     # " 0" pairs before each LF pad a row to its lane; [-2::-2] keeps its bits
     # and 0s, reversed.
-    return _lane_codes(window.replace("\n", " 0" * (_lane(k) - k) + "\n")[-2::-2], k, rows)
+    return _lane_codes(window.replace(b"\n", b" 0" * (_lane(k) - k) + b"\n")[-2::-2], k, rows)
 
 
-def _int_rows(window: str, sep: str) -> list[int] | None:
+def _int_rows(window: bytes, sep: bytes) -> list[int] | None:
     """The codes of rows of ASCII digits, each ended by ``sep``, read by one
     ``json.loads``; None sends any other window, valid or not, or one of
     no rows, to a slower route, which accepts the same documents and names
     the fault."""
-    digits = b"0123456789" + sep.encode()
-    digits_only = window.isascii() and not window.encode().translate(None, digits)
-    if not digits_only or window[-1:] != sep:
+    if window.translate(None, b"0123456789" + sep) or window[-1:] != sep:
         return None
     try:  # JSON refuses an empty row, a leading zero and a row over the digit limit
-        return json.loads("[" + window[:-1].replace(sep, ",") + "]") or None
+        return json.loads(b"[" + window[:-1].replace(sep, b",") + b"]") or None
     except ValueError:
         return None
 
@@ -612,14 +592,13 @@ def _lane(k: int) -> int:
     return 8 * array(lane_typecode(k)).itemsize
 
 
-def _lane_codes(bits: str, k: int, rows: int) -> array | None:
+def _lane_codes(bits: bytes, k: int, rows: int) -> array | None:
     """The codes of ``rows`` rows of ``k`` 0/1 digits, leftmost coordinate
     first, each padded with 0s to its lane, run together and reversed: one
     base-2 integer whose lane ``i`` is row ``i``, as an ``array``; else None."""
-    data = bits.encode("latin-1", "replace")  # one byte a character
-    if len(data) != rows * _lane(k) or data.translate(None, b"01"):
+    if len(bits) != rows * _lane(k) or bits.translate(None, b"01"):
         return None
-    return unpack(int(data, 2), lane_typecode(k), rows)
+    return unpack(int(bits, 2), lane_typecode(k), rows)
 
 
 def _text_codes(
@@ -719,21 +698,22 @@ def _parse_json(text: str) -> CycleDocument:
     return CycleDocument(h, encoding, VertexPath(k, _json_codes(cycle, k, encoding)))
 
 
-def _json_cycle(blocks: Iterable[str]) -> _Cycle | None:
-    """The header and code chunks of a JSON document from its blocks of
-    text, or None if the first block does not open as ``render_json``
-    writes the text up to the first row.
+def _json_cycle(blocks: Iterable[bytes]) -> _Cycle | None:
+    """The header and code chunks of a JSON document from its blocks, or
+    None if the first block does not open as ``render_json`` writes the
+    text up to the first row.
 
     The header fields are checked first, the ceiling before any work on
     the rows; a refusal returns None, so ``json.loads`` names the fault.
     """
     blocks = iter(blocks)
-    first = next(blocks, "")
+    first = next(blocks, b"")
     prefix = _JSON_HEAD_RE.match(first)
     if prefix is None:
         return None
-    k_digits, h_digits, encoding, nested = prefix.groups()
-    if (encoding == "tuples") != bool(nested):
+    k_digits, h_digits, named, nested = prefix.groups()
+    encoding = "tuples" if nested else "ints"
+    if named != encoding.encode():
         return None
     try:
         k, h = int(k_digits), int(h_digits)
@@ -744,42 +724,47 @@ def _json_cycle(blocks: Iterable[str]) -> _Cycle | None:
 
 
 def _json_chunks(
-    blocks: Iterable[str], k: int, encoding: str
+    blocks: Iterable[bytes], k: int, encoding: str
 ) -> Iterator[Sequence[int] | None]:
-    """The codes of each window of a JSON body, up to None where the body
-    or its tail leaves the renderer's shape."""
+    """The codes of a JSON body, fed block by block, up to None where the
+    body or its tail leaves the renderer's shape. The last ``len(tail)``
+    bytes read are held back from the body: each block less those is fed
+    as a view, after the bytes held back before it, so the body reader's
+    join is its one copy."""
     row_end, tail = _JSON_ROWS[encoding]
-    held = [""]  # the last len(tail) characters, held back from the body
 
-    def body() -> Iterator[str]:
+    def read(rows: bytes, lineno: int) -> Sequence[int] | None:
+        return _grid_codes(rows, k) if encoding == "tuples" else _int_rows(rows, b",")
+
+    body = _body_rows(k, encoding, read, as_json=True)
+
+    def fed() -> Iterator[Iterable[Sequence[int] | None]]:
+        held = b""
         for block in blocks:
-            data = held[0] + block
-            held[0] = data[-len(tail):]
-            yield data[:-len(tail)]
-        yield row_end  # the last row ends as the others do
+            if len(block) < len(tail):
+                held, block = b"", held + block
+            cut = max(len(block) - len(tail), 0)
+            yield body.feed(held, memoryview(block)[:cut])
+            held = block[cut:]
+        yield body.feed(row_end, final=True)  # the last row ends as the others do
+        if held != tail:
+            yield [None]
 
-    def read(rows: str, lineno: int) -> Sequence[int] | None:
-        return _grid_codes(rows, k) if encoding == "tuples" else _int_rows(rows, ",")
-
-    rows = _body_rows(k, encoding, read, as_json=True)
-    windows = map(rows.feed, _windows(body(), row_end[-1]))
-    for codes in chain(chain.from_iterable(windows), rows.feed("", final=True)):
+    for codes in chain.from_iterable(fed()):
         yield codes
         if codes is None:
             return
-    if held[0] != tail:
-        yield None
 
 
-def _grid_codes(grid: str, k: int) -> array | None:
+def _grid_codes(grid: bytes, k: int) -> array | None:
     """The codes of rows ``b,...,b],[`` of ``k`` 0/1 digits, else None."""
     rows, rest = divmod(len(grid), 2 * k + 2)
-    if rest or grid[1::2] != ("," * (k - 1) + "][") * rows:
+    if rest or grid[1::2] != (b"," * (k - 1) + b"][") * rows:
         return None
     digits = grid[-2::-2]  # each row's "," then its k digits, reversed
-    if digits[::k + 1] != "," * rows or digits.count(",") != rows:  # no "," among the bits
+    if digits[::k + 1] != b"," * rows or digits.count(b",") != rows:  # no "," among the bits
         return None
-    return _lane_codes(digits.replace(",", "0" * (_lane(k) - k)), k, rows)
+    return _lane_codes(digits.replace(b",", b"0" * (_lane(k) - k)), k, rows)
 
 
 def _json_codes(cycle: list, k: int, encoding: str) -> tuple[int, ...]:

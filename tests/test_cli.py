@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -973,7 +974,7 @@ class TestVerifyByRendering:
         with mock.patch.object(body_rows.BodyRows, "_translate", spy), \
                 mock.patch.object(document, "_int_rows", wraps=document._int_rows) as int_rows:
             verify_outcome(target)
-        return proven, [rows.count("\n") + rows.count(",") for (rows, _), _ in int_rows.call_args_list]
+        return proven, [rows.count(b"\n") + rows.count(b",") for (rows, _), _ in int_rows.call_args_list]
 
 
 def tuples_file(target, k, h, codes, as_json, crlf=False):
@@ -1052,6 +1053,118 @@ class TestVerifyTuplesByFlips:
             fed = [call.args[1] for call in feed.call_args_list]
             read = [c for chunk in fed if not isinstance(chunk, core.Translate) for c in chunk]
             assert read == [c for i in pieces for c in codes[i * 4096:(i + 1) * 4096]]
+
+
+# Bytes no renderer writes, so never in a proven piece or in rows a fast
+# reader takes: each is found only where those are refused.
+STRAY = [b"\xff", b"\xe2\x82", b"\v", b"\r", "\u3000".encode(), b"\t", b" "]
+
+
+@st.composite
+def stray_translate_files(draw):
+    """(data, piece rows): a rendered document of a closed-form cycle in
+    one of the four formats, whose pieces of 16 to 64 rows are translates
+    of the first and many enough to be proven by rendering, with one or
+    two of STRAY inserted into its later pieces or put in place of one of
+    their bytes, and perhaps a text header at fault."""
+    piece = draw(st.sampled_from([16, 32, 64]))
+    k = draw(st.integers(piece.bit_length() + 3, 10))  # 2**k >= 16 * piece
+    h = draw(st.sampled_from(range(1, k, 2)))
+    render, encoding = draw(st.sampled_from([render_text, render_json])), draw(st.sampled_from(ENCODINGS))
+    codes = construct(k, h).path.codes
+    data = render(CycleDocument(h, encoding, VertexPath(k, codes))).encode()
+    # Piece 1 opens where the document of piece 0 alone ends its rows.
+    start = len(render(CycleDocument(h, encoding, VertexPath(k, codes[:piece]))))
+    end = len(data)
+    if render is render_json:
+        start, end = start - len(document._JSON_TAIL) + 1, end - len(document._JSON_TAIL)
+    for i in sorted(draw(st.lists(st.integers(start, end - 1), min_size=1, max_size=2)), reverse=True):
+        replace = draw(st.booleans())
+        data = data[:i] + draw(st.sampled_from(STRAY)) + data[i + replace:]
+    if render is render_text and draw(st.booleans()):
+        data = data.replace(b" closed=true", b" closed=maybe", 1)
+    return data, piece
+
+
+def stray_fault(data):
+    """The error a text document's first byte that is not UTF-8, else its
+    first stray whitespace, raises, found by decoding it whole and one
+    search; None if it holds neither."""
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as exc:
+        line = 1 + data.count(b"\n", 0, exc.start)
+        return f"error: line {line}: not UTF-8: byte {data[exc.start]:#04x}, {exc.reason}\n"
+    stray = re.search(r"[^\S \t\n\r]|\r(?!\n)", text)
+    if stray is None:
+        return None
+    line = 1 + text.count("\n", 0, stray.start())
+    return f"error: line {line}: whitespace {stray.group()!r} is not a space, tab or line end\n"
+
+
+class TestVerifyAsBytes:
+    @given(
+        stray_translate_files(),
+        st.sampled_from([7, 64, 1000, 1 << 20]),
+        st.sampled_from([64, 1 << 12]),
+    )
+    # A bad byte after stray whitespace, a cut character, a bare CR, a
+    # vertical tab that str.split() would drop, and a tab in place of a
+    # tuples space, which the per-line loop accepts.
+    @example((render_text(CycleDocument(3, "ints", construct(9, 3).path)).encode()
+              .replace(b"\n301\n", b"\n3\v01\n").replace(b"\n300\n", b"\n3\xff00\n"), 16), 7, 64)
+    @example((render_text(CycleDocument(3, "ints", construct(9, 3).path)).encode()
+              .replace(b"\n300\n", b"\n30\xe2\x820\n"), 16), 1000, 64)
+    @example((render_text(CycleDocument(3, "ints", construct(9, 3).path)).encode()
+              .replace(b"\n300\n", b"\n300\r"), 16), 64, 1 << 12)
+    @example((render_text(CycleDocument(3, "ints", construct(9, 3).path)).encode()
+              .replace(b"\n300\n", b"\n300\v\n"), 16), 1 << 20, 1 << 12)
+    @example((render_text(CycleDocument(3, "tuples", construct(9, 3).path)).encode()
+              .replace(b"\n1 1 1 1 1 1 1 1 1\n", b"\n1 1 1\t1 1 1 1 1 1\n"), 16), 7, 64)
+    def test_a_stray_byte_in_a_proven_piece_gets_the_whole_document_verdict(self, case, window, head):
+        # Proven pieces and rows a fast reader takes are not decoded or
+        # scanned for whitespace: a byte no renderer writes, put in a later
+        # piece of any format, read in blocks that cut pieces anywhere,
+        # moves no fault, line number or precedence of the whole parse.
+        data, piece = case
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            document, _WINDOW_CHARS=window, _HEAD_BYTES=head
+        ), mock.patch.object(core, "PIECE_CODES", piece):
+            target = Path(tmp) / "doc"
+            target.write_bytes(data)
+            outcome = verify_outcome(target)[0]
+            assert outcome == verify_outcome(target, whole=True)[0]
+        fault = None if data.startswith(b"{") else stray_fault(data)
+        if fault is not None:  # named as a search of the decoded text names it
+            assert outcome == (1, "", fault)
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    @pytest.mark.parametrize("render", [render_text, render_json])
+    def test_only_a_text_header_is_decoded(self, render, encoding, tmp_path):
+        # Of a valid k=17 document, the body reader is fed the file's bytes,
+        # and the header line of a text document is all that is decoded or
+        # scanned for stray whitespace; of a JSON document, nothing is.
+        text = render(CycleDocument(3, encoding, construct(17, 3).path))
+        target = tmp_path / "doc"
+        target.write_text(text)
+        spies = {
+            name: mock.patch.object(document, name, wraps=getattr(document, name))
+            for name in ("decode_text", "_check_whitespace", "_stray_whitespace")
+        }
+        with contextlib.ExitStack() as stack:
+            called = {name: stack.enter_context(spy) for name, spy in spies.items()}
+            feed = stack.enter_context(mock.patch.object(
+                body_rows.BodyRows, "feed", autospec=True, side_effect=body_rows.BodyRows.feed
+            ))
+            outcome = verify_outcome(target)
+        assert outcome == ((0, "valid: change-3 cycle on 131072 vertices in dimension 17\n", ""), False)
+        header = [] if render is render_json else [text[:text.index("\n") + 1]]
+        assert [call.args[0] for call in called["decode_text"].call_args_list] == [line.encode() for line in header]
+        assert [call.args[0] for call in called["_check_whitespace"].call_args_list] == header
+        assert [call.args[0] for call in called["_stray_whitespace"].call_args_list] == header
+        parts = [part for call in feed.call_args_list for part in call.args[1:]]
+        assert sum(map(len, parts)) > len(text) - 4096
+        assert {type(part.obj if isinstance(part, memoryview) else part) for part in parts} == {bytes}
 
 
 class TestOracle:

@@ -631,9 +631,9 @@ def test_translate_rows_are_the_rows_str_writes(case):
     # shift's rows, rendered in turn by one Translates, are str of each
     # code joined by the separator.
     k, first, sep, shifts = case
-    translates = decimal_rows.Translates(first, k, sep)
+    translates = decimal_rows.Translates(first, k, sep.encode())
     for shift in shifts:
-        assert translates.text(shift) == sep.join(str(c ^ shift) for c in first), shift
+        assert translates.text(shift) == sep.join(str(c ^ shift) for c in first).encode(), shift
 
 
 @st.composite
@@ -664,9 +664,9 @@ def test_rows_of_mixed_digit_counts_are_the_rows_str_writes(case):
     # rows have w and w - 1 digits, or fewer, or are 0, is what str()
     # writes, row by row.
     k, first, sep, shifts = case
-    translates = decimal_rows.Translates(first, k, sep)
+    translates = decimal_rows.Translates(first, k, sep.encode())
     for shift in shifts:
-        assert translates.text(shift) == sep.join(map(str, (c ^ shift for c in first))), shift
+        assert translates.text(shift) == sep.join(map(str, (c ^ shift for c in first))).encode(), shift
 
 
 def coordinate_rows(k, codes, as_json):
@@ -703,10 +703,10 @@ def test_flipped_rows_are_the_rows_written_code_by_code(case):
     for shift in [0, *shifts]:
         codes = [c ^ shift for c in first]
         written, cut = coordinate_rows(k, codes, as_json)
-        assert translates.written(shift) == written, shift
-        assert translates.text(shift) == cut, shift
+        assert translates.written(shift) == written.encode(), shift
+        assert translates.text(shift) == cut.encode(), shift
         row = translates.row(codes[-1])
-        assert cut.endswith(row) and translates.code(row) == codes[-1]
+        assert cut.encode().endswith(row) and translates.code(row) == codes[-1]
     # Rendered from the first piece's codes and views of its translates,
     # or found to be translates among plain codes, pieces of len(first).
     template = core.Template(first, k)
@@ -745,11 +745,11 @@ def test_a_piece_that_is_no_translate_is_written_by_format(as_json):
     codes = [*first, *changed, *(c ^ (1 << k) for c in first), *(c ^ 6 for c in first)]
     with mock.patch.object(core, "PIECE_CODES", len(first)):
         text = "".join(document.render_pieces(k, 1, "ints", [array("H", codes)], as_json=as_json))
-        translates = decimal_rows.Translates(first, k, "\n")
+        translates = decimal_rows.Translates(first, k, b"\n")
         shifts = [translates.shift_of(codes[i:i + 5]) for i in (5, 10, 15)]
     assert text == joined_ints(k, 1, codes, as_json)
     assert shifts == [None, None, 6]
-    assert translates.text(6) == "\n".join(map(str, codes[15:]))
+    assert translates.text(6) == "\n".join(map(str, codes[15:])).encode()
 
 
 @pytest.mark.parametrize("k", [12, 15])
@@ -776,7 +776,7 @@ def int_rows_by_str_translate(window, sep):
 @example("12\n0\n", "\n")
 @example("\u0661\n", "\n")
 def test_int_rows_take_the_windows_they_took_before(window, sep):
-    assert document._int_rows(window, sep) == int_rows_by_str_translate(window, sep)
+    assert document._int_rows(window.encode(), sep.encode()) == int_rows_by_str_translate(window, sep)
 
 
 @pytest.mark.parametrize("render", [render_text, render_json])
@@ -972,6 +972,26 @@ def test_render_and_parse_hold_one_block_of_rows():
         parsed, parse_extra = bytes_beyond_result(parse_document, text)
     assert parsed == doc
     assert render_extra >> k < 16 and parse_extra >> k < 16
+
+
+@pytest.mark.parametrize("encoding", ENCODINGS)
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_parse_document_proves_every_later_piece(render, encoding):
+    # A text is encoded once and read as verify reads a file: each of the
+    # 31 later pieces of a rendered k=17 cycle is proven as a translate,
+    # and the document is the one rendered.
+    doc = CycleDocument(3, encoding, construct(17, 3).path)
+    proven = []
+    translate = body_rows.BodyRows._translate
+
+    def spy(self, text, pos):
+        lanes = translate(self, text, pos)
+        proven.append(lanes is not None)
+        return lanes
+
+    with mock.patch.object(body_rows.BodyRows, "_translate", spy):
+        assert parse_document(render(doc)) == doc
+    assert proven == [True] * 31
 
 
 @given(

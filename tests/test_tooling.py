@@ -53,6 +53,18 @@ def test_only_core_knows_the_host_byte_order():
     assert found == {"byteorder": {"core.py"}, "byteswap": {"core.py"}}
 
 
+def test_the_body_reader_keeps_the_bytes_it_is_fed():
+    # body_rows reads a body as the file's bytes; a decode or an encode in
+    # it would be a second representation of the rows on the route.
+    path = Path(leaper_cycles.__file__).parent / "body_rows.py"
+    calls = [
+        node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+    ]
+    assert calls and not {"decode", "encode", "decode_text"} & set(calls)
+
+
 def unused_imports(source):
     """The names ``source`` imports and never uses, but those in its
     ``__all__`` and those on a line marked ``# noqa: F401``. A name used
