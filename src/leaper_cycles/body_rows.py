@@ -57,8 +57,8 @@ class BodyRows:
         sep: bytes,
         read: Callable[[bytes, int], Sequence[int] | None],
         piece: int,
-        lineno: int = 1,
-        translates: Callable[[list[int]], Template] | None = None,
+        lineno: int,
+        translates: Callable[[list[int]], Template],
     ) -> None:
         self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
         self._make = translates

@@ -22,7 +22,7 @@ from enum import Enum
 from itertools import chain, islice
 
 from . import core
-from .core import Translate, VertexPath, check_dimension, lane_typecode, pack
+from .core import VertexPath, check_dimension, lane_typecode
 from .graycode import gray_tour
 from .transforms import (
     append_coordinate,
@@ -176,22 +176,20 @@ def _code_chunks(k: int, h: int) -> Iterator[Sequence[int]]:
     built by doubling, codes ``[2**i, 2**(i+1))`` being ``_code(h, 2**i)``
     xor'ed onto codes ``[0, 2**i)``, and the piece starting at index j is
     the first piece with ``_code(h, j)`` xor'ed onto every code: the
-    :class:`~.core.Translate` by ``_code(h, j)`` of the first piece,
-    packed once by :func:`~.core.pack`, made in O(1).
+    :class:`~.core.Translate` by ``_code(h, j)`` of the first piece's
+    :class:`~.core.Template`, made in O(1).
     """
     size = min(1 << k, core.PIECE_CODES)
     codes = [0]
     while len(codes) < size:
         # islice reads only the codes already there as the list grows.
         codes.extend(map(_code(h, len(codes)).__xor__, islice(codes, len(codes))))
-    typecode = lane_typecode(k)
-    lanes = array(typecode, codes)
+    lanes = array(lane_typecode(k), codes)
     del codes
-    first = pack(lanes)
-    one = pack(array(typecode, [1]) * size)
+    template = core.Template(lanes, k)
     yield lanes
     for start in range(size, 1 << k, size):
-        yield Translate(first, one, _code(h, start), typecode, size)
+        yield template.translate(_code(h, start))
 
 
 def _code(h: int, j: int) -> int:

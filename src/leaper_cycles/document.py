@@ -43,8 +43,9 @@ by one ``json.loads``, and ``tuples`` rows as one base-2 integer whose
 bytes are an ``array`` of :func:`~.core.lane_typecode`'s lanes. These
 are ASCII by construction, so only a text header's line, rows they
 refuse, which go through the per-line loop that names the line at
-fault, and the rest of a body after a fault are decoded and checked for
-stray whitespace. Any other JSON goes to ``json.loads`` whole.
+fault, and the rest of a document after a fault, a block at a time,
+are decoded and checked for stray whitespace. Any other JSON goes to
+``json.loads`` whole.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, BinaryIO, TypeVar
 
 from . import core
@@ -84,6 +85,8 @@ _FIELD_PIECES = 16  # pieces of a cycle that pay for the fields of ints rows
 _WINDOW_CHARS = 1 << 20  # bytes of body a parser reads at once
 _HEAD_BYTES = 1 << 12  # what a parser reads first, enough for a JSON header
 _HEADER_TOKENS = 1 << 16  # characters but spaces and tabs a text header line may hold
+_NOT_TOKENS = b" \t" + bytes(range(0x80, 0xC0))  # spaces, tabs and UTF-8 continuation bytes
+_QUOTED = 40  # characters of a token an error quotes
 _Seq = TypeVar("_Seq", bytes, "tuple[int, ...]")
 # A document's k, h, encoding and code chunks; a chunk of None leaves the fast route.
 _Cycle = tuple[int, int, str, Iterator["Sequence[int] | None"]]
@@ -318,15 +321,16 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     ``fh`` is a binary file at its start. Its first 4 KiB are read, enough
     for a JSON header, then blocks of about 1 MiB, whose bytes the body
     reader takes as they are read, so no more than a block and the rows
-    cut by its edge are held. Each run of spaces and tabs in a text
-    header's line is carried as one space. Returns ``(k, h, encoding,
-    chunks)`` for a text document whose first byte is ASCII and neither
-    ``{`` nor whitespace, and for a JSON document that opens as the
-    renderer writes it; None for any other document, which
-    :func:`parse_document` reads whole.
+    cut by its edge are held, and of a text header's line about its
+    characters other than spaces and tabs, as :func:`_text_chunks` says.
+    Returns ``(k, h, encoding, chunks)`` for a text document whose first
+    byte is ASCII and neither ``{`` nor whitespace, and for a JSON
+    document that opens as the renderer writes it; None for any other
+    document, which :func:`parse_document` reads whole.
 
     A fault in a text document is raised as a DocumentError with the
-    text that ``parse_document`` of the whole decoded file raises. In
+    text that ``parse_document`` of the whole decoded file raises; the
+    scan for a fault named before it holds one block at a time. In
     JSON, a chunk of None means the body or its tail is not in the
     renderer's shape, and the file is to be parsed whole instead.
     """
@@ -338,7 +342,7 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
     # so an ASCII byte it keeps opens a text document.
     if lead.isascii() and lead.strip():
-        return _text_cycle(_header_collapsed(blocks))
+        return _text_cycle(blocks)
     return None
 
 
@@ -367,68 +371,6 @@ def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
     return (seq[i:i + size] for i in range(start, len(seq), size))
 
 
-def _header_collapsed(blocks: Iterable[bytes]) -> Iterator[bytes]:
-    """``blocks`` with each run of spaces and tabs in the first line made
-    one space, which the header check reads as it read the run; a header
-    line of any length is then carried at about the length of its tokens.
-    A pass cuts a run of n spaces to about n/32, and ``replace`` hands
-    back a block without runs as it is.
-
-    The line is decoded as it comes, and a byte that is not UTF-8 raised
-    as :func:`decode_text` names it. Once it holds more than
-    _HEADER_TOKENS characters other than spaces and tabs, which
-    :func:`_text_header` refuses, the rest of it is carried as ``x``,
-    then, if it has one, its first stray whitespace and ``x`` again, which
-    the whitespace check names as it would have named it in place."""
-    blocks = iter(blocks)
-    utf8 = codecs.getincrementaldecoder("utf-8")()
-    tokens = 0
-    stray = cr = ""  # the rest's first stray whitespace; a CR the next block decides
-    for block in blocks:
-        line_end = block.find(b"\n") + 1
-        cut = line_end or len(block)
-        line, rest = block[:cut], block[cut:]
-        del block  # a copy of the line is not held beside the block
-        try:
-            text = utf8.decode(line, final=bool(line_end))
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc, 1) from None
-        if tokens <= _HEADER_TOKENS:
-            tokens += len(text) - text.count(" ") - text.count("\t")
-            if tokens > _HEADER_TOKENS and not line_end:
-                # The rest decides a character, or a CR, this block ends with.
-                line = line[:len(line) - len(utf8.getstate()[0])]
-                if line.endswith(b"\r"):
-                    line, cr = line[:-1], "\r"
-            line = line.replace(b"\t", b" ")
-            while b"  " in line:
-                line = line.replace(b" " * 16, b" ").replace(b"  ", b" ")
-        else:
-            if not stray:
-                text = cr + text if cr else text
-                cr = "\r" if text.endswith("\r") else ""
-                found = _stray_whitespace(text[:-1] if cr else text)
-                stray = found.group() if found else ""
-            line = _carried(stray) + b"\n" if line_end else b""
-        yield line + rest
-        if line_end:
-            break
-    else:  # the file ends on the first line
-        try:
-            utf8.decode(b"", final=True)
-        except UnicodeDecodeError as exc:
-            raise _not_utf8(exc, 1) from None
-        if tokens > _HEADER_TOKENS:
-            yield _carried(stray or cr)
-    yield from blocks
-
-
-def _carried(stray: str) -> bytes:
-    """What the first line carries of its rest past _HEADER_TOKENS, whose
-    first stray whitespace is ``stray``, or "" if it has none."""
-    return b"x" + (stray.encode() + b"x" if stray else b"")
-
-
 def _text_cycle(blocks: Iterable[bytes]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
     """The header and code chunks of a text document from its blocks. A
     header at fault is raised only once :func:`_text_chunks` has scanned
@@ -438,80 +380,85 @@ def _text_cycle(blocks: Iterable[bytes]) -> tuple[int, int, str, Iterator[Sequen
     return k, h, encoding, chunks
 
 
-def _text_header(line: str) -> tuple[int, int, str]:
-    """The dimension, step size and encoding named by the header line."""
-    header = _HEADER_RE.match(line)
-    if header is None or len(line) - line.count(" ") - line.count("\t") > _HEADER_TOKENS:
-        raise DocumentError(
-            "line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'"
-        )
-    k = _header_int("k", header.group(1))
-    h = _header_int("h", header.group(2))
-    encoding = header.group(3)
-    _check_header(k, h, encoding)
-    return k, h, encoding
-
-
 def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
     """The header's ``(k, h, encoding)``, then the code chunks of the body
     of a text document, read by :func:`_body_rows` from its blocks, the
     first line taken off the first of them.
+
+    The first line is held with each run of spaces and tabs in it made one
+    space, which the header check reads as it read the run, and is refused
+    once it holds more than _HEADER_TOKENS characters other than spaces
+    and tabs, its LF included: the bytes that are not UTF-8 continuation
+    bytes count them. So a line of any length is held at about the length
+    of its tokens, and the rest of one past the bound is not held.
 
     The fault raised is the one a parse of the whole decoded text names:
     the first byte that is not UTF-8, else the first stray whitespace,
     else a header at fault, else the first row at fault. The header line
     is decoded and checked for stray whitespace; the body's rows are where
     a reader refuses them, in :func:`_window_codes`. After a fault the rest
-    of the body, from the rows at fault on, is only decoded, in windows of
-    whole lines, and checked until stray whitespace turns up.
+    of the document, from line 1 or the rows at fault on, goes to
+    :func:`_text_fault`.
     """
-    from .body_rows import BodyRows
-
-    fault: DocumentError | None = None
-    spaced = False
-
-    def scan(data: bytes, lineno: int) -> str:
-        """``data``, whole lines from line ``lineno`` on, decoded; its first
-        stray whitespace is the fault, unless some is one already."""
-        nonlocal fault, spaced
-        text = decode_text(data, lineno)
-        if not spaced:
-            try:
-                _check_whitespace(text, lineno)
-            except DocumentError as exc:
-                fault, spaced = exc, True
-        return text
-
-    blocks, line = iter(blocks), []
-    for block in blocks:
-        end = block.find(b"\n") + 1
-        line.append(block[:end or len(block)])
-        if end:
-            blocks = chain([block[end:]], blocks)
-            break
-    header, lineno, body = scan(b"".join(line), 1), 2, None
+    blocks, line, tokens, body = iter(blocks), [], 0, None
     try:
-        if fault is None:
-            k, h, encoding = _text_header(header)
-            yield k, h, encoding
-            body = _body_rows(k, encoding, partial(_window_codes, k=k, encoding=encoding), lineno=2)
-            empty = True
-            for codes in body.chunks(blocks):
-                empty = False
-                yield codes
-                del codes  # parse the next rows without these codes
-            if not empty:
-                return
-            fault = DocumentError("line 2: document has no vertices")
-    except DocumentError as exc:
-        fault = exc
-        if body is not None:  # the rest opens with the rows at fault
-            held, lineno = body.held
-            blocks = chain([held], blocks)
-    # The rest is only scanned, a window of whole lines at a time, as rows of no codes.
-    for _ in BodyRows(0, b"\n", lambda data, lineno: scan(data, lineno)[:0], 0, lineno).chunks(blocks):
-        pass
-    raise fault
+        for block in blocks:
+            end = block.find(b"\n") + 1
+            part = block[:end or len(block)]
+            if end:
+                blocks = chain([block[end:]], blocks)
+            del block  # a copy of the line is not held beside the block
+            tokens += len(part.translate(None, _NOT_TOKENS))
+            part = part.replace(b"\t", b" ")
+            while b"  " in part:  # a pass cuts a run of n spaces to about n/32
+                part = part.replace(b" " * 16, b" ").replace(b"  ", b" ")
+            line.append(part)
+            if end or tokens > _HEADER_TOKENS:
+                break
+        # A line past the bound is refused as a header the regex does not match.
+        header = "" if tokens > _HEADER_TOKENS else decode_text(b"".join(line))
+        _check_whitespace(header)
+        match = _HEADER_RE.match(header)
+        if match is None:
+            raise DocumentError("line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'")
+        k, h, encoding = _header_int("k", match[1]), _header_int("h", match[2]), match[3]
+        _check_header(k, h, encoding)
+        yield k, h, encoding
+        body = _body_rows(k, encoding, partial(_window_codes, k=k, encoding=encoding), lineno=2)
+        empty = True
+        for codes in body.chunks(blocks):
+            empty = False
+            yield codes
+            del codes  # parse the next rows without these codes
+        if empty:
+            raise DocumentError("line 2: document has no vertices")
+    except DocumentError as fault:
+        held, lineno = (line, 1) if body is None else ([body.held[0]], body.held[1])
+        raise _text_fault(chain(held, blocks), lineno) or fault from None
+
+
+def _text_fault(blocks: Iterable[bytes], lineno: int) -> DocumentError | None:
+    """The first stray whitespace of the text of ``blocks``, whose first
+    line is line ``lineno``, as :func:`_check_whitespace` names it, or None;
+    the first byte that is not UTF-8, named as :func:`decode_text` names
+    it, is raised. A block is decoded at a time, and a character or a CR
+    its end cuts is decided with the next."""
+    utf8, cr, stray = codecs.getincrementaldecoder("utf-8")(), "", None
+    for block, final in chain(zip(blocks, repeat(False)), [(b"", True)]):
+        try:
+            text = cr + utf8.decode(block, final)
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, lineno) from None
+        if stray is None:
+            cr = "\r" if text.endswith("\r") and not final else ""
+            try:
+                _check_whitespace(text[:len(text) - len(cr)], lineno)
+            except DocumentError as exc:
+                stray = exc
+        del text  # not held beside the next block's
+        if b"\n" in block:  # the search is far cheaper than a count, and a long line has none
+            lineno += block.count(b"\n")
+    return stray
 
 
 def _body_rows(
@@ -621,7 +568,7 @@ def _text_codes(
                 if tok not in ("0", "1"):
                     raise DocumentError(
                         f"line {lineno}: position {pos + 1}: coordinate must "
-                        f"be 0 or 1, got {tok!r}"
+                        f"be 0 or 1, got {_quoted(tok)}"
                     )
                 bits |= int(tok) << pos
             codes.append(bits)
@@ -633,7 +580,7 @@ def _text_codes(
             tok = tokens[0]
             if not (tok.isascii() and tok.isdigit()):
                 raise DocumentError(
-                    f"line {lineno}: vertex code must be ASCII digits, got {tok!r}"
+                    f"line {lineno}: vertex code must be ASCII digits, got {_quoted(tok)}"
                 )
             try:
                 codes.append(int(tok))
@@ -808,4 +755,11 @@ def _check_header(k: object, h: object, encoding: object) -> None:
     except CapacityError as exc:
         raise DocumentError(f"line 1: {exc}") from None
     if encoding not in ENCODINGS:
-        raise DocumentError(f"line 1: unknown encoding {encoding!r}")
+        raise DocumentError(f"line 1: unknown encoding {_quoted(encoding)}")
+
+
+def _quoted(value: object) -> str:
+    """``repr(value)`` of at most about _QUOTED characters: a longer one is
+    cut there and ends in "...", so an error quotes a bounded token."""
+    text = repr(value[:_QUOTED + 1] if isinstance(value, str) else value)
+    return text if len(text) <= _QUOTED else text[:_QUOTED] + "..."

@@ -102,7 +102,11 @@ class CycleChecker:
     so only the step into it is new. A :class:`~.core.Translate` of the
     reference, as long as a block and fed while none is held, is such a
     block, ``c ^ origin`` its ``shift``, and is taken so without its
-    lanes; any other is fed as its lanes. Every coset taken whole shares
+    lanes. Such a Translate of another block whose lanes are a coset of
+    V inside the dimension makes that block the reference, as the body
+    reader moves its template on past a piece 0 at fault; V is
+    unchanged, so every page stays valid. Any other Translate is fed as
+    its lanes. Every coset taken whole shares
     one page of ones, ``bytes``, which is never written, as every index
     of it is set. Any other block has all its lanes reduced at once on
     their integer; then each code, in index order, is named outside the
@@ -150,8 +154,12 @@ class CycleChecker:
     def feed(self, codes: Sequence[int]) -> None:
         """Check the next ``codes`` of the path."""
         if isinstance(codes, Translate):
-            aligned = not self._held and self._origin is not None and len(codes) == self._size
-            if aligned and codes.packed == self._block0 and self._take(codes.shift):
+            whole = len(codes) == self._size and codes.typecode == self._typecode
+            if (
+                whole and not self._held and self._origin is not None
+                and (codes.packed == self._block0 or self._reference(codes.packed))
+                and self._take(codes.shift)
+            ):
                 self._last, self._count = self._end ^ codes.shift, self._count + self._size
                 return
             codes = codes.lanes()
@@ -207,7 +215,8 @@ class CycleChecker:
         lanes = _lanes(block, self._typecode)
         packed = 0 if lanes is None else pack(lanes)
         if self._seen is None and self._origin is None:
-            if not self._reference(lanes, packed):
+            whole = lanes is not None and len(lanes) == self._size <= self._n
+            if not (whole and self._reference(packed)):
                 if self._pending is None:
                     self._pending = (block, lanes, packed)
                     return
@@ -235,21 +244,27 @@ class CycleChecker:
         self._last = block[-1]
         self._count += len(block)
 
-    def _reference(self, lanes: array | None, packed: int) -> bool:
-        """Whether a block, ``lanes`` and ``packed``, their integer, is the
-        reference the class docstring describes; if it is, take it as such."""
-        if lanes is None or len(lanes) < self._size or self._size > self._n:
+    def _reference(self, packed: int) -> bool:
+        """Whether a whole block of lanes, ``packed``, is a reference the
+        class docstring describes, a coset of V once V is known; if it is,
+        take it as the reference."""
+        typecode, size, k = self._typecode, self._size, self._k
+        bits = 8 * array(typecode).itemsize
+        one = _lane_masks(bits // 8, size)[0]
+        if packed & ((1 << bits) - (1 << k)) * one:
             return False
-        width, k = lanes.itemsize, self._k
-        one = _lane_masks(width, len(lanes))[0]
-        if packed & ((1 << 8 * width) - (1 << k)) * one:
-            return False
-        basis = _subspace_basis(packed ^ lanes[0] * one, self._typecode, len(lanes))
+        origin = packed & ((1 << bits) - 1)
+        basis = _subspace_basis(packed ^ origin * one, typecode, size)
         if basis is None:
             return False
-        self._block0, self._origin, self._end, self._basis = packed, lanes[0], lanes[-1], basis
-        if not _packed_chunk_passes(packed, None, width, len(lanes), k, self._h):
-            self._inner = _step_faults(lanes, None, self._h)
+        if self._origin is None:
+            self._basis = basis
+        elif any(self._coset(vector)[0] for _, vector in basis):  # a subspace other than V
+            return False
+        self._block0, self._origin, self._end = packed, origin, packed >> bits * (size - 1)
+        self._inner = []
+        if not _packed_chunk_passes(packed, None, bits // 8, size, k, self._h):
+            self._inner = _step_faults(unpack(packed, typecode, size), None, self._h)
         return True
 
     def _take_whole(self, lanes: array | None, packed: int) -> bool:

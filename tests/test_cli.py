@@ -650,14 +650,32 @@ class TestVerifyWindows:
     @pytest.mark.parametrize("rows", [b"\n0\n1\n3\n2\n", b""], ids=["rows", "no-LF"])
     def test_a_header_line_past_its_bound_is_not_held(self, rows, tmp_path, monkeypatch):
         # A first line of 40 MiB of "x" peaked at a VmHWM of 98 MB, carried
-        # whole only to be refused; past _HEADER_TOKENS the rest of the line
-        # is decoded and dropped as it comes, and the refusal is the same.
-        # What is held is a few times _HEADER_TOKENS, whatever the size.
+        # whole only to be refused; past _HEADER_TOKENS the line is no
+        # longer held, and the rest is scanned a block at a time, so what
+        # is held is a block and a few times _HEADER_TOKENS, whatever the size.
         monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
         size = 8 << 20
         target = tmp_path / "doc"
         target.write_bytes(b"x" * size + rows)
         refusal = "error: line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'\n"
+        assert verify_outcome(target) == ((1, "", refusal), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
+    def test_the_scan_after_a_fault_holds_one_block(self, tmp_path, monkeypatch):
+        # A bad row on line 3, then a line of 40 MiB with no LF, was read
+        # for stray whitespace a whole line at a time: 0.42 s, at a VmHWM of
+        # 101 MB. The scan after a fault now holds a block at a time.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 8 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + b"0\nx\n" + b"y" * size)
+        refusal = "error: line 3: vertex code must be ASCII digits, got 'x'\n"
         assert verify_outcome(target) == ((1, "", refusal), False)
         tracemalloc.start()
         try:
@@ -702,12 +720,20 @@ class TestVerifyWindows:
         line = bytearray(HEADER)
         for at, piece, times in changes:
             line[at:at] = piece * times
+        data = bytes(line) + rows
         with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
             document, _HEADER_TOKENS=bound, _WINDOW_CHARS=window, _HEAD_BYTES=head
         ):
             target = Path(tmp) / "doc"
-            target.write_bytes(bytes(line) + rows)
-            assert verify_outcome(target)[0] == verify_outcome(target, whole=True)[0]
+            target.write_bytes(data)
+            outcome = verify_outcome(target)[0]
+            assert outcome == verify_outcome(target, whole=True)[0]
+        # Both parses share the header loop; past the bound, what the
+        # document holds of faults is found by a decode of it and one search.
+        first = data[:data.find(b"\n") + 1 or len(data)].decode(errors="replace")
+        if len(first) - first.count(" ") - first.count("\t") > bound:
+            refusal = "error: line 1: expected header '# k=<k> h=<h> encoding=<enc> closed=true'\n"
+            assert outcome == (1, "", stray_fault(data) or refusal)
 
     @pytest.mark.parametrize("h", ["0", "-3"])
     @pytest.mark.parametrize("rows", [b"0\n1\n3\n2\n", b"0\nx\n3\n2\n"], ids=["valid", "bad-row"])
@@ -772,6 +798,26 @@ class TestVerifyWindows:
         report = verify_cycle(VertexPath(2, (0,) * rows), 1)
         assert (report.total, len(report.violations)) == (200000, 1000)
         assert lines[1:-1] == list(map(str, report.violations))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            HEADER + b"0\n2" + b"y" * (1 << 20) + b"\n",
+            HEADER.replace(b"ints", b"tuples") + b"0 2" + b"y" * (1 << 20) + b"\n",
+            HEADER.replace(b"ints", b"y" * 60000),
+            JSON_INTS.replace(b'"ints"', b'"' + b"y" * (1 << 20) + b'"'),
+        ],
+        ids=["ints", "tuples", "header", "json"],
+    )
+    def test_an_error_quotes_a_bounded_token(self, data, tmp_path):
+        # A row of "2" and 40 MiB of "y" was once quoted whole, and verify
+        # peaked at 265 MB; a token is now quoted to about 40 characters.
+        target = tmp_path / "doc"
+        target.write_bytes(data)
+        outcome, _ = verify_outcome(target)
+        assert outcome[:2] == (1, "") and len(outcome[2].encode()) < 200
+        assert outcome[2].endswith("y" * 30 + "...\n")
+        assert outcome == verify_outcome(target, whole=True)[0]
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     @pytest.mark.parametrize("render", [render_text, render_json])
@@ -924,6 +970,30 @@ class TestVerifyByRendering:
         proven, int_rows = self.spied(target)
         assert proven == [False] + [True] * 7 + [False] + [True] * 6
         assert sum(int_rows) == 3 * 4096
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_the_checker_follows_the_readers_template(self, as_json, tmp_path):
+        # Rows 5 and 10 swapped: block 0 is still a coset, so it stayed the
+        # checker's reference after the reader's template moved on to piece
+        # 1, and every later block had its lanes placed (k=21: 0.61 s
+        # against 0.06 s aligned). Block 1 is now the only one placed.
+        k, h = 17, 3
+        codes = list(construct(k, h).path.codes)
+        codes[5], codes[10] = codes[10], codes[5]
+        target = tmp_path / "doc"
+        target.write_bytes(ints_document(k, h, list(map(str, codes)), as_json))
+        placed, original = [], CycleChecker._place
+
+        def place(checker, *args):
+            placed.append(checker._count)  # the index the block starts at
+            return original(checker, *args)
+
+        with mock.patch.object(CycleChecker, "_place", autospec=True, side_effect=place):
+            outcome = verify_outcome(target)
+        report = verify_cycle(VertexPath(k, tuple(codes)), h)
+        lines = [f"invalid: {report.total} violation(s)", *map(str, report.violations)]
+        assert outcome == ((2, "".join(line + "\n" for line in lines), ""), False)
+        assert placed == [core.PIECE_CODES]
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_a_code_past_k_in_piece_0_leaves_piece_1_the_template(self, as_json, tmp_path):

@@ -1005,8 +1005,8 @@ def test_parse_document_proves_every_later_piece(render, encoding):
 def test_rows_end_finds_the_rows_split_finds(rows, lead, wanted, chars, partial):
     # A second path for the search by spans and halves: the end of the
     # first ``wanted`` rows after ``lead`` characters, or the text's end.
-    text = "x" * lead + "".join(row + "," for row in rows) + "12" * partial
-    body = body_rows.BodyRows(8, ",", None, 0)
+    text = ("x" * lead + "".join(row + "," for row in rows) + "12" * partial).encode()
+    body = document._body_rows(8, "ints", None, as_json=True)  # sep ",", no pieces
     body._chars = chars
     got = body._rows_end(text, lead, len(text), wanted)
     if wanted <= len(rows):

@@ -65,6 +65,23 @@ def test_the_body_reader_keeps_the_bytes_it_is_fed():
     assert calls and not {"decode", "encode", "decode_text"} & set(calls)
 
 
+def test_only_the_document_makes_a_body_reader():
+    # document._body_rows picks each body's separator, pieces and
+    # translates; a BodyRows made anywhere else, in the package or its
+    # tests, would read a body by other rules.
+    package, tests = Path(leaper_cycles.__file__).parent, Path(__file__).resolve().parent
+    made, maker = [], None
+    for path in sorted([*package.glob("*.py"), *tests.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "BodyRows" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                made.append((path.name, node.lineno))
+            elif isinstance(node, ast.FunctionDef) and node.name == "_body_rows":
+                maker = range(node.lineno, node.end_lineno + 1)
+    assert len(made) == 1 and made[0][0] == "document.py" and made[0][1] in maker
+
+
 def unused_imports(source):
     """The names ``source`` imports and never uses, but those in its
     ``__all__`` and those on a line marked ``# noqa: F401``. A name used

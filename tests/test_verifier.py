@@ -649,6 +649,23 @@ def test_a_view_that_repeats_a_shift_names_its_codes():
     assert repeats == list(range(3 * 4096, 4 * 4096))
 
 
+def test_a_view_of_another_subspace_is_no_reference():
+    # Block 0 is V, the codes below 2**12. Block 1 comes as a view of W,
+    # V with bit 11 moved to bit 12, by the shift 2**12: W is a subspace
+    # too, but not V, so it may not become the reference. Taken whole on
+    # the coset 2**12 ^ V, its 2,048 codes in V would go unnamed.
+    k, size = 13, 4096
+    block0 = [j ^ (j >> 1) for j in range(size)]
+    other = [c & 0x7FF | (c >> 11 & 1) << 12 for c in block0]
+    view = leaper_cycles.core.Template(other, k).translate(1 << 12)
+    checker = CycleChecker(k, 1)
+    checker.feed(array(lane_typecode(k), block0))
+    checker.feed(view)
+    report = checker.finish()
+    assert report == scalar_report(k, 1, block0 + list(view))
+    assert sum(v.kind == DUPLICATE_VERTEX for v in report.violations) == 1000  # of 2,048, kept
+
+
 @pytest.mark.parametrize(
     ("shape", "flags", "lines"),
     [
