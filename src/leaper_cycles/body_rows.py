@@ -49,6 +49,11 @@ class BodyRows:
     - A row cut by a block's edge, and a piece start nearer the end of the
       text fed than a translate's text reaches, are held and read with the
       next block, so a piece cut by a block's edge stays on the route.
+    - Text past the last ``sep`` longer than ``row_max``, more than any
+      valid row holds, is a row cut short: once the whole rows before it
+      are read, ``cut(row, lineno)`` raises if the row is refused whatever
+      ends it, and it is held only if not, to be tested again once it is
+      twice as long, so a long row is tested in time linear in its length.
     """
 
     def __init__(
@@ -59,9 +64,11 @@ class BodyRows:
         piece: int,
         lineno: int,
         translates: Callable[[list[int]], Template],
+        row_max: int,
+        cut: Callable[[bytes, int], None],
     ) -> None:
         self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
-        self._make = translates
+        self._make, self._row_max, self._cut = translates, row_max, cut
         # Rows left to ``read`` in the piece at hand; all of them off the route.
         self._left = piece or sys.maxsize
         self._first: list[int] | None = [] if piece else None  # piece 0 or 1, while read
@@ -71,11 +78,12 @@ class BodyRows:
         self._span = 0  # the longest translate text, once there is a template
         self._chars = 2  # a guess at a row's length, sep included
         self._held = b""  # the text not read yet, from a row or piece start
+        self._tested = 0  # the length of the row cut short ``cut`` last let pass
 
     @property
     def held(self) -> tuple[bytes, int]:
-        """The text fed and not read, from the rows ``read`` refused if it
-        raised, and its first line."""
+        """The text fed and not read, from the rows ``read`` refused or the
+        row ``cut`` refused if one raised, and its first line."""
         return self._held, self._lineno
 
     def feed(self, *parts: bytes | memoryview, final: bool = False) -> Iterator[Sequence[int] | None]:
@@ -84,10 +92,11 @@ class BodyRows:
         without a ``sep``. A chunk of None ends the chunks."""
         text, self._held = b"".join((self._held, *parts)), b""
         limit = len(text) if final else text.rfind(self._sep) + 1
+        long = len(text) - limit > self._row_max  # read every whole row before it
         pos = 0
         while pos < limit:
             if not self._left:  # a piece start past piece 0
-                if not final and limit - pos < self._span:
+                if not (final or long) and limit - pos < self._span:
                     break
                 proven = self._translate(text, pos)
                 if proven is not None:
@@ -113,6 +122,11 @@ class BodyRows:
             if codes:
                 yield codes
         self._held = text[pos:]
+        if limit:
+            self._tested = 0
+        if long and len(self._held) > 2 * self._tested:
+            self._cut(self._held, self._lineno)
+            self._tested = len(self._held)
 
     def chunks(self, blocks: Iterable[bytes]) -> Iterator[Sequence[int] | None]:
         """The code chunks of ``blocks`` fed in turn, then of the text left."""

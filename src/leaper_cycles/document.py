@@ -53,6 +53,7 @@ from __future__ import annotations
 import codecs
 import json
 import re
+import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -94,6 +95,11 @@ _Cycle = tuple[int, int, str, Iterator["Sequence[int] | None"]]
 
 class DocumentError(ValueError):
     """Malformed cycle document; the message carries the line number."""
+
+
+class _CutRow(DocumentError):
+    """A row cut short that is refused whatever ends it; its fault is named
+    from the whole row by :class:`~.long_row.RowTokens`."""
 
 
 @dataclass(frozen=True)
@@ -434,7 +440,23 @@ def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
             raise DocumentError("line 2: document has no vertices")
     except DocumentError as fault:
         held, lineno = (line, 1) if body is None else ([body.held[0]], body.held[1])
-        raise _text_fault(chain(held, blocks), lineno) or fault from None
+        rest, row = chain(held, blocks), None
+        if isinstance(fault, _CutRow):
+            from .long_row import RowTokens
+
+            row = RowTokens(k if encoding == "tuples" else 1)
+            rest = row.tap(rest)
+        raise _text_fault(rest, lineno) or (row and row.fault(lineno, k, encoding)) or fault from None
+
+
+def _cut_row(row: bytes, lineno: int, k: int, encoding: str) -> None:
+    """Raise :class:`_CutRow` if ``row``, the start of line ``lineno`` with
+    no LF yet, is refused whatever ends it, as :func:`~.long_row.refused`
+    decides; its module is imported here, so only such a row compiles it."""
+    from .long_row import refused
+
+    if refused(row, k, encoding):
+        raise _CutRow(f"line {lineno}: row of more than {len(row)} bytes is refused")
 
 
 def _text_fault(blocks: Iterable[bytes], lineno: int) -> DocumentError | None:
@@ -481,7 +503,11 @@ def _body_rows(
     else:
         translates = partial(TupleTranslates, k=k, as_json=as_json)
     piece = core.PIECE_CODES if _translates_pay(k) else 0
-    return BodyRows(k, sep, read, piece, lineno, translates)
+    # A text row of an ints code holds at most 20 digits, one of a tuples
+    # code 2k - 1 bytes; a JSON row past them leaves the route where it ends.
+    row_max = sys.maxsize if as_json else 20 if encoding == "ints" else 2 * k - 1
+    cut = partial(_cut_row, k=k, encoding=encoding)
+    return BodyRows(k, sep, read, piece, lineno, translates, row_max, cut)
 
 
 def decode_text(data: bytes, lineno: int = 1) -> str:
@@ -560,9 +586,7 @@ def _text_codes(
         tokens = line.split()
         if encoding == "tuples":
             if len(tokens) != k:
-                raise DocumentError(
-                    f"line {lineno}: expected {k} coordinates, got {len(tokens)}"
-                )
+                raise _count_fault(lineno, len(tokens), k, encoding)
             bits = 0
             for pos, tok in enumerate(tokens):
                 if tok not in ("0", "1"):
@@ -574,9 +598,7 @@ def _text_codes(
             codes.append(bits)
         else:
             if len(tokens) != 1:
-                raise DocumentError(
-                    f"line {lineno}: expected one integer, got {len(tokens)} tokens"
-                )
+                raise _count_fault(lineno, len(tokens), k, encoding)
             tok = tokens[0]
             if not (tok.isascii() and tok.isdigit()):
                 raise DocumentError(
@@ -589,6 +611,13 @@ def _text_codes(
                     f"line {lineno}: vertex code has too many digits"
                 ) from None
     return tuple(codes)
+
+
+def _count_fault(lineno: int, count: int, k: int, encoding: str) -> DocumentError:
+    """The fault of a row of ``count`` tokens, not the encoding's count."""
+    if encoding == "tuples":
+        return DocumentError(f"line {lineno}: expected {k} coordinates, got {count}")
+    return DocumentError(f"line {lineno}: expected one integer, got {count} tokens")
 
 
 def _check_whitespace(text: str, lineno: int = 1) -> None:

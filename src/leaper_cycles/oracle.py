@@ -21,12 +21,31 @@ itself, and takes any first move to any other, so every first move starts
 the same number D of directed cycles. Hence a cycle exists iff the m0
 branch holds one, and the C(k,h) first moves give C(k,h) * D directed
 cycles, each undirected cycle counted once per direction.
+
+A count uses the same symmetry further down the branch. The permutations
+that fix every move of the path so far, set-wise, fix every vertex of it:
+they permute the coordinates within each atom, a class of coordinates
+that lie in exactly the same moves. Two unvisited next masks lie in one
+orbit of them iff they meet every atom in equally many coordinates, so
+only the smallest mask of each orbit is searched, and its directed cycles
+and nodes count once per mask of the orbit:
+
+- a permutation that fixes the moves maps the simple paths under
+  ``v ^ m`` one-to-one onto those under ``v ^ sigma(m)``, and the closing
+  test, a step of h bits back to the anchor, is invariant under it;
+- the nodes of a count are the simple paths of the branch, whatever
+  order the neighbors are tried in;
+- the first cycle in ascending order lies under the smallest mask with a
+  cycle, which is the smallest of its orbit, so the witness is unchanged.
+
+Once every atom is one coordinate, no permutation but the identity fixes
+the path, and the plain search takes the rest. An existence search stops
+at its first cycle, so it keeps the plain search of the m0 branch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from .core import CapacityError, VertexPath, check_dimension
 
@@ -57,11 +76,15 @@ def oracle_exists(k: int, h: int) -> OracleResult:
 def oracle_count(k: int, h: int) -> OracleResult:
     """Count undirected change-h Hamiltonian cycles.
 
-    Enumerates the D directed cycles whose first move is the smallest flip
-    mask. By the first-move symmetry every one of the C(k,h) first moves
-    starts D of them, and each undirected cycle is met in both directions,
-    so the count is C(k,h) * D / 2, independent of neighbor ordering. The
-    witness, present whenever ``exists`` is true, is the first cycle found.
+    Counts the D directed cycles whose first move is the smallest flip
+    mask, searching one next mask per orbit of the coordinate permutations
+    that fix the path so far and weighting it by the orbit's size. By the
+    first-move symmetry every one of the C(k,h) first moves starts D of
+    them, and each undirected cycle is met in both directions, so the
+    count is C(k,h) * D / 2. ``nodes_explored`` is the size of that
+    branch's search tree, as a plain search would push it, and the witness,
+    present whenever ``exists`` is true, is the first cycle in ascending
+    mask order.
     """
     _check_args(k, h, COUNT_K_MAX, "cycle counting")
     count, nodes, witness = _search(k, h, count_mode=True)
@@ -74,7 +97,10 @@ def _search(k: int, h: int, *, count_mode: bool) -> tuple[int, int, VertexPath |
     masks = _flip_masks(k, h)
     if len(masks) < 2 or not _connected(k, masks):
         return 0, 0, None
-    found, nodes, wit = _dfs(k, h, masks, count_mode=count_mode, prefix=(0, masks[0]))
+    if count_mode:
+        found, nodes, wit = _orbits(k, h, masks, (0, masks[0]))
+    else:
+        found, nodes, wit = _dfs(k, h, masks, count_mode=False, prefix=(0, masks[0]))
     count = len(masks) * found // 2 if count_mode else found
     return count, nodes, VertexPath(k, tuple(wit)) if wit is not None else None
 
@@ -88,23 +114,69 @@ def _check_args(k: int, h: int, cap: int, what: str) -> None:
 
 
 def _flip_masks(k: int, h: int) -> list[int]:
-    """All h-bit flip masks of width k, in ascending numeric order."""
-    return sorted(sum(1 << p for p in pos) for pos in combinations(range(k), h))
+    """All h-bit flip masks of width k, in ascending numeric order: Gosper's
+    step takes a mask to the next one with as many bits."""
+    masks, m = [], (1 << h) - 1
+    while not m >> k:
+        masks.append(m)
+        c = m & -m
+        r = m + c
+        m = (((r ^ m) >> 2) // c) | r
+    return masks
 
 
 def _connected(k: int, masks: list[int]) -> bool:
-    """Whether the masks span GF(2)^k: an xor-basis rank test.
+    """Whether the masks span GF(2)^k: an xor-basis rank test, stopped once
+    the basis holds k masks.
 
-    Reducing by each basis element clears its leading bit, which no later
-    element has set, so a mask joins with a new leading bit or reduces to 0.
+    The basis holds one mask per leading bit. Xoring a mask with the one at
+    its leading bit clears that bit, so it joins with a new leading bit or
+    reduces to 0.
     """
-    basis: list[int] = []
+    basis: dict[int, int] = {}  # leading bit position + 1 -> basis mask
     for m in masks:
-        for b in basis:
-            m = min(m, m ^ b)
+        while m and (b := basis.get(m.bit_length())):
+            m ^= b
         if m:
-            basis.append(m)
-    return len(basis) == k
+            basis[m.bit_length()] = m
+            if len(basis) == k:
+                return True
+    return False
+
+
+def _orbits(
+    k: int, h: int, masks: list[int], prefix: tuple[int, ...]
+) -> tuple[int, int, list[int] | None]:
+    """``_dfs(k, h, masks, count_mode=True, prefix=prefix)``, searching one
+    next mask per orbit of the permutations within the atoms of ``prefix``.
+
+    The atoms split every coordinate by the moves it lies in. An orbit's
+    first mask in ``masks`` stands for it, and its directed cycles and
+    nodes count once per mask of the orbit. Once every atom is one
+    coordinate, :func:`_dfs` searches the rest.
+    """
+    atoms = [(1 << k) - 1]
+    for u, v in zip(prefix, prefix[1:]):
+        atoms = [part for a in atoms for part in (a & (u ^ v), a & ~(u ^ v)) if part]
+    if len(atoms) == k:
+        return _dfs(k, h, masks, count_mode=True, prefix=prefix)
+    head, depth = prefix[-1], len(prefix)
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for m in masks:
+        if head ^ m not in prefix:
+            orbits.setdefault(tuple((m & a).bit_count() for a in atoms), []).append(m)
+    count, nodes, witness = 0, depth - 1, None
+    for orbit in orbits.values():
+        path = prefix + (head ^ orbit[0],)
+        if depth + 1 == 1 << k:
+            found, below, cycle = int(path[-1].bit_count() == h), depth, list(path)
+        else:
+            found, below, cycle = _orbits(k, h, masks, path)
+        count += found * len(orbit)
+        nodes += (below - depth + 1) * len(orbit)  # the paths through path[-1], per mask
+        if witness is None and found:
+            witness = cycle
+    return count, nodes, witness
 
 
 def _dfs(
@@ -135,16 +207,17 @@ def _dfs(
     witness: list[int] | None = None
 
     n_masks = len(masks)
+    head, start = path[-1], len(prefix)
     idx = [0]  # next mask index to try, one per depth
     while idx:
-        head = path[-1]
         i = idx[-1]
         while i < n_masks and visited[head ^ masks[i]]:
             i += 1
         if i == n_masks:
             idx.pop()
-            if len(path) > len(prefix):
+            if len(path) > start:
                 visited[path.pop()] = 0
+                head = path[-1]
             continue
         idx[-1] = i + 1
         v = head ^ masks[i]
@@ -159,5 +232,6 @@ def _dfs(
             continue
         visited[v] = 1
         path.append(v)
+        head = v
         idx.append(0)
     return (count, nodes, witness)

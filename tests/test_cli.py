@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from leaper_cycles import body_rows, cli, constructor, core, decimal_rows, document
+from leaper_cycles import body_rows, cli, constructor, core, decimal_rows, document, long_row
 from leaper_cycles.cli import main
 from leaper_cycles.constructor import construct
 from leaper_cycles.core import MAX_K_ENV, VertexPath
@@ -488,13 +488,13 @@ def verify_outcome(path, *flags, whole=False):
     """Exit code, stdout and stderr of ``verify path``, and whether the
     document was parsed whole; ``whole`` parses it whole in any case, by
     the per-line loop and ``json.loads`` alone, sharing no row reader
-    with the windowed read and proving no piece, ``ints`` or ``tuples``,
-    by rendering it."""
+    with the windowed read, proving no piece, ``ints`` or ``tuples``,
+    by rendering it, and refusing no row before its end."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.ExitStack() as stack:
         if whole:
             stack.enter_context(mock.patch.object(cli, "read_cycle", return_value=None))
-            for name in ("_lane_codes", "_int_rows", "_json_cycle", "_translates_pay"):
+            for name in ("_lane_codes", "_int_rows", "_json_cycle", "_translates_pay", "_cut_row"):
                 stack.enter_context(mock.patch.object(document, name, return_value=None))
             stack.enter_context(mock.patch.object(body_rows.BodyRows, "_translate", return_value=None))
         parsed = stack.enter_context(
@@ -513,6 +513,11 @@ PIECES = [
     "\u3000".encode(), "\u2028".encode(), b"x", b"0", b"1", b"00", b"-", b",", b"[", b"]",
 ]
 HEADER = b"# k=2 h=1 encoding=ints closed=true\n"
+# Pieces of a long row: tokens of each encoding, bytes no row holds, the
+# whitespace a row may hold and some it may not.
+LONG_ROW_PIECES = [
+    b"0", b"1", b"2", b"y", b"0 ", b"1\t", b" ", b"\t", b"\r", b"\xff", b"\v", "\u00e9".encode(), b"\xe2\x82",
+]
 JSON_INTS = b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":true}\n'
 
 
@@ -684,6 +689,69 @@ class TestVerifyWindows:
         finally:
             tracemalloc.stop()
         assert peak < size // 16
+
+    def test_a_long_refused_row_is_not_held(self, tmp_path, monkeypatch):
+        # A row of "2" and 40 MiB of "y" was held whole until its LF, joined
+        # with each block: 0.83-0.87 s at a VmHWM of 179 MB. Past the bytes any
+        # valid row holds, a row refused whatever ends it is held no longer.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 8 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + b"0\n2" + b"y" * size + b"\n3\n")
+        refusal = "error: line 3: vertex code must be ASCII digits, got '2" + "y" * 38 + "...\n"
+        assert verify_outcome(target) == ((1, "", refusal), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
+    def test_a_long_row_that_may_be_valid_is_tested_once_per_doubling(self, tmp_path, monkeypatch):
+        # A row of digits alone is refused only by its length, past the
+        # interpreter's digit limit; tested again with each block, a row of
+        # 40 MiB took 2.6 s against 1.1 s when it was never tested.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 64)
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + b"0\n" + b"1" * (1 << 16) + b"\n3\n2\n")
+        refused = mock.Mock(wraps=long_row.refused)
+        monkeypatch.setattr(long_row, "refused", refused)
+        assert verify_outcome(target) == ((1, "", "error: line 3: vertex code has too many digits\n"), False)
+        assert 0 < refused.call_count <= 16
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(LONG_ROW_PIECES), st.sampled_from([1, 2, 40, 200])), max_size=6),
+        st.sampled_from(["ints", "tuples"]),
+        st.sampled_from([1, 2, 7, 64]),
+    )
+    # A tab, a byte that is not UTF-8 or stray whitespace past the cut; a
+    # bad byte after 200 digits, at a row's end or not; many tokens; a long
+    # token; valid padding.
+    @example([(b"2", 1), (b"y", 200), (b"\t", 1), (b"y", 2)], "ints", 7)
+    @example([(b"2", 1), (b"y", 200), (b"\xff", 1)], "ints", 7)
+    @example([(b"2", 1), (b"y", 200), (b"\v", 1)], "ints", 64)
+    @example([(b"1", 200), (b"y", 1)], "ints", 2)
+    @example([(b"1", 200), (b"y", 40)], "ints", 7)
+    @example([(b"1", 200)], "ints", 7)
+    @example([(b" ", 200), (b"1", 1), (b"\t", 40)], "ints", 7)
+    @example([(b"0 ", 200)], "tuples", 7)
+    @example([(b"1", 1), (b" ", 40), (b"0", 200)], "tuples", 2)
+    @example([(b"1\t", 1), (b" ", 200), (b"1", 1), (b"\r", 1)], "tuples", 7)
+    @example([(b"1\t", 1), (b"1", 1), (b" ", 200)], "tuples", 7)
+    @example([(b"1\t", 1), ("\u00e9".encode(), 200), (b"y", 1)], "tuples", 1)
+    def test_a_long_row_gets_the_whole_document_verdict(self, pieces, encoding, window):
+        # Line 3 of a k=2 cycle made of pieces, some many times over, past
+        # the 20 or 3 bytes a valid row holds, cut by blocks of any size.
+        row = b"".join(piece * times for piece, times in pieces)
+        rows = [b"0", row, b"3", b"2"] if encoding == "ints" else [b"0 0", row, b"1 1", b"0 1"]
+        data = HEADER.replace(b"ints", encoding.encode()) + b"\n".join(rows) + b"\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            target = Path(tmp) / "doc"
+            target.write_bytes(data)
+            whole = verify_outcome(target, whole=True)[0]
+            with mock.patch.multiple(document, _WINDOW_CHARS=window, _HEAD_BYTES=window):
+                assert verify_outcome(target)[0] == whole
 
     @pytest.mark.parametrize("zeros", [6, 7])
     def test_a_header_of_more_tokens_than_its_bound_is_refused(self, zeros, tmp_path, monkeypatch):

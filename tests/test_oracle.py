@@ -219,6 +219,42 @@ def test_span_test_matches_breadth_first_search(k):
         assert (len(masks) >= 2 and expected) == (h % 2 == 1 and h < k), (k, h)
 
 
+@pytest.mark.parametrize("k", range(1, 13))
+def test_flip_masks_match_the_combinations(k):
+    for h in range(1, k + 2):
+        expected = sorted(sum(1 << p for p in pos) for pos in itertools.combinations(range(k), h))
+        assert oracle_mod._flip_masks(k, h) == expected, (k, h)
+
+
+@pytest.mark.parametrize("k", range(1, COUNT_K_MAX + 1))
+def test_orbit_search_matches_the_plain_search(k):
+    # One mask per orbit, weighted by the orbit's size, gives the plain
+    # search's directed cycles and nodes under any neighbor order, and its
+    # first cycle, from the anchor or through a first move.
+    for h in range(1, k + 2):
+        for order in orders(k, h):
+            for prefix in [(0,), (0, order[0])] if order else []:
+                plain = oracle_mod._dfs(k, h, order, count_mode=True, prefix=prefix)
+                assert oracle_mod._orbits(k, h, order, prefix) == plain, (k, h, prefix)
+
+
+@pytest.mark.parametrize("h", [1, 3])
+def test_a_count_searches_a_fraction_of_its_tree(h, monkeypatch):
+    # The route, not the wall time: the k=4 counts report the 22,669 nodes
+    # of the first move's tree, and push 3,775 of them through the plain search.
+    dfs, pushed = oracle_mod._dfs, []
+
+    def spy(k, h, masks, *, count_mode, prefix):
+        result = dfs(k, h, masks, count_mode=count_mode, prefix=prefix)
+        pushed.append(result[1] - len(prefix) + 1)
+        return result
+
+    monkeypatch.setattr(oracle_mod, "_dfs", spy)
+    result = oracle_count(4, h)
+    assert (result.count, result.nodes_explored) == (1344, 22669)
+    assert 0 < sum(pushed) < 5000
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_any_neighbor_order_agrees_with_feasibility(k):
     for h in range(1, k + 2):

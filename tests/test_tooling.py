@@ -82,6 +82,22 @@ def test_only_the_document_makes_a_body_reader():
     assert len(made) == 1 and made[0][0] == "document.py" and made[0][1] in maker
 
 
+def test_the_oracle_imports_only_the_core():
+    # The oracle is the ground truth the construction is checked against;
+    # a package module it imports beside the vertex model could share the
+    # fault it is there to find.
+    path = Path(leaper_cycles.__file__).parent / "oracle.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            imported.update("." + name for name in names)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+            imported.update(name for name in modules if name.partition(".")[0] == "leaper_cycles")
+    assert imported == {".core"}
+
+
 def unused_imports(source):
     """The names ``source`` imports and never uses, but those in its
     ``__all__`` and those on a line marked ``# noqa: F401``. A name used
