@@ -1,6 +1,7 @@
 """The rows of a document's body, read as the file's bytes, never decoded,
-a block or a piece at a time; the later pieces of a cycle of translates
-proven by rendering them.
+a block at a time into one buffer, and taken a block's whole rows or a
+piece at a time; the later pieces of a cycle of translates proven by
+rendering them.
 
 :mod:`.document` imports this module only to read a body, so
 ``construct`` and ``oracle`` do not compile it.
@@ -9,22 +10,30 @@ proven by rendering them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Generator, Iterator, Sequence
+from typing import TYPE_CHECKING, BinaryIO
 
 if TYPE_CHECKING:
     from .core import Template
 
 
 class BodyRows:
-    """The code chunks of a document's body, fed as the bytes of the file
-    in blocks cut anywhere, each row ended by ``sep``.
+    """The code chunks of a document's body, the bytes of the file read by
+    :meth:`chunks` in blocks cut anywhere, each row ended by ``sep``.
+
+    Each block is read by ``readinto`` into the free end of one buffer the
+    reader owns, and only the text its edge cuts, a row or a piece start,
+    moves to the front of the buffer before the next: no block becomes a
+    new ``bytes``, and none is joined. What is taken from the buffer, a
+    window of rows for ``read`` or the text held at a fault, is a copy,
+    but for a window that is all the text read, as a long row may be: the
+    buffer itself is then handed to ``read``, and a new one is taken.
 
     ``read(rows, lineno)`` is a window reader of :mod:`.document`: it
     returns the codes of ``rows``, whole rows the first of which is on
     line ``lineno``, or None if the body is to be parsed whole, or raises
-    the fault of the line at fault. It reads all the whole rows fed at
-    once, unless ``piece`` is not 0: the body is then rows of a cycle
+    the fault of the line at fault. It reads all the whole rows of a block
+    at once, unless ``piece`` is not 0: the body is then rows of a cycle
     whose translates the renderer writes, and it is taken ``piece`` rows
     at a time, aligned to row ``piece * t``:
 
@@ -47,28 +56,33 @@ class BodyRows:
       as for the checker, and if it too holds one, the body is read
       whole.
     - A row cut by a block's edge, and a piece start nearer the end of the
-      text fed than a translate's text reaches, are held and read with the
+      text read than a translate's text reaches, are held and read with the
       next block, so a piece cut by a block's edge stays on the route.
     - Text past the last ``sep`` longer than ``row_max``, more than any
       valid row holds, is a row cut short: once the whole rows before it
       are read, ``cut(row, lineno)`` raises if the row is refused whatever
       ends it, and it is held only if not, to be tested again once it is
       twice as long, so a long row is tested in time linear in its length.
+    - ``tail`` is ``(end, last)``: the file ends with ``end`` after the
+      body, as JSON's ends with its tail, and ``last`` ends its last row
+      in its place; both are empty for text.
     """
 
     def __init__(
         self,
         k: int,
         sep: bytes,
-        read: Callable[[bytes, int], Sequence[int] | None],
+        read: Callable[[bytearray, int], Sequence[int] | None],
         piece: int,
         lineno: int,
         translates: Callable[[list[int]], Template],
         row_max: int,
-        cut: Callable[[bytes, int], None],
+        cut: Callable[[bytearray, int], None],
+        tail: tuple[bytes, bytes],
     ) -> None:
         self._k, self._sep, self._read, self._piece, self._lineno = k, sep, read, piece, lineno
         self._make, self._row_max, self._cut = translates, row_max, cut
+        self._tail, self._last = tail
         # Rows left to ``read`` in the piece at hand; all of them off the route.
         self._left = piece or sys.maxsize
         self._first: list[int] | None = [] if piece else None  # piece 0 or 1, while read
@@ -77,28 +91,66 @@ class BodyRows:
         self._no_piece_0 = False  # piece 0 was no template
         self._span = 0  # the longest translate text, once there is a template
         self._chars = 2  # a guess at a row's length, sep included
-        self._held = b""  # the text not read yet, from a row or piece start
+        self._buffer = bytearray()  # the blocks, read in turn into its free end
+        self._pos = self._end = 0  # the text not read yet, from a row or piece start
         self._tested = 0  # the length of the row cut short ``cut`` last let pass
 
-    @property
-    def held(self) -> tuple[bytes, int]:
-        """The text fed and not read, from the rows ``read`` refused or the
-        row ``cut`` refused if one raised, and its first line."""
-        return self._held, self._lineno
+    def release(self) -> tuple[list[bytes], int]:
+        """The text read in and not taken, from the rows ``read`` refused or
+        the row ``cut`` refused if one raised, as a copy, and its first
+        line; the buffer is let go, so it is not held beside the copy."""
+        held, self._buffer = bytes(memoryview(self._buffer)[self._pos:self._end]), bytearray()
+        return [held], self._lineno
 
-    def feed(self, *parts: bytes | memoryview, final: bool = False) -> Iterator[Sequence[int] | None]:
-        """The code chunks of the text held and then of ``parts``, run
-        together; with ``final``, of all the text left, its last row perhaps
-        without a ``sep``. A chunk of None ends the chunks."""
-        text, self._held = b"".join((self._held, *parts)), b""
-        limit = len(text) if final else text.rfind(self._sep) + 1
-        long = len(text) - limit > self._row_max  # read every whole row before it
-        pos = 0
+    def chunks(self, lead: bytes, source: BinaryIO, block: int) -> Iterator[Sequence[int] | None]:
+        """The code chunks of ``lead`` and the rest of ``source`` after it,
+        read by ``readinto`` a ``block`` of bytes at a time into the end of
+        one buffer, whose text not taken yet is moved to its front after
+        each block if it does not start there; the last row may lack a ``sep``. A chunk of None ends
+        the chunks. The last ``len(end)`` bytes read are kept back, and at
+        the file's end must be ``end``, else a chunk of None ends the
+        chunks; ``last`` takes their place."""
+        keep = len(self._tail)
+        # Room for a block and the text a block's edge cuts: a piece start or a row.
+        self._buffer = bytearray(len(lead) + block + block // 4)
+        self._buffer[:len(lead)] = lead
+        self._end = len(lead)
+        while True:
+            if (yield from self._feed(self._end - keep, final=False)):
+                return
+            buffer, held = self._buffer, self._end - self._pos
+            if self._pos:
+                buffer[:held], self._pos, self._end = buffer[self._pos:self._end], 0, held
+            if len(buffer) < held + block:  # a long row held; a bytearray grows in amortized O(1)
+                buffer += bytes(held + block - len(buffer))
+            read = source.readinto(memoryview(buffer)[held:held + block])
+            if not read:
+                break
+            self._end += read
+        if not buffer.endswith(self._tail, self._pos, self._end):
+            yield None
+            return
+        self._end -= keep
+        buffer[self._end:self._end + len(self._last)] = self._last
+        self._end += len(self._last)
+        yield from self._feed(self._end, final=True)
+
+    def _feed(self, stop: int, final: bool) -> Generator[Sequence[int] | None, None, bool]:
+        """The code chunks of the rows of the buffer from the text not read
+        to ``stop``, and whether one of them was None. Without ``final``,
+        only whole rows are read, and not a piece start nearer ``stop`` than
+        a translate's text reaches, unless the text past the last ``sep`` is
+        longer than ``row_max``: then every whole row is, and ``cut`` tests
+        that text as the class docstring says."""
+        text, pos = self._buffer, self._pos
+        limit = stop if final else max(text.rfind(self._sep, pos, stop) + 1, pos)
+        long = stop - limit > self._row_max  # read every whole row before it
+        fed = limit > pos
         while pos < limit:
             if not self._left:  # a piece start past piece 0
                 if not (final or long) and limit - pos < self._span:
                     break
-                proven = self._translate(text, pos)
+                proven = self._translate(text, pos, limit)
                 if proven is not None:
                     view, pos = proven
                     self._lineno += len(view)
@@ -106,14 +158,20 @@ class BodyRows:
                     continue
                 self._left = self._piece
             end, rows = self._rows_end(text, pos, limit, self._left)
+            whole = pos == 0 and end == self._end  # the window is all the text read
+            if whole:
+                del text[end:]  # the free end, so the buffer itself is the window
             try:
-                codes = self._read(text[pos:end], self._lineno)
+                codes = self._read(text if whole else text[pos:end], self._lineno)
             except ValueError:
-                self._held = text[pos:]
+                self._pos = pos
                 raise
             if codes is None:
                 yield None
-                return
+                return True
+            if whole:  # a buffer of its own for the next block
+                text, end, limit = bytearray(), 0, 0
+                self._buffer, self._end = text, 0
             pos, self._lineno, self._left = end, self._lineno + rows, self._left - rows
             if self._first is not None:
                 self._first += codes
@@ -121,18 +179,13 @@ class BodyRows:
                     self._template()
             if codes:
                 yield codes
-        self._held = text[pos:]
-        if limit:
+        self._pos = pos
+        if fed:
             self._tested = 0
-        if long and len(self._held) > 2 * self._tested:
-            self._cut(self._held, self._lineno)
-            self._tested = len(self._held)
-
-    def chunks(self, blocks: Iterable[bytes]) -> Iterator[Sequence[int] | None]:
-        """The code chunks of ``blocks`` fed in turn, then of the text left."""
-        for block in blocks:
-            yield from self.feed(block)
-        yield from self.feed(final=True)
+        if long and stop - pos > 2 * self._tested:
+            self._cut(text[pos:stop], self._lineno)
+            self._tested = stop - pos
+        return False
 
     def _template(self) -> None:
         """Take the piece now read, if its codes are a piece in [0, 2**k), as
@@ -152,13 +205,14 @@ class BodyRows:
             else:
                 self._no_piece_0, self._first = True, []
 
-    def _translate(self, text: bytes, pos: int) -> tuple[Sequence[int], int] | None:
+    def _translate(self, text: bytearray, pos: int, limit: int) -> tuple[Sequence[int], int] | None:
         """The translate of the template or else the spare, then the template,
-        whose rows and a ``sep`` open ``text[pos:]``, and the index after; else None."""
+        whose rows and a ``sep`` open ``text[pos:limit]``, and the index
+        after; else None."""
         spare, self._spare, sep, template = self._spare, None, self._sep, self._translates
         if template is None:
             return None
-        row_end = text.find(sep, pos, pos + template.width + 1)
+        row_end = text.find(sep, pos, min(pos + template.width + 1, limit))
         code = template.code(text[pos:row_end]) if row_end >= 0 else None
         if code is None:
             return None
@@ -166,16 +220,16 @@ class BodyRows:
             first = translates.first
             shift = code ^ first[0]
             second = translates.row(first[1] ^ shift) + sep
-            if shift >> self._k or not text.startswith(second, row_end + len(sep)):
+            if shift >> self._k or not text.startswith(second, row_end + len(sep), limit):
                 continue
             rows = translates.text(shift)
             end = pos + len(rows)
-            if text.startswith(rows, pos) and text.startswith(sep, end):
+            if text.startswith(rows, pos, limit) and text.startswith(sep, end, limit):
                 self._translates, self._first = translates, None
                 return translates.translate(shift), end + len(sep)
         return None
 
-    def _rows_end(self, text: bytes, pos: int, limit: int, rows: int) -> tuple[int, int]:
+    def _rows_end(self, text: bytes | bytearray, pos: int, limit: int, rows: int) -> tuple[int, int]:
         """The index after the ``rows``-th ``sep`` from ``pos``, or ``limit``
         if fewer lie before it, and the count of ``sep`` up to that index.
 

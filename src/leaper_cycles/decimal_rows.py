@@ -40,16 +40,15 @@ class _Fields:
 
     __slots__ = ("width", "one", "steps", "shift", "total")
 
-    def __init__(self, first: Sequence[int], width: int) -> None:
-        self.width, self.one, self.shift = width, _column(width, "1" * len(first)), 0
+    def __init__(self, width: int, total: decimal.Decimal, one: decimal.Decimal) -> None:
+        self.width, self.total, self.one, self.shift = width, total, one, 0
         self.steps: dict[int, decimal.Decimal] = {}  # p -> 2**p * (ONE - 2 * B_p)
-        self.total = decimal.Decimal((f"%0{width}d" * len(first)) % tuple(first))
 
 
-def _column(width: int, digits: str) -> decimal.Decimal:
+def _column(width: int, digits: bytes) -> decimal.Decimal:
     """The number whose ``width``-digit fields hold one digit each, ``digits``."""
     fields = bytearray(b"0" * (width * len(digits)))
-    fields[width - 1::width] = digits.encode()
+    fields[width - 1::width] = digits
     return decimal.Decimal(fields.decode())
 
 
@@ -91,6 +90,8 @@ class Translates(Template):
         self._wide = 10 ** (self.width - 1) if self.width > 1 else 0
         self._leads = int.from_bytes(_X_LESS_0 * len(first), "big")  # every row still opening
         self._fields: dict[int, _Fields] = {}  # width -> the fields of that width
+        self._digits = b""  # the first codes in fields of w + 1 digits, once formatted
+        self._columns: dict[int, bytes] = {}  # p -> the digits of B_p, 0 or 1 a code
 
     def code(self, row: bytes) -> int | None:
         """The code a row of ASCII digits names, else None."""
@@ -125,7 +126,7 @@ class Translates(Template):
         fields, from the one they summed last."""
         fields = self._fields.get(width)
         if fields is None:
-            fields = self._fields[width] = _Fields(self.first, width)
+            fields = self._fields[width] = self._new_fields(width)
         context = self._context
         total, changed = fields.total, shift ^ fields.shift
         for p in range(changed.bit_length()):
@@ -135,16 +136,41 @@ class Translates(Template):
         fields.shift, fields.total = shift, total
         return str(total)
 
+    def _new_fields(self, width: int) -> _Fields:
+        """The fields of ``width`` digits, ``w`` or ``w + 1``. The first
+        codes are formatted once, in fields of ``w + 1`` digits, whose top
+        digit is a 0; those of ``w`` digits are their other digits, one
+        strided copy a digit. ONE is summed by doubling: the ones of ``2f``
+        fields are those of ``f`` fields and the same shifted by ``f``
+        fields, and a field more is a shift by one field and a 1."""
+        count, context = len(self.first), self._context
+        if not self._digits:
+            self._digits = ((f"%0{self.width + 1}d" * count) % tuple(self.first)).encode()
+        digits = self._digits
+        if width == self.width:
+            digits = bytearray(width * count)
+            for d in range(width):
+                digits[d::width] = self._digits[d + 1::width + 1]
+        one, ones = decimal.Decimal(1), 1
+        for bit in bin(count)[3:]:
+            one, ones = context.add(one, context.scaleb(one, ones * width)), 2 * ones
+            if bit == "1":
+                one, ones = context.add(context.scaleb(one, width), 1), ones + 1
+        return _Fields(width, decimal.Decimal(digits.decode()), one)
+
     def _step(self, fields: _Fields, p: int) -> decimal.Decimal:
         """``2**p * (ONE - 2 * B_p)`` in ``fields``, made the first time it
-        is asked for; ``B_p`` holds the last hex digit of each lane of the
-        first piece's bit ``p``."""
+        is asked for. ``B_p``'s digits, the last hex digit of each lane of
+        the first piece's bit ``p``, are made once for both widths."""
         step = fields.steps.get(p)
         if step is None:
             multiply = self._context.multiply
-            step, bits = fields.one, self.packed >> p & self.one
-            if bits:
-                column = f"{bits:0{len(self.first) * self._hexits}x}"[::-self._hexits]
+            column = self._columns.get(p)
+            if column is None:
+                bits = self.packed >> p & self.one
+                column = self._columns[p] = f"{bits:0{len(self.first) * self._hexits}x}"[::-self._hexits].encode()
+            step = fields.one
+            if column.strip(b"0"):
                 step = self._context.subtract(step, multiply(_column(fields.width, column), 2))
             step = fields.steps[p] = multiply(step, 1 << p)
         return step

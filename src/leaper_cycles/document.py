@@ -28,10 +28,11 @@ per code. ``construct`` in the CLI writes the pieces as
 they come and holds one piece's rows at a time; ``render_text`` and
 ``render_json`` join them, holding the pieces and the joined text
 together at the end. Parsing reads bytes: a head of 4 KiB, enough for
-a JSON header, then blocks of about 1 MiB, which :func:`read_cycle`
-reads from a file and :func:`parse_document` slices from its text,
-encoded once. The body reader takes each block as it comes and holds
-only the rows cut by its edge, or a piece's start: ``read_cycle`` yields
+a JSON header, then blocks of about 1 MiB, from a file for
+:func:`read_cycle` and from the text, encoded once, for
+:func:`parse_document`. The body reader reads each block into the one
+buffer it owns and holds only the rows cut by its edge, or a piece's
+start (see :mod:`.body_rows`): ``read_cycle`` yields
 the codes of the whole rows of each block, or of each piece on the route
 below, and ``parse_document`` collects them into one path. At ``k >= 16``,
 each later piece of rows, text or JSON, that opens with the rows the
@@ -51,6 +52,7 @@ are decoded and checked for stray whitespace. Any other JSON goes to
 from __future__ import annotations
 
 import codecs
+import io
 import json
 import re
 import sys
@@ -314,21 +316,21 @@ def parse_document(text: str) -> CycleDocument:
     stripped = text.lstrip()
     if not stripped:
         raise DocumentError("line 1: empty document")
-    data = text.encode("utf-8", "surrogatepass")  # a lone surrogate is no UTF-8
-    blocks = chain([data[:_HEAD_BYTES]], _slices(data, _HEAD_BYTES, _WINDOW_CHARS))
+    fh = io.BytesIO(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is no UTF-8
+    head = fh.read(_HEAD_BYTES)
     if stripped[0] == "{":
-        return _collect(_json_cycle(blocks)) or _parse_json(text)
-    return _collect(_text_cycle(blocks))
+        return _collect(_json_cycle(head, fh)) or _parse_json(text)
+    return _collect(_text_cycle(head, fh))
 
 
 def read_cycle(fh: BinaryIO) -> _Cycle | None:
     """The header and code chunks of the document in ``fh``, read in blocks.
 
     ``fh`` is a binary file at its start. Its first 4 KiB are read, enough
-    for a JSON header, then blocks of about 1 MiB, whose bytes the body
-    reader takes as they are read, so no more than a block and the rows
-    cut by its edge are held, and of a text header's line about its
-    characters other than spaces and tabs, as :func:`_text_chunks` says.
+    for a JSON header, then blocks of about 1 MiB, which the body reader
+    reads into its buffer, so no more than a block and the rows cut by its
+    edge are held, and of a text header's line about its characters other
+    than spaces and tabs, as :func:`_text_chunks` says.
     Returns ``(k, h, encoding, chunks)`` for a text document whose first
     byte is ASCII and neither ``{`` nor whitespace, and for a JSON
     document that opens as the renderer writes it; None for any other
@@ -341,14 +343,13 @@ def read_cycle(fh: BinaryIO) -> _Cycle | None:
     renderer's shape, and the file is to be parsed whole instead.
     """
     head = fh.read(_HEAD_BYTES)
-    blocks = chain([head], iter(partial(fh.read, _WINDOW_CHARS), b""))
     lead = chr(head[0]) if head else ""
     if lead == "{":
-        return _json_cycle(blocks)
+        return _json_cycle(head, fh)
     # str.strip drops what parse_document's lstrip skips, \x1c-\x1f included,
     # so an ASCII byte it keeps opens a text document.
     if lead.isascii() and lead.strip():
-        return _text_cycle(blocks)
+        return _text_cycle(head, fh)
     return None
 
 
@@ -377,19 +378,19 @@ def _slices(seq: _Seq, start: int, size: int) -> Iterator[_Seq]:
     return (seq[i:i + size] for i in range(start, len(seq), size))
 
 
-def _text_cycle(blocks: Iterable[bytes]) -> tuple[int, int, str, Iterator[Sequence[int]]]:
-    """The header and code chunks of a text document from its blocks. A
-    header at fault is raised only once :func:`_text_chunks` has scanned
-    the body for a fault named before it."""
-    chunks = _text_chunks(blocks)
+def _text_cycle(head: bytes, fh: BinaryIO) -> tuple[int, int, str, Iterator[Sequence[int]]]:
+    """The header and code chunks of a text document from its first bytes
+    and the file they were read from. A header at fault is raised only
+    once :func:`_text_chunks` has scanned the body for a fault named before it."""
+    chunks = _text_chunks(head, fh)
     k, h, encoding = next(chunks)  # raises the fault, or one the body names first
     return k, h, encoding, chunks
 
 
-def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
+def _text_chunks(head: bytes, fh: BinaryIO) -> Iterator[Sequence]:
     """The header's ``(k, h, encoding)``, then the code chunks of the body
-    of a text document, read by :func:`_body_rows` from its blocks, the
-    first line taken off the first of them.
+    of a text document, ``head`` and the rest of ``fh``, read by
+    :func:`_body_rows`, the first line taken off the blocks read first.
 
     The first line is held with each run of spaces and tabs in it made one
     space, which the header check reads as it read the run, and is refused
@@ -406,13 +407,12 @@ def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
     of the document, from line 1 or the rows at fault on, goes to
     :func:`_text_fault`.
     """
-    blocks, line, tokens, body = iter(blocks), [], 0, None
+    blocks = chain([head], iter(partial(fh.read, _WINDOW_CHARS), b""))
+    line, tokens, lead, body = [], 0, b"", None
     try:
         for block in blocks:
             end = block.find(b"\n") + 1
-            part = block[:end or len(block)]
-            if end:
-                blocks = chain([block[end:]], blocks)
+            part, lead = block[:end or len(block)], block[end:] if end else b""
             del block  # a copy of the line is not held beside the block
             tokens += len(part.translate(None, _NOT_TOKENS))
             part = part.replace(b"\t", b" ")
@@ -432,14 +432,15 @@ def _text_chunks(blocks: Iterable[bytes]) -> Iterator[Sequence]:
         yield k, h, encoding
         body = _body_rows(k, encoding, partial(_window_codes, k=k, encoding=encoding), lineno=2)
         empty = True
-        for codes in body.chunks(blocks):
+        for codes in body.chunks(lead, fh, _WINDOW_CHARS):
             empty = False
             yield codes
             del codes  # parse the next rows without these codes
         if empty:
             raise DocumentError("line 2: document has no vertices")
     except DocumentError as fault:
-        held, lineno = (line, 1) if body is None else ([body.held[0]], body.held[1])
+        fault.__traceback__ = None  # its frames hold the rows at fault, and the buffer
+        held, lineno = (line + [lead], 1) if body is None else body.release()
         rest, row = chain(held, blocks), None
         if isinstance(fault, _CutRow):
             from .long_row import RowTokens
@@ -497,7 +498,8 @@ def _body_rows(
     translates. The module is imported here, so only a parse compiles it."""
     from .body_rows import BodyRows
 
-    sep = _JSON_ROWS[encoding][0][-1:] if as_json else b"\n"
+    row_end, tail = _JSON_ROWS[encoding] if as_json else (b"", b"")
+    sep = row_end[-1:] or b"\n"
     if encoding == "ints":
         translates = partial(_int_translates, k=k, sep=sep)
     else:
@@ -507,7 +509,7 @@ def _body_rows(
     # code 2k - 1 bytes; a JSON row past them leaves the route where it ends.
     row_max = sys.maxsize if as_json else 20 if encoding == "ints" else 2 * k - 1
     cut = partial(_cut_row, k=k, encoding=encoding)
-    return BodyRows(k, sep, read, piece, lineno, translates, row_max, cut)
+    return BodyRows(k, sep, read, piece, lineno, translates, row_max, cut, (tail, row_end))
 
 
 def decode_text(data: bytes, lineno: int = 1) -> str:
@@ -674,16 +676,14 @@ def _parse_json(text: str) -> CycleDocument:
     return CycleDocument(h, encoding, VertexPath(k, _json_codes(cycle, k, encoding)))
 
 
-def _json_cycle(blocks: Iterable[bytes]) -> _Cycle | None:
-    """The header and code chunks of a JSON document from its blocks, or
-    None if the first block does not open as ``render_json`` writes the
-    text up to the first row.
+def _json_cycle(first: bytes, fh: BinaryIO) -> _Cycle | None:
+    """The header and code chunks of a JSON document from its first bytes
+    and the file they were read from, or None if they do not open as
+    ``render_json`` writes the text up to the first row.
 
     The header fields are checked first, the ceiling before any work on
     the rows; a refusal returns None, so ``json.loads`` names the fault.
     """
-    blocks = iter(blocks)
-    first = next(blocks, b"")
     prefix = _JSON_HEAD_RE.match(first)
     if prefix is None:
         return None
@@ -696,40 +696,19 @@ def _json_cycle(blocks: Iterable[bytes]) -> _Cycle | None:
         _check_header(k, h, encoding)
     except ValueError:  # too many digits, or a refusal
         return None
-    return k, h, encoding, _json_chunks(chain([first[prefix.end():]], blocks), k, encoding)
+    return k, h, encoding, _json_chunks(first[prefix.end():], fh, k, encoding)
 
 
-def _json_chunks(
-    blocks: Iterable[bytes], k: int, encoding: str
-) -> Iterator[Sequence[int] | None]:
-    """The codes of a JSON body, fed block by block, up to None where the
-    body or its tail leaves the renderer's shape. The last ``len(tail)``
-    bytes read are held back from the body: each block less those is fed
-    as a view, after the bytes held back before it, so the body reader's
-    join is its one copy."""
-    row_end, tail = _JSON_ROWS[encoding]
+def _json_chunks(lead: bytes, fh: BinaryIO, k: int, encoding: str) -> Iterator[Sequence[int] | None]:
+    """The codes of a JSON body, ``lead`` and the rest of ``fh``, up to None
+    where the body or its tail leaves the renderer's shape: the body
+    reader keeps the tail back, and ends the last row as the others."""
 
-    def read(rows: bytes, lineno: int) -> Sequence[int] | None:
+    def read(rows: bytearray, lineno: int) -> Sequence[int] | None:
         return _grid_codes(rows, k) if encoding == "tuples" else _int_rows(rows, b",")
 
     body = _body_rows(k, encoding, read, as_json=True)
-
-    def fed() -> Iterator[Iterable[Sequence[int] | None]]:
-        held = b""
-        for block in blocks:
-            if len(block) < len(tail):
-                held, block = b"", held + block
-            cut = max(len(block) - len(tail), 0)
-            yield body.feed(held, memoryview(block)[:cut])
-            held = block[cut:]
-        yield body.feed(row_end, final=True)  # the last row ends as the others do
-        if held != tail:
-            yield [None]
-
-    for codes in chain.from_iterable(fed()):
-        yield codes
-        if codes is None:
-            return
+    return body.chunks(lead, fh, _WINDOW_CHARS)
 
 
 def _grid_codes(grid: bytes, k: int) -> array | None:

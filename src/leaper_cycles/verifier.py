@@ -9,7 +9,8 @@ certify its own output.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, islice
@@ -25,6 +26,10 @@ OPEN_ENDPOINTS = "OpenEndpoints"
 DIMENSION_OVERFLOW = "DimensionOverflow"
 
 _KEPT_VIOLATIONS = 1000  # violations a report keeps; the rest are only counted
+_GROUPS = 4  # cosets a block's lanes may fall in and still be placed a coset at a time
+_NEAR = 64  # lanes moved off a translate, and marks of its coset, that leave it near
+_FEW_MARKS = 64  # marks that _marked finds one search each, not in one pass
+_ONES = bytes([0]) + bytes([1]) * 255  # a byte -> 1 unless it is 0
 
 
 @dataclass(frozen=True)
@@ -106,14 +111,20 @@ class CycleChecker:
     V inside the dimension makes that block the reference, as the body
     reader moves its template on past a piece 0 at fault; V is
     unchanged, so every page stays valid. Any other Translate is fed as
-    its lanes. Every coset taken whole shares
+    its lanes. Every coset taken whole, or filled, shares
     one page of ones, ``bytes``, which is never written, as every index
-    of it is set. Any other block has all its lanes reduced at once on
-    their integer; then each code, in index order, is named outside the
-    dimension, or repeated if its index in its coset's page is set, or
-    else is marked there. The steps pass :func:`_packed_chunk_passes` or
-    are checked code by code. There are ``2**k / _size`` cosets, so the
-    pages hold at most 2**k bytes.
+    of it is set. Any other block is placed as if each code, in index
+    order, were named outside the dimension, or repeated if its index in
+    its coset's page is set, or else marked there, and at about the cost
+    of marking the block in a table: a block that is a translate of the
+    reference but for a few lanes, by :meth:`_place_near`, from those
+    lanes alone; else one whose lanes, reduced all at once on their
+    integer, fall in a few cosets inside the dimension, by
+    :meth:`_place_groups`, a coset at a time; else code by code. The
+    failing steps are read from the lane counts of
+    :func:`_packed_step_faults`, or found code by code if a code fits no
+    lane. There are ``2**k / _size`` cosets, so the pages hold at most
+    2**k bytes.
 
     If neither block 0 nor block 1 is a reference, as in a cycle rotated
     by rows that are not a multiple of a block, at ``k < 12``, or with a
@@ -230,15 +241,19 @@ class CycleChecker:
         """Check ``block``, its ``lanes`` (None if a code fits no lane) and
         ``packed``, their integer: by cosets, or against the presence table."""
         if self._seen is not None:
-            if self._lanes_pass(lanes, packed):
+            lead = self._last if self._count else None
+            if lanes is not None and _packed_chunk_passes(
+                packed, lead, lanes.itemsize, len(lanes), self._k, self._h
+            ):
                 self._mark(block)
             else:
                 self._scan(block, 0)
-                self._scan_steps(block)
+                self._scan_steps(block, self._lane_step_faults(lanes, packed))
         elif not self._take_whole(lanes, packed):
             self._place(block, lanes, packed)
-            if not self._lanes_pass(lanes, packed):
-                self._scan_steps(block)
+            faults = self._lane_step_faults(lanes, packed)
+            if faults != []:
+                self._scan_steps(block, faults)
         if not self._count:
             self._first = block[0]
         self._last = block[-1]
@@ -262,9 +277,7 @@ class CycleChecker:
         elif any(self._coset(vector)[0] for _, vector in basis):  # a subspace other than V
             return False
         self._block0, self._origin, self._end = packed, origin, packed >> bits * (size - 1)
-        self._inner = []
-        if not _packed_chunk_passes(packed, None, bits // 8, size, k, self._h):
-            self._inner = _step_faults(unpack(packed, typecode, size), None, self._h)
+        self._inner = _packed_step_faults(packed, None, bits // 8, size, self._h)
         return True
 
     def _take_whole(self, lanes: array | None, packed: int) -> bool:
@@ -292,34 +305,141 @@ class CycleChecker:
             self._add_steps(self._inner)
         return True
 
-    def _lanes_pass(self, lanes: array | None, packed: int) -> bool:
-        """Whether the next block has ``lanes`` and they pass
-        :func:`_packed_chunk_passes` on ``packed``, their integer."""
-        lead = self._last if self._count else None
-        return lanes is not None and _packed_chunk_passes(
-            packed, lead, lanes.itemsize, len(lanes), self._k, self._h
-        )
-
     def _place(self, block: Sequence[int], lanes: array | None, packed: int) -> None:
         """Mark the codes of the next block, ``block``, its ``lanes`` (None
         if a code fits no lane) and ``packed``, their integer, present in
         their cosets' pages, naming each one repeated or outside the
         dimension, in index order; once _KEPT_VIOLATIONS are named, count
-        the rest. The lanes are reduced all at once, as :meth:`_coset`
-        reduces one code."""
+        the rest. A block near a translate of the reference is placed by
+        :meth:`_place_near`; else its lanes are reduced all at once, as
+        :meth:`_coset` reduces one code, and placed a coset at a time by
+        :meth:`_place_groups`; if both decline, code by code."""
         if lanes is None:
-            names, indices = zip(*map(self._coset, block))
-        else:
+            self._place_codes(*zip(*map(self._coset, block)))
+        elif not self._place_near(lanes, packed):
             m, typecode = len(lanes), self._typecode
-            one = _lane_masks(lanes.itemsize, m)[0]
-            rest, where = packed, 0
-            for j, (pivot, vector) in enumerate(self._basis):
-                hit = rest >> pivot & one
-                rest ^= hit * vector
-                where |= hit << j
+            rest, where = self._reduced(packed, lanes.itemsize, m)
             names, indices = unpack(rest, typecode, m), unpack(where, typecode, m)
+            if not self._place_groups(names, indices, rest):
+                self._place_codes(names, indices)
+
+    def _reduced(self, packed: int, itemsize: int, lanes: int) -> tuple[int, int]:
+        """The names and the indices of the ``lanes`` codes in ``packed``,
+        as two integers of lanes: the codes reduced all at once, as
+        :meth:`_coset` reduces one."""
+        one = _lane_masks(itemsize, lanes)[0]
+        rest, where = packed, 0
+        for j, (pivot, vector) in enumerate(self._basis):
+            hit = rest >> pivot & one
+            rest ^= hit * vector
+            where |= hit << j
+        return rest, where
+
+    def _place_near(self, lanes: array, packed: int) -> bool:
+        """Whether the next block's ``lanes``, ``packed`` their integer, are
+        the reference with a code ``s < 2**k``, the first lane's, xor'ed
+        onto every lane but at most _NEAR, and the coset ``origin ^ s ^ V``
+        has at most _NEAR indices marked; if so, place them.
+
+        The lanes left as the translate has them are the coset ``origin ^ s
+        ^ V`` but for the codes of the moved lanes' places: distinct, and
+        each a repeat only if its index is marked already or a moved lane
+        of the coset takes it first. Only the moved lanes and those, found
+        by their codes, are placed code by code; every other index of the
+        coset is then marked at once.
+        """
+        size, m, itemsize = self._size, len(lanes), lanes.itemsize
+        shift = lanes[0] ^ self._origin
+        if m < size or shift >> self._k:
+            return False
+        diff = (packed ^ self._block0 ^ shift * _lane_masks(itemsize, m)[0]).to_bytes(itemsize * m, "little")
+        if len(diff) - diff.count(0) > _NEAR * itemsize:
+            return False
+        moved = sorted({i // itemsize for i in _marked(diff)})
+        name = self._coset(self._origin ^ shift)[0]
+        old = self._cosets.get(name)
+        if len(moved) > _NEAR or old is not None and size - old.count(0) > _NEAR:
+            return False
+        named = {o: self._coset(lanes[o]) for o in moved}
+        for i in {i for n, i in named.values() if n == name}.union(_marked(old or b"")):
+            code, o = name, -1  # the code of the coset at index i, found in the lanes
+            for j, (_, vector) in enumerate(self._basis):
+                code ^= vector * (i >> j & 1)
+            with suppress(ValueError):
+                while True:
+                    o = lanes.index(code, o + 1)
+                    named.setdefault(o, (name, i))
+        order = sorted(named)
+        self._place_codes(*zip(*map(named.get, order)), order)
+        placed, page = self._cosets.get(name) or bytearray(size), bytearray(self._whole)
+        bits = 8 * itemsize
+        for o in moved:  # the indices the translate has there keep what they hold
+            i = self._coset((self._block0 >> bits * o & (1 << bits) - 1) ^ shift)[1]
+            page[i] = placed[i]
+        self._cosets[name] = self._whole if page.count(0) == 0 else page
+        return True
+
+    def _place_groups(self, names: array, indices: array, rest: int) -> bool:
+        """Whether the lanes of the next block fall in at most _GROUPS
+        cosets, all inside the dimension; if so, place them a coset at a
+        time and name those repeated, in order.
+
+        ``names`` and ``indices`` are the lanes' cosets and indices, and
+        ``rest`` is the names' integer. The cosets are found, and each one's
+        lanes picked out, by a test of all lanes at once, and its lanes are
+        marked in a copy of its page, or a new one, in one loop that only
+        stores, as :meth:`_mark` marks the table. If the page gains fewer
+        marks than it has lanes, a lane repeats a code, and the lanes are
+        marked again from the old page, naming each one whose index is
+        marked already. A page whose every index is marked becomes the
+        shared page of ones. The pages replace the old ones at the end.
+        """
+        size, m, itemsize, repeats, pages = self._size, len(names), names.itemsize, [], {}
+        one = _lane_masks(itemsize, m)[0]
+        left = top = one << 8 * itemsize - 1  # the top bit of each lane of no coset found yet
+        groups = []
+        while left:  # the coset of the first lane left, and its lanes' top bits
+            name = names[(left & -left).bit_length() // (8 * itemsize) - 1]
+            if len(groups) == _GROUPS or name >> self._k:
+                return False
+            groups.append((name, top ^ _lane_tops(rest ^ name * one, itemsize, m)))
+            left ^= groups[-1][1]
+        for name, named in groups:
+            chosen = None  # a byte per lane, not 0 where the lane is ``name``
+            if len(groups) > 1:
+                chosen = named.to_bytes(itemsize * m, "little")[itemsize - 1::itemsize]
+            old = self._cosets.get(name)
+            if old is None:
+                old = bytes(size)
+            page, hit = bytearray(old), []
+            for i in indices if chosen is None else compress(indices, chosen):
+                page[i] = 1
+            if page.count(1) - old.count(1) < named.bit_count():
+                page = bytearray(old)  # a lane repeats a code: again, naming them
+                for j, i in enumerate(indices if chosen is None else compress(indices, chosen)):
+                    if page[i]:
+                        hit.append(j)
+                    page[i] = 1
+            if hit:
+                offsets = range(m) if chosen is None else array(indices.typecode, compress(range(m), chosen))
+                repeats += [offsets[j] for j in hit]
+            pages[name] = self._whole if page.count(0) == 0 else page
+        self._cosets.update(pages)
+        repeats.sort()
+        room = _KEPT_VIOLATIONS - len(self._presence)
+        self._presence += [Violation(DUPLICATE_VERTEX, self._count + o) for o in repeats[:room]]
+        self._dropped += max(len(repeats) - room, 0)
+        return True
+
+    def _place_codes(
+        self, names: Sequence[int], indices: Sequence[int], offsets: Sequence[int] | None = None
+    ) -> None:
+        """:meth:`_place` code by code: each code of the next block, or the
+        codes at ``offsets`` in it, in index order, by its coset's name and
+        its index in it."""
         k, size, cosets, presence = self._k, self._size, self._cosets, self._presence
-        for i, name, index in zip(count(self._count), names, indices):
+        at = count(self._count) if offsets is None else (self._count + o for o in offsets)
+        for i, name, index in zip(at, names, indices):
             if name >> k:
                 kind = DIMENSION_OVERFLOW
             else:
@@ -378,15 +498,24 @@ class CycleChecker:
                 self._dropped += len(rest) - len(fresh)
                 return
 
-    def _scan_steps(self, codes: Sequence[int]) -> None:
-        """Name each step into ``codes``, the next block, that does not
-        flip h coordinates, as :meth:`_add_steps` does; once
-        _KEPT_VIOLATIONS are named, only count them."""
+    def _lane_step_faults(self, lanes: array | None, packed: int) -> list[int] | None:
+        """The offsets of the failing steps into the next block, its
+        ``lanes`` and ``packed``, their integer, as
+        :func:`_packed_step_faults` reads them; None if a code fits no lane."""
         lead = self._last if self._count else None
+        return None if lanes is None else _packed_step_faults(packed, lead, lanes.itemsize, len(lanes), self._h)
+
+    def _scan_steps(self, codes: Sequence[int], faults: list[int] | None) -> None:
+        """Name each step into ``codes``, the next block, that does not
+        flip h coordinates, as :meth:`_add_steps` does, at the offsets
+        ``faults`` if they are known; once _KEPT_VIOLATIONS are named,
+        only count them."""
+        if faults is None:
+            faults = _step_faults(codes, self._last if self._count else None, self._h)
         if len(self._steps) == _KEPT_VIOLATIONS:
-            self._dropped += sum(map(self._h.__ne__, _flips(codes, lead)))
+            self._dropped += len(faults)
         else:
-            self._add_steps(_step_faults(codes, lead, self._h))
+            self._add_steps(faults)
 
     def _add_steps(self, faults: Sequence[int]) -> None:
         """Name the failing step ``(i + o, i + o + 1)`` for each offset
@@ -398,17 +527,14 @@ class CycleChecker:
         self._dropped += max(len(faults) - room, 0)
 
 
-def _flips(codes: Sequence[int], lead: int | None) -> Iterator[int]:
-    """The coordinates each step of ``codes`` flips, the step from
-    ``lead`` into code 0 first; None for ``lead`` leads no step in."""
-    flips = map(int.bit_count, map(xor, codes, islice(codes, 1, None)))
-    return flips if lead is None else chain([(lead ^ codes[0]).bit_count()], flips)
-
-
 def _step_faults(codes: Sequence[int], lead: int | None, h: int) -> list[int]:
     """The offset ``o`` of each step ``(o, o + 1)`` of ``codes`` that does
-    not flip h coordinates, -1 for the step from ``lead`` into code 0."""
-    return list(compress(count(0 if lead is None else -1), map(h.__ne__, _flips(codes, lead))))
+    not flip h coordinates, -1 for the step from ``lead`` into code 0;
+    ``lead`` None: no step leads into code 0."""
+    flips = map(int.bit_count, map(xor, codes, islice(codes, 1, None)))
+    if lead is not None:
+        flips = chain([(lead ^ codes[0]).bit_count()], flips)
+    return list(compress(count(0 if lead is None else -1), map(h.__ne__, flips)))
 
 
 def _lanes(codes: Sequence[int], typecode: str) -> array | None:
@@ -474,10 +600,8 @@ def _packed_chunk_passes(
     and no step leads into it. An h above the lane width fails every
     chunk, a lone first code included, and leaves it to the caller's
     code-by-code check. Both tests are branch-free on the whole integer:
-    the range test is one mask, and the step test xors each lane with the
-    lane before it, then counts the bits of every lane at once, adding bit
-    pairs, then nibbles, then bytes, and folding the bytes of a lane into
-    its lowest one.
+    the range test is one mask, and the step test compares the counts of
+    :func:`_flip_counts`.
     """
     bits = 8 * itemsize
     if not 0 < h <= bits:  # no step between lanes flips h coordinates
@@ -486,9 +610,39 @@ def _packed_chunk_passes(
         lead = packed & ((1 << bits) - 1) ^ ((1 << h) - 1)
     elif not 0 <= lead < 1 << bits:
         return False
-    one, pairs, nibbles, octets = _lane_masks(itemsize, lanes)
+    one = _lane_masks(itemsize, lanes)[0]
     if packed & ((1 << bits) - (1 << k)) * one:
         return False
+    return _flip_counts(packed, lead, itemsize, lanes) == h * one
+
+
+def _packed_step_faults(packed: int, lead: int | None, itemsize: int, lanes: int, h: int) -> list[int] | None:
+    """:func:`_step_faults` of the ``lanes`` codes in ``packed``, lanes of
+    ``itemsize`` bytes, read from the lanes of :func:`_flip_counts` that
+    are not h, or None if ``lead`` fits no lane. A step of an h above the
+    lane width always fails."""
+    bits = 8 * itemsize
+    if lead is not None and not 0 <= lead < 1 << bits:
+        return None
+    if h > bits:
+        return list(range(0 if lead is None else -1, lanes - 1))
+    if lead is None:  # code 0 flips h coordinates from it
+        lead = packed & ((1 << bits) - 1) ^ ((1 << h) - 1)
+    misses = _flip_counts(packed, lead, itemsize, lanes) ^ h * _lane_masks(itemsize, lanes)[0]
+    return [i - 1 for i in _marked(misses.to_bytes(itemsize * lanes, "little")[::itemsize])] if misses else []
+
+
+def _flip_counts(packed: int, lead: int, itemsize: int, lanes: int) -> int:
+    """The integer whose lane ``i``, of ``itemsize`` bytes, holds in its
+    lowest byte the coordinates code ``i`` of ``packed`` flips from code
+    ``i - 1``, or from ``lead``, which fits a lane, for code 0.
+
+    The codes are xor'ed with the lane before them, then the bits of
+    every lane are counted at once, adding bit pairs, then nibbles, then
+    bytes, and folding the bytes of a lane into its lowest one.
+    """
+    bits = 8 * itemsize
+    one, pairs, nibbles, octets = _lane_masks(itemsize, lanes)
     # Lane i of the xor holds code i ^ code i-1; the masks drop the lane
     # above the last.
     x = packed ^ (packed << bits | lead)
@@ -497,7 +651,29 @@ def _packed_chunk_passes(
     x = (x & octets) + (x >> 4 & octets)
     for shift in (8, 16, 32)[:itemsize.bit_length() - 1]:
         x += x >> shift
-    return x & 0xFF * one == h * one
+    return x & 0xFF * one
+
+
+def _lane_tops(x: int, itemsize: int, lanes: int) -> int:
+    """The top bit of each of the ``lanes`` lanes of ``x``, of ``itemsize``
+    bytes, that is not 0, found at once: with the top bit of a lane
+    cleared, adding all ones below it carries into that bit unless the
+    rest of the lane is 0."""
+    one = _lane_masks(itemsize, lanes)[0]
+    top = one << 8 * itemsize - 1
+    return ((x & top - one) + (top - one) | x) & top
+
+
+def _marked(page: bytes | bytearray) -> list[int]:
+    """The indices of the bytes of ``page`` that are not 0, in order, at C
+    speed: one search each if they are few, else one pass over all."""
+    marks = len(page) - page.count(0)
+    if marks > _FEW_MARKS:
+        return list(compress(range(len(page)), page))
+    ones, found = page.translate(_ONES), [-1]
+    for _ in range(marks):
+        found.append(ones.find(1, found[-1] + 1))
+    return found[1:]
 
 
 @lru_cache(maxsize=2)

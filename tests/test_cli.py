@@ -518,6 +518,7 @@ HEADER = b"# k=2 h=1 encoding=ints closed=true\n"
 LONG_ROW_PIECES = [
     b"0", b"1", b"2", b"y", b"0 ", b"1\t", b" ", b"\t", b"\r", b"\xff", b"\v", "\u00e9".encode(), b"\xe2\x82",
 ]
+DIGIT_ROW_PIECES = [b"0", b"1", b" ", b"\t", b"\r", b"y", b"\xff"]
 JSON_INTS = b'{"k":2,"h":1,"encoding":"ints","cycle":[0,1,3,2],"closed":true}\n'
 
 
@@ -708,6 +709,25 @@ class TestVerifyWindows:
             tracemalloc.stop()
         assert peak < size // 16
 
+    def test_a_long_valid_row_is_read_from_the_buffer_itself(self, tmp_path, monkeypatch):
+        # A valid row of "1" and 8 MiB of spaces is held in the buffer to its
+        # LF. When it is all the text read, the buffer itself goes to the
+        # reader, as the joined text did: a copy of it as the window beside
+        # the buffer peaked at about four times the row, where the reader's
+        # decode and split make three.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 8 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + b"0\n1" + b" " * size + b"\n3\n2\n")
+        assert verify_outcome(target) == ((0, "valid: change-1 cycle on 4 vertices in dimension 2\n", ""), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * size
+
     def test_a_long_row_that_may_be_valid_is_tested_once_per_doubling(self, tmp_path, monkeypatch):
         # A row of digits alone is refused only by its length, past the
         # interpreter's digit limit; tested again with each block, a row of
@@ -719,6 +739,52 @@ class TestVerifyWindows:
         monkeypatch.setattr(long_row, "refused", refused)
         assert verify_outcome(target) == ((1, "", "error: line 3: vertex code has too many digits\n"), False)
         assert 0 < refused.call_count <= 16
+
+    def test_a_long_row_of_digits_is_refused_as_it_comes(self, tmp_path, monkeypatch):
+        # A row of 40 MiB of "1" was held whole to its LF and read whole:
+        # 1.26 s at a VmHWM of 179 MB, for a refusal its length decides once
+        # it is past the interpreter's digit limit. Past that it is refused
+        # whatever ends it, and its tokens are counted as it comes.
+        monkeypatch.setattr(document, "_WINDOW_CHARS", 1 << 16)
+        size = 8 << 20
+        target = tmp_path / "doc"
+        target.write_bytes(HEADER + b"0\n" + b"1" * size + b"\n3\n")
+        refusal = "error: line 3: vertex code has too many digits\n"
+        assert verify_outcome(target) == ((1, "", refusal), False)
+        tracemalloc.start()
+        try:
+            verify_outcome(target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size // 16
+
+    @given(
+        st.lists(st.tuples(st.sampled_from(DIGIT_ROW_PIECES), st.sampled_from([1, 300, 700])), max_size=5),
+        st.sampled_from([1, 7, 64, 4096]),
+    )
+    @example([(b"1", 700)], 7)
+    @example([(b" ", 1), (b"1", 700), (b" ", 300)], 64)
+    @example([(b"1", 700), (b"y", 1)], 7)
+    @example([(b"1", 700), (b"\t", 1), (b"5", 1)], 64)
+    @example([(b"1", 700), (b"\xff", 1)], 7)
+    @example([(b"0", 300), (b"1", 300), (b"0", 300)], 4096)
+    def test_a_long_row_of_digits_gets_the_whole_document_verdict(self, pieces, window):
+        # Line 3 of a k=2 cycle, digits on both sides of the interpreter's
+        # digit limit, here its least, 640, and what may end them.
+        row = b"".join(piece * times for piece, times in pieces)
+        data = HEADER + b"\n".join([b"0", row, b"3", b"2"]) + b"\n"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with tempfile.TemporaryDirectory() as tmp:
+                target = Path(tmp) / "doc"
+                target.write_bytes(data)
+                whole = verify_outcome(target, whole=True)[0]
+                with mock.patch.multiple(document, _WINDOW_CHARS=window, _HEAD_BYTES=window):
+                    assert verify_outcome(target)[0] == whole
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     @given(
         st.lists(st.tuples(st.sampled_from(LONG_ROW_PIECES), st.sampled_from([1, 2, 40, 200])), max_size=6),
@@ -1104,8 +1170,8 @@ class TestVerifyByRendering:
         proven = []
         translate = body_rows.BodyRows._translate
 
-        def spy(self, text, pos):
-            lanes = translate(self, text, pos)
+        def spy(self, *args):
+            lanes = translate(self, *args)
             proven.append(lanes is not None)
             return lanes
 
@@ -1291,8 +1357,8 @@ class TestVerifyAsBytes:
         }
         with contextlib.ExitStack() as stack:
             called = {name: stack.enter_context(spy) for name, spy in spies.items()}
-            feed = stack.enter_context(mock.patch.object(
-                body_rows.BodyRows, "feed", autospec=True, side_effect=body_rows.BodyRows.feed
+            chunks = stack.enter_context(mock.patch.object(
+                body_rows.BodyRows, "chunks", autospec=True, side_effect=body_rows.BodyRows.chunks
             ))
             outcome = verify_outcome(target)
         assert outcome == ((0, "valid: change-3 cycle on 131072 vertices in dimension 17\n", ""), False)
@@ -1300,9 +1366,10 @@ class TestVerifyAsBytes:
         assert [call.args[0] for call in called["decode_text"].call_args_list] == [line.encode() for line in header]
         assert [call.args[0] for call in called["_check_whitespace"].call_args_list] == header
         assert [call.args[0] for call in called["_stray_whitespace"].call_args_list] == header
-        parts = [part for call in feed.call_args_list for part in call.args[1:]]
-        assert sum(map(len, parts)) > len(text) - 4096
-        assert {type(part.obj if isinstance(part, memoryview) else part) for part in parts} == {bytes}
+        # The body after the first 4 KiB is read from the file itself.
+        ((_, lead, source, _),) = [call.args for call in chunks.call_args_list]
+        assert type(lead) is bytes and len(lead) < 4096
+        assert isinstance(source, io.BufferedReader) and source.name == str(target)
 
 
 class TestOracle:

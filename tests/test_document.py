@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import hashlib
 import io
 import json
@@ -7,11 +8,12 @@ import re
 import tracemalloc
 from array import array
 from functools import reduce
+from itertools import islice
 from operator import or_
 from unittest import mock
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leaper_cycles import body_rows, constructor, core, decimal_rows, document
@@ -984,8 +986,8 @@ def test_parse_document_proves_every_later_piece(render, encoding):
     proven = []
     translate = body_rows.BodyRows._translate
 
-    def spy(self, text, pos):
-        lanes = translate(self, text, pos)
+    def spy(self, *args):
+        lanes = translate(self, *args)
         proven.append(lanes is not None)
         return lanes
 
@@ -1013,3 +1015,88 @@ def test_rows_end_finds_the_rows_split_finds(rows, lead, wanted, chars, partial)
         assert got == (lead + sum(len(row) + 1 for row in rows[:wanted]), wanted)
     else:
         assert got == (len(text), len(rows))
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.integers(16, 24), st.sampled_from(range(1, 16, 2)), st.integers(0, 15), st.booleans())
+def test_decimal_fields_are_the_numbers_their_digits_write(k, h, piece, wide):
+    # A second path for the fields of a piece of the closed form: the
+    # first codes formatted once and cut by columns, ONE summed by
+    # doubling and each bit's column made once are the numbers a "%"
+    # format and a column of digits per field write, exponent and all.
+    first = list(next(islice(constructor.construct_chunks(k, h), piece, None)))
+    translates = decimal_rows.Translates(first, k, b"\n")
+    width = translates.width + wide
+    fields = translates._new_fields(width)
+
+    def column(digits):
+        return decimal.Decimal("".join("0" * (width - 1) + d for d in digits))
+
+    one = column("1" * len(first))
+    assert fields.total.as_tuple() == decimal.Decimal((f"%0{width}d" * len(first)) % tuple(first)).as_tuple()
+    assert fields.one.as_tuple() == one.as_tuple()
+    context = decimal.Context(prec=decimal.MAX_PREC)
+    for p in range(k):
+        bits = column("".join(str(c >> p & 1) for c in first))
+        step = context.multiply(context.subtract(one, context.multiply(bits, 2)), 1 << p)
+        assert translates._step(fields, p).as_tuple() == step.as_tuple(), p
+
+
+@st.composite
+def cut_documents(draw):
+    """A rendered document, text or JSON, of a cycle, its later pieces
+    perhaps moved off the route, and the sizes of the head and the blocks
+    it is read in, which cut its rows and pieces anywhere."""
+    k = draw(st.sampled_from([5, 16, 17]))
+    h = draw(st.sampled_from(range(1, k, 2)))
+    codes = list(construct(k, h).path.codes)
+    for _ in range(draw(st.integers(0, 2))):  # a code changed, in piece 0 too
+        at = draw(st.integers(0, len(codes) - 1))
+        codes[at] ^= 1 << draw(st.integers(0, k - 1))
+    render = draw(st.sampled_from([render_text, render_json]))
+    text = render(CycleDocument(h, draw(st.sampled_from(ENCODINGS)), VertexPath(k, tuple(codes))))
+    blocks = [1, 7, 64] if k < 16 else [4097, 30_001, 1 << 20]
+    return text, draw(st.integers(64, 5000)), draw(st.sampled_from(blocks))  # a head holds JSON's
+
+
+@settings(deadline=None, max_examples=40)
+@given(cut_documents())
+@example((render_text(CycleDocument(3, "ints", construct(16, 3).path)), 37, 30_001))
+@example((render_json(CycleDocument(3, "tuples", construct(16, 3).path)), 4096, 7))
+def test_the_body_read_in_any_blocks_is_the_whole_texts(case):
+    # A second path for the buffer: the codes read with blocks cutting
+    # rows and pieces anywhere, into a buffer that keeps the text a
+    # block's edge cuts, are those of the text read in one block.
+    text, head, block = case
+    with mock.patch.object(document, "_WINDOW_CHARS", len(text)):
+        whole = parse_document(text)
+    with mock.patch.multiple(document, _WINDOW_CHARS=block, _HEAD_BYTES=head):
+        cycle = read_cycle(io.BytesIO(text.encode()))
+        chunks = list(cycle[3])
+    assert None not in chunks
+    assert cycle[:3] == (whole.path.k, whole.h, whole.encoding)
+    assert tuple(c for chunk in chunks for c in chunk) == whole.path.codes
+
+
+@pytest.mark.parametrize("render", [render_text, render_json])
+def test_the_body_is_read_into_one_buffer(render):
+    # Each block was read as a new bytes and joined behind the text held,
+    # so reading a k=20 ints body peaked at about two bytes more for each
+    # byte more of block. It is read into one buffer of a block and a
+    # quarter, so the peak rises by that, and by two pieces of text more
+    # at most.
+    text = render(CycleDocument(5, "ints", construct(20, 5).path)).encode()
+    piece = len(text) >> 20 - 12
+
+    def peak(block):
+        with mock.patch.object(document, "_WINDOW_CHARS", block):
+            tracemalloc.start()
+            try:
+                _, _, _, chunks = read_cycle(io.BytesIO(text))
+                assert None not in chunks
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    block = 1 << 18
+    assert peak(2 * block) - peak(block) <= block * 5 // 4 + 2 * piece

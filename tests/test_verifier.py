@@ -782,3 +782,106 @@ def test_a_long_path_at_small_k_is_checked_in_whole_blocks(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[:3] == [
         "invalid: 2000000 violation(s)", "WrongLength at 1000000", "DuplicateVertex at 1",
     ]
+
+
+@st.composite
+def remade_blocks(draw):
+    """(k, h, size, codes, kept): a constructed cycle in blocks of ``size``
+    codes, some later blocks remade from the lanes of one to three blocks,
+    in their order or shuffled, some lanes changed, to a code past k too;
+    and the violations a report keeps."""
+    size = draw(st.sampled_from([16, 64]))
+    k = draw(st.integers(size.bit_length() + 1, 10))  # four blocks or more
+    h = draw(st.sampled_from(range(1, k, 2)))
+    codes = list(construct(k, h).path.codes)
+    blocks = len(codes) // size
+    lane = 8 * array(lane_typecode(k)).itemsize
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(1, blocks - 1)) * size
+        sources = draw(st.lists(st.integers(0, blocks - 1), min_size=1, max_size=3)) * size
+        order = draw(st.permutations(range(size))) if draw(st.booleans()) else range(size)
+        block = [codes[sources[j] * size + i] for j, i in enumerate(order)]
+        for i in draw(st.lists(st.integers(0, size - 1), max_size=4)):
+            block[i] ^= 1 << draw(st.integers(0, lane - 1))
+        codes[at:at + size] = block
+    return k, h, size, tuple(codes), draw(st.sampled_from([3, 1000]))
+
+
+def reports_by_route(k, h, size, codes, kept):
+    """The reports of the checker fed ``codes`` whole, by each route of
+    _place: near a translate or by cosets, by cosets alone, and code by
+    code, kept as the reference; each checker's route is the first that
+    takes a block."""
+    reports = []
+    for near, groups in ((64, 4), (-1, 4), (-1, 0)):
+        with mock.patch.multiple(leaper_cycles.verifier, _NEAR=near, _GROUPS=groups, _KEPT_VIOLATIONS=kept), \
+                mock.patch.object(leaper_cycles.core, "PIECE_CODES", size):
+            checker = CycleChecker(k, h)
+            checker.feed(as_lanes(k, codes))
+            reports.append(checker.finish())
+    return reports
+
+
+@given(remade_blocks())
+@example((14, 3, 4096, (*construct(14, 3).path.codes[:4096],) * 4, 1000))  # 12,288 repeats
+def test_placing_by_cosets_reports_what_placing_code_by_code_reports(path):
+    # A second path for _place: a block near a translate, and the lanes of
+    # one to three cosets, placed a coset at a time, give the report the
+    # code-by-code loop gives, and the scalar one.
+    k, h, size, codes, kept = path
+    near, grouped, by_code = reports_by_route(k, h, size, codes, kept)
+    with mock.patch("reference_tours.KEPT_VIOLATIONS", kept):
+        assert near == grouped == by_code == scalar_report(k, h, codes)
+
+
+@pytest.mark.parametrize("shape", ["rotated", "shuffled", "a fault in every block"])
+def test_whole_and_half_cosets_are_not_placed_code_by_code(shape, monkeypatch):
+    # A cycle rotated by half a block, whose later blocks not taken whole
+    # each fall in two half cosets, one block shuffled, a whole coset, and
+    # a code changed in every block but block 1: no block goes to the
+    # code-by-code loop, which only names the few codes moved off a
+    # translate, and the reports are the scalar ones.
+    place_codes = CycleChecker._place_codes
+
+    def few(checker, names, indices, offsets=None):
+        assert offsets is not None and len(offsets) <= 2, "a block was placed code by code"
+        return place_codes(checker, names, indices, offsets)
+
+    k, h, size = 16, 5, leaper_cycles.core.PIECE_CODES
+    codes = list(construct(k, h).path.codes)
+    if shape == "rotated":
+        codes = codes[size // 2:] + codes[:size // 2]
+    elif shape == "shuffled":
+        block = codes[3 * size:4 * size]
+        random.Random(3).shuffle(block)
+        codes[3 * size:4 * size] = block
+    else:
+        for b in range(len(codes) // size):
+            if b != 1:
+                codes[b * size + b * 577 % size] ^= 1 << b % k
+    monkeypatch.setattr(CycleChecker, "_place_codes", few)
+    with mock.patch.object(CycleChecker, "_place", autospec=True, side_effect=CycleChecker._place) as place:
+        report = verify_cycle(VertexPath(k, tuple(codes)), h)
+    assert report == scalar_report(k, h, codes)
+    assert place.call_count == {"rotated": 8, "shuffled": 1, "a fault in every block": 15}[shape]
+
+
+@given(
+    st.integers(1, 64).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=70),
+        st.one_of(st.none(), st.integers(0, (1 << 64) + 5)),
+        st.integers(1, 70),
+    ))
+)
+def test_step_faults_read_from_the_lane_counts_are_those_of_each_pair(case):
+    # A second path for _packed_step_faults: the failing steps of a chunk
+    # of lanes, from the bit counts of its packed integer, are those the
+    # pairs of codes give one by one, or None for a lead that fits no lane.
+    k, codes, lead, h = case
+    lanes = array(lane_typecode(k), codes)
+    faults = leaper_cycles.verifier._packed_step_faults(pack(lanes), lead, lanes.itemsize, len(lanes), h)
+    if lead is not None and lead >> 8 * lanes.itemsize:
+        assert faults is None
+    else:
+        assert faults == leaper_cycles.verifier._step_faults(codes, lead, h)
