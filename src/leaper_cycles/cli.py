@@ -18,7 +18,7 @@ from collections.abc import Iterator, Sequence
 from typing import IO
 
 # construct, render_text and render_json stay bound for the bench tracer:
-# test_every_name_the_bench_traces_stays_bound, ROADMAP item 2
+# test_every_name_the_bench_traces_stays_bound, ROADMAP item 1b
 from .constructor import FeasibilityVerdict, construct, construct_chunks  # noqa: F401
 from .document import _parse_json, decode_text, parse_document, read_cycle, render_pieces
 from .document import render_json, render_text  # noqa: F401

@@ -111,27 +111,29 @@ class CycleChecker:
     V inside the dimension makes that block the reference, as the body
     reader moves its template on past a piece 0 at fault; V is
     unchanged, so every page stays valid. Any other Translate is fed as
-    its lanes. Every coset taken whole, or filled, shares
-    one page of ones, ``bytes``, which is never written, as every index
-    of it is set. Any other block is placed as if each code, in index
-    order, were named outside the dimension, or repeated if its index in
+    its lanes; V being fixed, the last template refused as a reference
+    is not tested again. Every coset taken whole, or filled, shares one
+    page of ones, ``bytes``, which is never written, as every index of it
+    is set. Any other block is placed as if each code, in index order,
+    were named outside the dimension, or repeated if its index in
     its coset's page is set, or else marked there, and at about the cost
     of marking the block in a table: a block that is a translate of the
     reference but for a few lanes, by :meth:`_place_near`, from those
     lanes alone; else one whose lanes, reduced all at once on their
     integer, fall in a few cosets inside the dimension, by
-    :meth:`_place_groups`, a coset at a time; else code by code. The
-    failing steps are read from the lane counts of
-    :func:`_packed_step_faults`, or found code by code if a code fits no
-    lane. There are ``2**k / _size`` cosets, so the pages hold at most
-    2**k bytes.
+    :meth:`_place_groups`, a coset at a time; else code by code. There
+    are ``2**k / _size`` cosets, so the pages hold at most 2**k bytes.
 
     If neither block 0 nor block 1 is a reference, as in a cycle rotated
     by rows that are not a multiple of a block, at ``k < 12``, or with a
     code that fits no lane in both, the presence table of one byte per
-    vertex is made instead. A block of lanes whose range and steps pass
-    :func:`_packed_chunk_passes` only has its vertices marked present in
-    it; any other block is checked code by code, naming each fault.
+    vertex is made instead. A block of lanes that fails no step, and has
+    no code past k by the range mask of :func:`_outside`, is only marked
+    present in the table; any other block is checked code by code.
+
+    On either route, a block not taken whole has its failing steps read
+    once, by :meth:`_failing_steps`: from the lane counts of
+    :func:`_packed_step_faults`, or code by code if a code fits no lane.
     """
 
     def __init__(self, k: int, h: int) -> None:
@@ -153,6 +155,7 @@ class CycleChecker:
         self._block0 = self._end = 0  # the reference, packed, and its last code
         self._basis: list[tuple[int, int]] = []  # V's (pivot bit, vector) pairs
         self._inner: list[int] = []  # offsets o of the reference's failing steps (o, o + 1)
+        self._refused: int | None = None  # the last template _reference refused, packed
         # Each coset seen: its name -> its codes present, by index in the coset.
         self._cosets: dict[int, bytes | bytearray] = {}
         self._whole = b"\1" * self._size  # the page of a coset taken whole
@@ -165,14 +168,16 @@ class CycleChecker:
     def feed(self, codes: Sequence[int]) -> None:
         """Check the next ``codes`` of the path."""
         if isinstance(codes, Translate):
-            whole = len(codes) == self._size and codes.typecode == self._typecode
+            packed = codes.packed
             if (
-                whole and not self._held and self._origin is not None
-                and (codes.packed == self._block0 or self._reference(codes.packed))
-                and self._take(codes.shift)
+                len(codes) == self._size and codes.typecode == self._typecode
+                and not self._held and self._origin is not None and packed != self._refused
             ):
-                self._last, self._count = self._end ^ codes.shift, self._count + self._size
-                return
+                if packed != self._block0 and not self._reference(packed):
+                    self._refused = packed  # V is fixed, so the refusal is final
+                elif self._take(codes.shift):
+                    self._last, self._count = self._end ^ codes.shift, self._count + self._size
+                    return
             codes = codes.lanes()
         size, start = self._size, 0
         if self._held:
@@ -240,20 +245,15 @@ class CycleChecker:
     def _check(self, block: Sequence[int], lanes: array | None, packed: int) -> None:
         """Check ``block``, its ``lanes`` (None if a code fits no lane) and
         ``packed``, their integer: by cosets, or against the presence table."""
-        if self._seen is not None:
-            lead = self._last if self._count else None
-            if lanes is not None and _packed_chunk_passes(
-                packed, lead, lanes.itemsize, len(lanes), self._k, self._h
-            ):
-                self._mark(block)
-            else:
+        if self._seen is not None or not self._take_whole(lanes, packed):
+            faults = self._failing_steps(block, lanes, packed)
+            self._add_steps(faults)
+            if self._seen is None:
+                self._place(block, lanes, packed)
+            elif faults or lanes is None or _outside(packed, lanes.itemsize, len(lanes), self._k):
                 self._scan(block, 0)
-                self._scan_steps(block, self._lane_step_faults(lanes, packed))
-        elif not self._take_whole(lanes, packed):
-            self._place(block, lanes, packed)
-            faults = self._lane_step_faults(lanes, packed)
-            if faults != []:
-                self._scan_steps(block, faults)
+            else:
+                self._mark(block)
         if not self._count:
             self._first = block[0]
         self._last = block[-1]
@@ -263,13 +263,12 @@ class CycleChecker:
         """Whether a whole block of lanes, ``packed``, is a reference the
         class docstring describes, a coset of V once V is known; if it is,
         take it as the reference."""
-        typecode, size, k = self._typecode, self._size, self._k
-        bits = 8 * array(typecode).itemsize
-        one = _lane_masks(bits // 8, size)[0]
-        if packed & ((1 << bits) - (1 << k)) * one:
+        typecode, size, itemsize = self._typecode, self._size, array(self._typecode).itemsize
+        if _outside(packed, itemsize, size, self._k):
             return False
+        bits = 8 * itemsize
         origin = packed & ((1 << bits) - 1)
-        basis = _subspace_basis(packed ^ origin * one, typecode, size)
+        basis = _subspace_basis(packed ^ origin * _lane_masks(itemsize, size)[0], typecode, size)
         if basis is None:
             return False
         if self._origin is None:
@@ -277,7 +276,7 @@ class CycleChecker:
         elif any(self._coset(vector)[0] for _, vector in basis):  # a subspace other than V
             return False
         self._block0, self._origin, self._end = packed, origin, packed >> bits * (size - 1)
-        self._inner = _packed_step_faults(packed, None, bits // 8, size, self._h)
+        self._inner = _packed_step_faults(packed, None, itemsize, size, self._h)
         return True
 
     def _take_whole(self, lanes: array | None, packed: int) -> bool:
@@ -498,24 +497,14 @@ class CycleChecker:
                 self._dropped += len(rest) - len(fresh)
                 return
 
-    def _lane_step_faults(self, lanes: array | None, packed: int) -> list[int] | None:
-        """The offsets of the failing steps into the next block, its
-        ``lanes`` and ``packed``, their integer, as
-        :func:`_packed_step_faults` reads them; None if a code fits no lane."""
+    def _failing_steps(self, block: Sequence[int], lanes: array | None, packed: int) -> list[int]:
+        """The offsets of the failing steps into ``block``, the next block,
+        read from the lane counts of its ``lanes`` and ``packed``, their
+        integer, by :func:`_packed_step_faults`, or code by code if a code,
+        or the one before the block, fits no lane."""
         lead = self._last if self._count else None
-        return None if lanes is None else _packed_step_faults(packed, lead, lanes.itemsize, len(lanes), self._h)
-
-    def _scan_steps(self, codes: Sequence[int], faults: list[int] | None) -> None:
-        """Name each step into ``codes``, the next block, that does not
-        flip h coordinates, as :meth:`_add_steps` does, at the offsets
-        ``faults`` if they are known; once _KEPT_VIOLATIONS are named,
-        only count them."""
-        if faults is None:
-            faults = _step_faults(codes, self._last if self._count else None, self._h)
-        if len(self._steps) == _KEPT_VIOLATIONS:
-            self._dropped += len(faults)
-        else:
-            self._add_steps(faults)
+        faults = None if lanes is None else _packed_step_faults(packed, lead, lanes.itemsize, len(lanes), self._h)
+        return _step_faults(block, lead, self._h) if faults is None else faults
 
     def _add_steps(self, faults: Sequence[int]) -> None:
         """Name the failing step ``(i + o, i + o + 1)`` for each offset
@@ -588,32 +577,11 @@ def _subspace_basis(packed: int, typecode: str, lanes: int) -> list[tuple[int, i
     return basis if all(table) else None
 
 
-def _packed_chunk_passes(
-    packed: int, lead: int | None, itemsize: int, lanes: int, k: int, h: int
-) -> bool:
-    """Whether every one of the ``lanes`` codes in ``packed`` lies in
-    [0, 2**k) and flips exactly h coordinates from the code before it.
-
-    Lane ``i`` of ``packed``, its ``8 * itemsize`` bits from bit ``8 *
-    itemsize * i`` on, holds code ``i``, and ``8 * itemsize >= k``.
-    ``lead`` is the code before code 0, or None if code 0 opens the path
-    and no step leads into it. An h above the lane width fails every
-    chunk, a lone first code included, and leaves it to the caller's
-    code-by-code check. Both tests are branch-free on the whole integer:
-    the range test is one mask, and the step test compares the counts of
-    :func:`_flip_counts`.
-    """
-    bits = 8 * itemsize
-    if not 0 < h <= bits:  # no step between lanes flips h coordinates
-        return False
-    if lead is None:
-        lead = packed & ((1 << bits) - 1) ^ ((1 << h) - 1)
-    elif not 0 <= lead < 1 << bits:
-        return False
-    one = _lane_masks(itemsize, lanes)[0]
-    if packed & ((1 << bits) - (1 << k)) * one:
-        return False
-    return _flip_counts(packed, lead, itemsize, lanes) == h * one
+def _outside(packed: int, itemsize: int, lanes: int, k: int) -> int:
+    """The bits at or past k of the ``lanes`` codes in ``packed``, lanes of
+    ``itemsize`` bytes, ``8 * itemsize >= k``, found at once by one mask:
+    0 iff every code lies in [0, 2**k)."""
+    return packed & ((1 << 8 * itemsize) - (1 << k)) * _lane_masks(itemsize, lanes)[0]
 
 
 def _packed_step_faults(packed: int, lead: int | None, itemsize: int, lanes: int, h: int) -> list[int] | None:

@@ -421,14 +421,20 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["tuples", "ints", "json"])
     def test_valid_document_passes_the_packed_check(self, fmt, capsys, tmp_path, monkeypatch):
         # The parser's chunks of a valid document never reach the
-        # checker's code-by-code loops.
+        # checker's code-by-code loops, and name no step fault.
         def never(*args):
             raise AssertionError("a valid chunk was checked code by code")
+
+        add_steps = CycleChecker._add_steps
+
+        def no_step_fault(checker, faults):
+            assert not faults, "a valid chunk named a step fault"
+            add_steps(checker, faults)
 
         target = tmp_path / "cycle"
         assert main(construct_argv(12, 5, fmt, target)) == 0
         monkeypatch.setattr(CycleChecker, "_scan", never)
-        monkeypatch.setattr(CycleChecker, "_scan_steps", never)
+        monkeypatch.setattr(CycleChecker, "_add_steps", no_step_fault)
         code, out, _ = run(capsys, "verify", str(target))
         assert (code, out) == (0, "valid: change-5 cycle on 4096 vertices in dimension 12\n")
 

@@ -166,12 +166,18 @@ class TestConstruct:
 
     def test_every_chunk_passes_the_packed_check(self, monkeypatch):
         # A valid chunk never reaches the code-by-code loops, which are
-        # kept for chunks at fault.
+        # kept for chunks at fault, and names no step fault.
         def never(*args):
             raise AssertionError("a constructed chunk was checked code by code")
 
+        add_steps = constructor.CycleChecker._add_steps
+
+        def no_step_fault(checker, faults):
+            assert not faults, "a constructed chunk named a step fault"
+            add_steps(checker, faults)
+
         monkeypatch.setattr(constructor.CycleChecker, "_scan", never)
-        monkeypatch.setattr(constructor.CycleChecker, "_scan_steps", never)
+        monkeypatch.setattr(constructor.CycleChecker, "_add_steps", no_step_fault)
         for piece in (1 << 3, 1 << 12):
             monkeypatch.setattr(core, "PIECE_CODES", piece)
             for k in range(2, 13):

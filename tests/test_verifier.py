@@ -25,7 +25,8 @@ from leaper_cycles.verifier import (
     WRONG_LENGTH,
     WRONG_STEP,
     CycleChecker,
-    _packed_chunk_passes,
+    _outside,
+    _packed_step_faults,
     verify_cycle,
 )
 
@@ -269,23 +270,36 @@ def test_codes_that_fit_no_lane_are_named(wide):
 
 
 # Widths at and either side of the lane edges; a CycleChecker beyond
-# k = 32 would need a presence table of 8 GB, so the packed test is
-# called on its own.
+# k = 32 would need a presence table of 8 GB, so the table route's packed
+# test is called on its own.
 LANE_EDGE_KS = [7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64]
+
+
+def in_range(codes, k):
+    """The per-code reference of the range mask."""
+    return all(0 <= c < 1 << k for c in codes)
 
 
 def steps_hold(codes, lead, k, h):
     """The per-pair reference of the packed test."""
     path = codes if lead is None else [lead, *codes]
-    return all(0 <= c < 1 << k for c in codes) and all(
-        (a ^ b).bit_count() == h for a, b in zip(path, path[1:])
-    )
+    return in_range(codes, k) and all((a ^ b).bit_count() == h for a, b in zip(path, path[1:]))
+
+
+def packed_test(codes, lead, itemsize, k, h):
+    """Whether the table route only marks ``codes``, in lanes of
+    ``itemsize`` bytes: no bit past the range mask, and no failing step
+    read from the lane counts."""
+    whole, lanes = packed(codes, itemsize), len(codes)
+    return not _outside(whole, itemsize, lanes, k) and _packed_step_faults(whole, lead, itemsize, lanes, h) == []
 
 
 @pytest.mark.parametrize("k", LANE_EDGE_KS)
 def test_packed_test_matches_per_pair_bit_counts_at_lane_edges(k):
     # Windows of the closed form, one crossing the closing edge, then with
-    # each lane's bits flipped one at a time, below and above bit k.
+    # each lane's bits flipped one at a time, below and above bit k, in
+    # every lane width: the range mask finds a code past k as the bound
+    # on each code does.
     for itemsize in (s for s in (1, 2, 4, 8) if 8 * s >= k):
         bits = 8 * itemsize
         for h in sorted({1, k // 2 | 1, (k - 2) | 1}):
@@ -295,16 +309,16 @@ def test_packed_test_matches_per_pair_bit_counts_at_lane_edges(k):
                 for lead in (None, previous, previous ^ 1, (1 << bits) - 1):
                     for step in (h, h + 1, h + 2, bits):
                         want = steps_hold(codes, lead, k, step)
-                        got = _packed_chunk_passes(packed(codes, itemsize), lead, itemsize, 9, k, step)
+                        got = packed_test(codes, lead, itemsize, k, step)
                         assert got == want, (itemsize, h, start, lead, step)
                 for lane in range(9):
                     for bit in sorted({0, 1, k - 2, k - 1, k, bits - 1} & set(range(bits))):
                         flipped = codes.copy()
                         flipped[lane] ^= 1 << bit
+                        outside = _outside(packed(flipped, itemsize), itemsize, 9, k)
+                        assert (outside == 0) == in_range(flipped, k), (itemsize, lane, bit)
                         assert not steps_hold(flipped, previous, k, h)
-                        assert not _packed_chunk_passes(
-                            packed(flipped, itemsize), previous, itemsize, 9, k, h
-                        ), (itemsize, h, lane, bit)
+                        assert not packed_test(flipped, previous, itemsize, k, h), (itemsize, h, lane, bit)
 
 
 @given(
@@ -330,18 +344,35 @@ def test_packed_test_matches_per_pair_bit_counts_on_any_window(case, lanes, lead
         "previous": _code(h, (start - 1) % (1 << k)),
         "any": start * 0x9E3779B97F4A7C15 % (1 << bits),
     }[lead_kind]
-    got = _packed_chunk_passes(packed(codes, itemsize), lead, itemsize, lanes, k, h)
-    assert got == steps_hold(codes, lead, k, h)
+    assert (_outside(packed(codes, itemsize), itemsize, lanes, k) == 0) == in_range(codes, k)
+    assert packed_test(codes, lead, itemsize, k, h) == steps_hold(codes, lead, k, h)
 
 
-def test_packed_test_leaves_a_step_wider_than_a_lane_to_the_scalar_loops():
-    # No two lanes of 8 bits are 9 coordinates apart, and a lone first
-    # code fails too: the checker's code-by-code loops judge it.
-    assert not _packed_chunk_passes(5, None, 1, 1, 8, 9)
-    report = scalar_report(2, 9, (1,))
-    checker = CycleChecker(2, 9)
-    checker.feed((1,))
-    assert checker.finish() == report
+def test_a_step_wider_than_a_lane_fails_as_the_scalar_loops_say():
+    # No two lanes of 8 bits are 9 coordinates apart, so the lane counts
+    # fail every step; a lone first code has no step to fail.
+    assert _packed_step_faults(packed([1, 2, 3], 1), 0, 1, 3, 9) == [-1, 0, 1]
+    assert _packed_step_faults(5, None, 1, 1, 9) == []
+    for codes in ((1,), (1, 2, 3), (0, 1, 2, 3)):
+        checker = CycleChecker(2, 9)
+        checker.feed(codes)
+        assert checker.finish() == scalar_report(2, 9, codes)
+
+
+def test_a_failing_block_on_the_table_route_counts_its_flips_once():
+    # A cycle rotated by one row takes the table. Read with a wrong h,
+    # every block fails its steps: the lane counts that name them also
+    # choose between marking the block and scanning it.
+    codes = list(construct(14, 3).path.codes)
+    codes = codes[1:] + codes[:1]
+    flip_counts = leaper_cycles.verifier._flip_counts
+    with mock.patch.object(leaper_cycles.verifier, "_flip_counts", side_effect=flip_counts) as spy:
+        checker = CycleChecker(14, 5)
+        checker.feed(tuple(codes))
+        report = checker.finish()
+    assert checker._seen is not None
+    assert report == scalar_report(14, 5, codes)
+    assert spy.call_count == len(codes) // leaper_cycles.core.PIECE_CODES
 
 
 @st.composite
@@ -699,6 +730,26 @@ def test_faulty_paths_make_no_table(shape, flags, lines, tmp_path, capsys, monke
     target.write_text("# k=16 h=5 encoding=ints closed=true\n" + "".join(f"{c}\n" for c in codes))
     assert cli.main(["verify", str(target), *flags]) == 2
     assert capsys.readouterr().out.splitlines()[:len(lines)] == lines
+
+
+def test_a_refused_template_is_not_tested_again(tmp_path, capsys):
+    # One code changed the same way in every block but block 1, the
+    # reference: each later piece is a Translate of the faulty piece 0,
+    # which is tested as a reference once, after blocks 0 and 1.
+    k, h, size = 16, 3, leaper_cycles.core.PIECE_CODES
+    codes = list(construct(k, h).path.codes)
+    for b in range(len(codes) // size):
+        if b != 1:
+            codes[b * size + 577] ^= 1 << 5
+    target = tmp_path / "cycle.txt"
+    target.write_text(f"# k={k} h={h} encoding=ints closed=true\n" + "".join(f"{c}\n" for c in codes))
+    basis = leaper_cycles.verifier._subspace_basis
+    with mock.patch.object(leaper_cycles.verifier, "_subspace_basis", side_effect=basis) as spy:
+        assert cli.main(["verify", str(target)]) == 2
+    assert spy.call_count <= 3
+    report = scalar_report(k, h, codes)
+    lines = [f"invalid: {report.total} violation(s)", *map(str, report.violations)]
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 def checker_peak(k, h, codes):
