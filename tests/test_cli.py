@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import os
@@ -214,8 +215,9 @@ class TestConstructStreams:
 
     def test_output_holds_one_chunk(self, tmp_path, monkeypatch):
         # Building the whole path and its text first cost 118.7 B/vertex.
-        # The first call in a process also imports `locale` for argparse's
-        # messages, a cost independent of k, so the second call is measured.
+        # The first ints render in a process also imports `decimal_rows`
+        # and `decimal`, a cost independent of k, so the second call is
+        # measured.
         k = 14
         monkeypatch.setattr(core, "PIECE_CODES", 1 << 8)
         argv = construct_argv(k, 3, "ints", tmp_path / "cycle.txt")
@@ -1589,6 +1591,69 @@ def test_cli_imports_only_the_standard_library():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == "False\n"
+
+
+def test_importing_the_cli_parses_no_arguments():
+    # A module parses no arguments at import: the parser it builds there
+    # waits for main, whatever sys.argv holds, and starts no thread.
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    script = (
+        "import sys, threading\n"
+        "sys.argv = ['x', '--bogus']\n"
+        "import leaper_cycles.cli\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "", "")
+
+
+def test_main_builds_no_parser(monkeypatch, tmp_path):
+    # The parser is built once, at import; a call only parses its argv.
+    doc = str(tmp_path / "c.txt")
+    assert main(["construct", "--k", "5", "--h", "3", "--output", doc]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    calls = [
+        (["construct", "--k", "5", "--h", "3", "--output", doc], 0),
+        (["verify", doc], 0),
+        (["oracle", "--k", "4", "--h", "3"], 0),
+        (["leaper", "--name", "knight"], 0),
+        (["construct"], 1),
+        (["--help"], 0),
+    ]
+    for argv, expected in calls:
+        assert main(argv) == expected, argv
+
+
+def test_calls_in_one_process_stay_independent(capsys, monkeypatch, tmp_path):
+    # Each call reads as the same argv does in a process of its own, whatever
+    # the calls before it set.
+    monkeypatch.setenv("COLUMNS", "80")  # one help width in and out of process
+    doc = str(tmp_path / "f.txt")
+    assert main(["construct", "--k", "5", "--h", "3", "--output", doc]) == 0
+    sequence = [
+        ["oracle", "--k", "4", "--h", "1", "--count"],
+        ["oracle", "--k", "4", "--h", "1"],
+        ["construct", "--leaper", "knight", "--k", "6"],
+        ["construct", "--k", "5", "--h", "3", "--format", "ints"],
+        ["verify", doc, "--h", "1"],
+        ["verify", doc],
+        ["construct", "--k", "5"],
+        ["leaper", "--a", "1", "--b", "2"],
+        ["--help"],
+        ["--help"],
+    ]
+    in_process = [run(capsys, *argv) for argv in sequence]
+    env = dict(os.environ, PYTHONPATH=str(REPO_SRC))
+    for argv, got in zip(sequence, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "leaper_cycles", *argv], capture_output=True, text=True, env=env
+        )
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 0, 0, 0, 2, 0, 1, 0, 0, 0]
 
 
 def test_only_a_cycle_of_translates_loads_decimal(tmp_path):
