@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Generator, Iterator, Sequence
+from io import SEEK_END
 from typing import TYPE_CHECKING, BinaryIO
 
 if TYPE_CHECKING:
@@ -109,8 +110,13 @@ class BodyRows:
         each block if it does not start there; the last row may lack a ``sep``. A chunk of None ends
         the chunks. The last ``len(end)`` bytes read are kept back, and at
         the file's end must be ``end``, else a chunk of None ends the
-        chunks; ``last`` takes their place."""
+        chunks; ``last`` takes their place. A seekable source's blocks are
+        no longer than the bytes it has left and one, so none is empty."""
         keep = len(self._tail)
+        if source.seekable():
+            here = source.tell()
+            block = min(block, source.seek(0, SEEK_END) - here + 1)
+            source.seek(here)
         # Room for a block and the text a block's edge cuts: a piece start or a row.
         self._buffer = bytearray(len(lead) + block + block // 4)
         self._buffer[:len(lead)] = lead

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
+from typing import NamedTuple
 
 from . import core
 from .core import VertexPath, check_dimension, lane_typecode
@@ -40,8 +40,7 @@ class Feasibility(Enum):
     INFEASIBLE_DIMENSION = "infeasible-dimension"
 
 
-@dataclass(frozen=True)
-class FeasibilityVerdict:
+class FeasibilityVerdict(NamedTuple):
     status: Feasibility
     detail: str
 
@@ -50,8 +49,7 @@ class FeasibilityVerdict:
         return self.status is Feasibility.FEASIBLE
 
 
-@dataclass(frozen=True)
-class CycleCertificate:
+class CycleCertificate(NamedTuple):
     """A change-h Hamiltonian cycle that has passed the verifier."""
 
     h: int

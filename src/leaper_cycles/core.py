@@ -21,7 +21,6 @@ import os
 import sys
 from array import array
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
 
 DEFAULT_MAX_K = 28
 HARD_MAX_K = 64
@@ -154,22 +153,44 @@ class Template:
         return Translate(self.packed, self.one, shift, self.typecode, len(self.first))
 
 
-@dataclass(frozen=True)
 class VertexPath:
     """An ordered sequence of vertex codes in a fixed dimension.
 
     The container is deliberately permissive: codes are not checked for
     range or distinctness on construction (the verifier reports both as
     violations), which lets the path transforms stay cheap and lets tests
-    build deliberately broken paths.
+    build deliberately broken paths. It is no tuple: ``copy`` and ``pickle``
+    would size a tuple's result by its ``len``, the code count.
     """
 
-    k: int
-    codes: tuple[int, ...]
+    __slots__ = ("k", "codes")
+    __match_args__ = ("k", "codes")
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"path dimension must be positive, got {self.k}")
+    def __init__(self, k: int, codes: tuple[int, ...]) -> None:
+        if k < 1:
+            raise ValueError(f"path dimension must be positive, got {k}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "codes", codes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.k, self.codes) == (other.k, other.codes)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.codes))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(k={self.k!r}, codes={self.codes!r})"
+
+    def __reduce__(self) -> tuple[type[VertexPath], tuple[int, tuple[int, ...]]]:
+        return type(self), (self.k, self.codes)
 
     def __len__(self) -> int:
         return len(self.codes)

@@ -58,10 +58,9 @@ import re
 import sys
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, repeat
-from typing import TYPE_CHECKING, BinaryIO, TypeVar
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple, TypeVar
 
 from . import core
 from .core import CapacityError, VertexPath, check_dimension, lane_typecode, unpack
@@ -104,15 +103,20 @@ class _CutRow(DocumentError):
     from the whole row by :class:`~.long_row.RowTokens`."""
 
 
-@dataclass(frozen=True)
-class CycleDocument:
+class _DocumentFields(NamedTuple):
     h: int
     encoding: str
     path: VertexPath
 
-    def __post_init__(self) -> None:
-        if self.encoding not in ENCODINGS:
+
+class CycleDocument(_DocumentFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, h: int, encoding: str, path: VertexPath) -> CycleDocument:
+        if encoding not in ENCODINGS:
             raise ValueError(f"encoding must be one of {ENCODINGS}")
+        return super().__new__(cls, h, encoding, path)
 
 
 def render_text(doc: CycleDocument) -> str:

@@ -8,7 +8,7 @@ parity-preserving) and k exceeds a*a+b*b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .constructor import Feasibility, FeasibilityVerdict, feasibility
 
@@ -34,25 +34,28 @@ class UnknownLeaperError(ValueError):
     """Name not in the catalog; the message lists what is."""
 
 
-@dataclass(frozen=True)
-class LeaperSpec:
+class _LeaperFields(NamedTuple):
+    a: int
+    b: int
+    name: str | None = None
+
+
+class LeaperSpec(_LeaperFields):
     """An (a,b) jump pattern; the name is cosmetic.
 
     Requires 0 <= a <= b and b >= 1. The components are not reordered:
     (2,1) raises ValueError.
     """
 
-    a: int
-    b: int
-    name: str | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if self.a < 0 or self.b < 1:
-            raise ValueError(f"need a >= 0 and b >= 1, got ({self.a},{self.b})")
-        if self.a > self.b:
-            raise ValueError(
-                f"leaper components must satisfy a <= b, got ({self.a},{self.b})"
-            )
+    def __new__(cls, a: int, b: int, name: str | None = None) -> LeaperSpec:
+        if a < 0 or b < 1:
+            raise ValueError(f"need a >= 0 and b >= 1, got ({a},{b})")
+        if a > b:
+            raise ValueError(f"leaper components must satisfy a <= b, got ({a},{b})")
+        return super().__new__(cls, a, b, name)
 
     def label(self) -> str:
         base = f"(a={self.a}, b={self.b})"

@@ -45,7 +45,7 @@ at its first cycle, so it keeps the plain search of the m0 branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import CapacityError, VertexPath, check_dimension
 
@@ -53,8 +53,7 @@ ORACLE_K_MAX = 12
 COUNT_K_MAX = 4
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     exists: bool
     count: int | None
     nodes_explored: int

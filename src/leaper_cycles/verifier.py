@@ -11,10 +11,10 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from contextlib import suppress
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, compress, count, islice
 from operator import xor
+from typing import NamedTuple
 
 from . import core
 from .core import Translate, VertexPath, lane_typecode, pack, unpack
@@ -32,8 +32,7 @@ _FEW_MARKS = 64  # marks that _marked finds one search each, not in one pass
 _ONES = bytes([0]) + bytes([1]) * 255  # a byte -> 1 unless it is 0
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One rule breach: its kind and the index (or index pair) at fault.
 
     For WrongLength, ``where`` is the offending length itself.
@@ -46,8 +45,7 @@ class Violation:
         return f"{self.kind} at {self.where}"
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     """The verdict: ``total`` violations, of which the first (at most
     1,000) are kept in ``violations``, in report order."""
 
