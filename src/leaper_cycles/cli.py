@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--witness", action="store_true", help="emit a found cycle as a document"
     )
     p_oracle.add_argument(
-        "--format", choices=tuple(_FORMATS), default="tuples",
+        "--format", choices=tuple(_FORMATS),
         help="witness document format (default: tuples)",
     )
     p_oracle.add_argument("--output", help="write the witness to this file")
@@ -208,8 +208,9 @@ def _check_windows(
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
-    if args.output and not args.witness:
-        raise ValueError("--output needs --witness")
+    for flag, value in (("--output", args.output), ("--format", args.format)):
+        if value and not args.witness:
+            raise ValueError(f"{flag} needs --witness")
     search = oracle_count if args.count else oracle_exists
     result = search(args.k, args.h)
     witness = result.witness if args.witness else None
@@ -220,7 +221,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
             print(f"count: {result.count}")
         print(f"nodes_explored: {result.nodes_explored}")
         if witness is not None:
-            encoding, as_json = _FORMATS[args.format]
+            encoding, as_json = _FORMATS[args.format or "tuples"]
             out.writelines(
                 render_pieces(args.k, args.h, encoding, [witness.codes], as_json=as_json)
             )

@@ -9,8 +9,9 @@ the h-bit flip masks, so it is connected iff the masks span GF(2)^k.
 
 The search is anchored at the all-zeros vertex. Neighbors are tried in
 ascending flip-mask order, which is pinned so that results and node
-counts are reproducible; the search stack holds one next-mask index per
-depth, so memory is O(2**k) whatever the depth. There is no pruning
+counts are reproducible. The search holds the path, a byte per vertex,
+a table of the C(k,h) masks' positions and one list of the masks left
+to try, so memory is O(2**k) whatever the depth. There is no pruning
 inside the search: within the caps every infeasible (k, h) is refuted by
 the two prechecks with 0 nodes, and every feasible existence search
 reaches a cycle in exactly 2**k - 1 nodes without backtracking.
@@ -192,9 +193,9 @@ def _dfs(
     move when searching a single top-level branch. Counts are of directed
     cycles, so ``prefix=(0,)`` meets every undirected cycle twice.
     Iterative, so path lengths up to 2**ORACLE_K_MAX need no recursion
-    headroom. The stack holds one next-mask index per depth: when control
-    returns to a depth, every deeper vertex has been popped, so scanning
-    on from the index tries the neighbors unvisited on entry, in order.
+    headroom. A pushed vertex's scan starts at the first mask. A popped
+    vertex ``v`` was reached by the mask ``v ^ head``, so the head's scan
+    resumes past it, over the neighbors it had not yet tried, in order.
     """
     n = 1 << k
     visited = bytearray(n)
@@ -205,32 +206,33 @@ def _dfs(
     count = 0
     witness: list[int] | None = None
 
-    n_masks = len(masks)
-    head, start = path[-1], len(prefix)
-    idx = [0]  # next mask index to try, one per depth
-    while idx:
-        i = idx[-1]
-        while i < n_masks and visited[head ^ masks[i]]:
-            i += 1
-        if i == n_masks:
-            idx.pop()
-            if len(path) > start:
-                visited[path.pop()] = 0
-                head = path[-1]
+    resume = {m: i for i, m in enumerate(masks, 1)}  # mask -> position after it
+    head, start, last = path[-1], len(prefix), n - 1
+    rest = masks  # the masks still to try from head
+    while True:
+        for m in rest:
+            if not visited[head ^ m]:
+                break
+        else:
+            if len(path) == start:
+                return (count, nodes, witness)
+            v = path.pop()
+            visited[v] = 0
+            head = path[-1]
+            rest = masks[resume[v ^ head]:]
             continue
-        idx[-1] = i + 1
-        v = head ^ masks[i]
+        v = head ^ m
         nodes += 1
-        if len(path) + 1 == n:
+        if len(path) == last:
             if v.bit_count() == h:  # closing edge back to all-zeros
                 if not count_mode:
                     return (1, nodes, path + [v])
                 count += 1
                 if witness is None:
                     witness = path + [v]
+            rest = masks[resume[m]:]
             continue
         visited[v] = 1
         path.append(v)
         head = v
-        idx.append(0)
-    return (count, nodes, witness)
+        rest = masks

@@ -1501,6 +1501,20 @@ class TestOracle:
         assert err == "error: --output needs --witness\n"
         assert not target.exists()
 
+    @pytest.mark.parametrize("fmt", ["tuples", "ints", "json"])
+    def test_format_without_witness_refused_before_search(self, fmt, capsys, monkeypatch):
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(cli, "oracle_exists", no_search)
+        assert run(capsys, "oracle", "--k", "3", "--h", "1", "--format", fmt) == (
+            1, "", "error: --format needs --witness\n"
+        )
+
+    def test_witness_format_defaults_to_tuples(self, capsys):
+        argv = ["oracle", "--k", "4", "--h", "3", "--witness"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--format", "tuples")
+
 
 class TestLeaper:
     def test_catalog_listing(self, capsys):

@@ -255,6 +255,57 @@ def test_a_count_searches_a_fraction_of_its_tree(h, monkeypatch):
     assert 0 < sum(pushed) < 5000
 
 
+def reference_search(k, h, masks, prefix, *, count_mode):
+    """A plain recursive depth-first search: (1 or 0 for existence, or the
+    count of directed cycles; nodes; first cycle), trying ``masks`` in the
+    given order. It shares no code with the oracle's search."""
+    n = 1 << k
+    path, on_path = list(prefix), set(prefix)
+    count, nodes, first = 0, len(prefix) - 1, None
+
+    def extend():
+        nonlocal count, nodes, first
+        for m in masks:
+            v = path[-1] ^ m
+            if v in on_path:
+                continue
+            nodes += 1
+            path.append(v)
+            if len(path) < n:
+                on_path.add(v)
+                extend()
+                on_path.remove(v)
+            elif bin(v ^ path[0]).count("1") == h:
+                count += 1
+                first = first or list(path)
+            path.pop()
+            if count and not count_mode:
+                return
+
+    extend()
+    return (count if count_mode else min(count, 1)), nodes, first
+
+
+@pytest.mark.parametrize("k", range(1, COUNT_K_MAX + 1))
+def test_search_matches_a_recursive_reference(k):
+    # Every h, even ones too, which the prechecks keep from the search:
+    # there an existence search backtracks through its whole tree.
+    for h in range(1, k + 2):
+        for order in orders(k, h):
+            for prefix in [(0,), (0, order[0])] if order else []:
+                for count_mode in (False, True):
+                    expected = reference_search(k, h, order, prefix, count_mode=count_mode)
+                    got = oracle_mod._dfs(k, h, order, count_mode=count_mode, prefix=prefix)
+                    assert got == expected, (k, h, order, prefix, count_mode)
+
+
+def test_an_existence_search_that_finds_nothing_backtracks_its_tree():
+    # Each popped vertex resumes its parent's scan past the mask that
+    # reached it: the k=4, h=2 tree from (0, 3) has 903 nodes.
+    masks = oracle_mod._flip_masks(4, 2)
+    assert oracle_mod._dfs(4, 2, masks, count_mode=False, prefix=(0, 3)) == (0, 903, None)
+
+
 @pytest.mark.parametrize("k", range(2, 8))
 def test_any_neighbor_order_agrees_with_feasibility(k):
     for h in range(1, k + 2):
@@ -335,6 +386,16 @@ PINNED_EXISTS = {
     (9, 10): (0, None),
 }
 
+# The same for oracle_exists(12, h) at each feasible h: every existence
+# line of the bench's oracle workload and its witness document.
+PINNED_EXISTS_12 = {
+    1: (4095, 'eb2dfdf96be431cc'),
+    3: (4095, '351181b083493037'),
+    5: (4095, 'cce52b8622b194d9'),
+    7: (4095, '7538726a748686cd'),
+    11: (4095, 'd2f6da7b878a05ef'),
+}
+
 PINNED_COUNTS = {
     (1, 1): (0, 0),
     (1, 2): (0, 0),
@@ -370,7 +431,8 @@ def test_search_order_is_pinned():
 
 @pytest.mark.parametrize("h", [1, 3, 5, 7, 11])
 def test_feasible_dimension_12_needs_no_backtracking(h):
-    assert oracle_exists(12, h).nodes_explored == 4095
+    result = oracle_exists(12, h)
+    assert (result.nodes_explored, witness_digest(result.witness)) == PINNED_EXISTS_12[h]
 
 
 def test_search_memory_does_not_grow_with_depth_times_degree():
